@@ -19,7 +19,6 @@ from .complexes import (
 )
 from .derham import (
     FormAlgebra,
-    PolyForm,
     PolyVector,
     basic_subcomplex,
     check_contraction_identity,
@@ -47,7 +46,7 @@ from .gauge import (
     series_log,
     series_mul,
 )
-from .graded import GradedMap, GradedVectorSpace, Scalar, compose, homology, lincomb
+from .graded import GradedMap, GradedVectorSpace, compose, homology, lincomb
 from .spectral import SpectralPage, TotalComplex, degenerates_at_one, page, total_complex
 from .transfer import (
     DeformationRetract,

@@ -152,85 +152,6 @@ class PolyVector:
         return PolyVector(self.dim, out)
 
 
-class PolyForm:
-    """Polynomial-coefficient differential form truncated by polynomial
-    degree; the wedge quotients by the ideal of overflowing monomials."""
-
-    __slots__ = ("dim", "truncation", "terms")
-
-    def __init__(self, dim: int, truncation: int, terms=None):
-        self.dim = dim
-        self.truncation = truncation
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or [])
-        for (alpha, I), c in items:
-            alpha, I = tuple(alpha), tuple(I)
-            c = rat(c)
-            if len(alpha) != dim or any(e < 0 for e in alpha):
-                raise ShapeMismatch("bad exponent vector %r" % (alpha,))
-            if sum(alpha) > truncation:
-                raise ShapeMismatch("monomial beyond the truncation")
-            if list(I) != sorted(set(I)) or any(not 0 <= i < dim for i in I):
-                raise ShapeMismatch("indices must be strictly increasing in range")
-            if c:
-                key = (alpha, I)
-                tot = clean.get(key, Fraction(0)) + c
-                if tot:
-                    clean[key] = tot
-                elif key in clean:
-                    del clean[key]
-        self.terms = dict(sorted(clean.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyForm) and self.dim == other.dim
-                and self.truncation == other.truncation and self.terms == other.terms)
-
-    def __repr__(self):
-        return "PolyForm(dim %d, %d terms)" % (self.dim, len(self.terms))
-
-    def form_degrees(self):
-        return sorted({len(I) for (_, I) in self.terms})
-
-    def add(self, other: "PolyForm") -> "PolyForm":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            tot = out.get(key, Fraction(0)) + c
-            if tot:
-                out[key] = tot
-            elif key in out:
-                del out[key]
-        return PolyForm(self.dim, self.truncation, out)
-
-    def scale(self, a) -> "PolyForm":
-        a = rat(a)
-        return PolyForm(self.dim, self.truncation,
-                        {k: a * c for k, c in self.terms.items()})
-
-    def neg(self) -> "PolyForm":
-        return self.scale(-1)
-
-    def sub(self, other: "PolyForm") -> "PolyForm":
-        return self.add(other.neg())
-
-    def wedge(self, other: "PolyForm") -> "PolyForm":
-        out = {}
-        for (a1, I1), c1 in self.terms.items():
-            for (a2, I2), c2 in other.terms.items():
-                sign, I = _merge_sign(I1, I2)
-                if not sign:
-                    continue
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                if sum(alpha) > self.truncation:
-                    continue
-                key = (alpha, I)
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return PolyForm(self.dim, self.truncation, out)
-
-
 def _x_derivative(terms, dim, i):
     out = {}
     for (alpha, J), c in terms.items():

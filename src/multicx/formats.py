@@ -1,5 +1,5 @@
-"""Self-describing textual formats for multicomplexes, operator series,
-deformation retracts, and polyvector structures.
+"""Self-describing textual formats for multicomplexes, operator series and
+polyvector structures.
 
 The line formats are versioned, whitespace-separated, and canonical: degrees
 ascend, operator indices ascend, entries sort by (source degree, row,
@@ -18,11 +18,9 @@ from .errors import ParseError
 from .exactla import rat
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace
-from .transfer import DeformationRetract
 
 MULTICOMPLEX_HEADER = "multicx multicomplex v1"
 SERIES_HEADER = "multicx series v1"
-RETRACT_HEADER = "multicx retract v1"
 STRUCTURE_FORMAT = "multicx structure v1"
 
 
@@ -216,52 +214,6 @@ def parse_series(text: str) -> OperatorSeries:
         entries = _parse_entries(lines, {"coefficient", "end"})
         coeffs[n] = GradedMap.from_entries(space, space, degree, entries)
     return OperatorSeries(space, coeffs)
-
-
-_RETRACT_MAPS = ("proj", "incl", "homotopy", "dbig", "dsmall")
-
-
-def print_retract(r: DeformationRetract) -> str:
-    out = [RETRACT_HEADER, "big"]
-    _degree_lines(r.big, out)
-    out.append("small")
-    _degree_lines(r.small, out)
-    for name, f in zip(_RETRACT_MAPS,
-                       (r.proj, r.incl, r.homotopy, r.d_big, r.d_small)):
-        out.append("map %s" % name)
-        _entry_lines(f, out)
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
-def parse_retract(text: str) -> DeformationRetract:
-    lines = _Lines(text)
-    no, header = lines.next()
-    if header != RETRACT_HEADER:
-        raise ParseError("not a retract document (header %r)" % header, no)
-    lines.expect("big")
-    big = GradedVectorSpace(_parse_degrees(lines, {"small"}))
-    lines.expect("small")
-    small = GradedVectorSpace(_parse_degrees(lines, {"map"}))
-    seen = {}
-    for want in _RETRACT_MAPS:
-        no, line = lines.next()
-        parts = line.split()
-        if parts[:2] != ["map", want]:
-            raise ParseError("expected 'map %s', found %r" % (want, line), no)
-        seen[want] = _parse_entries(lines, {"map", "end"})
-    lines.expect("end")
-    shapes = {
-        "proj": (big, small, 0), "incl": (small, big, 0),
-        "homotopy": (big, big, 1), "dbig": (big, big, -1),
-        "dsmall": (small, small, -1),
-    }
-    maps = {}
-    for name, (src, tgt, deg) in shapes.items():
-        maps[name] = GradedMap.from_entries(src, tgt, deg, seen[name])
-    return DeformationRetract(big=big, small=small, proj=maps["proj"],
-                              incl=maps["incl"], homotopy=maps["homotopy"],
-                              d_big=maps["dbig"], d_small=maps["dsmall"])
 
 
 def polyvector_to_terms(p: PolyVector):

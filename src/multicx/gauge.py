@@ -25,7 +25,7 @@ from .complexes import (
 )
 from .errors import BadConstantTerm, NotSquareZero, SpaceMismatch
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
-from .transfer import check_hodge_data, minimal_model
+from .transfer import MinimalModel, check_hodge_data, nonzero_weights
 
 
 def power_cap(space: GradedVectorSpace) -> int:
@@ -276,19 +276,19 @@ class NoGauge:
         return False
 
 
-def find_gauge(m: Multicomplex):
-    """A gauge series for m, or NoGauge.
+def find_gauge(model: MinimalModel):
+    """A gauge series for the input of a minimal model, or NoGauge.
 
     When every transferred operator on homology vanishes, the inverse of the
     minimal-model isomorphism composed with the splitting chain map is an
-    infinity-isotopy from (A, d) with trivial higher structure to m; its
-    logarithm is a gauge.  Otherwise no gauge can exist, and the least
+    infinity-isotopy from (A, d) with trivial higher structure to the input;
+    its logarithm is a gauge.  Otherwise no gauge can exist, and the least
     obstructing weight is cited.
     """
-    model = minimal_model(m)
-    for n in range(1, model.minimal.order + 1):
-        if not model.minimal.delta(n).is_zero:
-            return NoGauge(witness=n)
+    weights = nonzero_weights(model.minimal)
+    if weights:
+        return NoGauge(witness=weights[0])
+    m = model.iso.source
     bare = Multicomplex.trivial(m.space, m.delta(0))
     to_product = InfinityMorphism.strict(bare, model.iso.target, model.iso.comp(0))
     phi = compose_infinity(model.iso_inv, to_product)

@@ -7,8 +7,6 @@ handled by the de Rham builder.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegreeMismatch, NotSquareZero, ShapeMismatch, SpaceMismatch
 from .exactla import Matrix, kernel_image, rat
 
@@ -207,10 +205,6 @@ def lincomb(terms, degree=None, source=None, target=None) -> GradedMap:
     return GradedMap(first.source, first.target, first.degree, acc)
 
 
-def is_square_zero(d: GradedMap) -> bool:
-    return d.source == d.target and compose(d, d).is_zero
-
-
 def homology(d: GradedMap) -> GradedVectorSpace:
     """Dimensions of ker d / im d per degree, for a degree -1 differential."""
     if d.degree != -1:
@@ -219,13 +213,8 @@ def homology(d: GradedMap) -> GradedVectorSpace:
         raise SpaceMismatch("differential endpoints disagree")
     if not compose(d, d).is_zero:
         raise NotSquareZero("d squared is nonzero")
-    space = d.source
-    dims = {}
-    for k in space.degrees:
-        ker, _ = kernel_image(d.block(k))
-        _, img = kernel_image(d.block(k + 1))
-        dims[k] = ker.dim - img.dim
-    return GradedVectorSpace(dims)
-
-
-Scalar = Fraction
+    nullity, rank = {}, {}
+    for k in d.source.degrees:
+        ker, img = kernel_image(d.block(k))
+        nullity[k], rank[k - 1] = ker.dim, img.dim
+    return GradedVectorSpace({k: z - rank.get(k, 0) for k, z in nullity.items()})

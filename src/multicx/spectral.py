@@ -177,7 +177,14 @@ class SpectralPage:
         return {key: e.dim for key, e in sorted(self.entries.items()) if e.dim}
 
     def differential_is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.differentials.values())
+        return self.first_nonzero_differential() is None
+
+    def first_nonzero_differential(self):
+        """Least (s, n) whose differential d^r is nonzero, or None."""
+        for key in sorted(self.differentials):
+            if not self.differentials[key].is_zero():
+                return key
+        return None
 
 
 def _page_entry(t: TotalComplex, n, s, r) -> PageEntry:
@@ -230,12 +237,9 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     """True iff every differential on pages 1..stabilization vanishes."""
     bound = t.stabilization_bound()
     for r in range(1, bound + 1):
-        pg = page(t, r)
-        for key in sorted(pg.differentials):
-            if not pg.differentials[key].is_zero():
-                s, n = key
-                return DegenerationResult(ok=False, witness=(r, s, n),
-                                          pages_checked=r)
+        key = page(t, r).first_nonzero_differential()
+        if key is not None:
+            return DegenerationResult(ok=False, witness=(r,) + key, pages_checked=r)
     return DegenerationResult(ok=True, witness=None, pages_checked=bound)
 
 

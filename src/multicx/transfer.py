@@ -119,12 +119,11 @@ def _splitting(space, d, twist=None):
     """Per-degree splitting data; `twist` perturbs the complement choices."""
     kernels, images = {}, {}
     for k in space.degrees:
-        ker, _ = kernel_image(d.block(k))
-        _, img = kernel_image(d.block(k + 1))
-        kernels[k], images[k] = ker, img
+        kernels[k], images[k - 1] = kernel_image(d.block(k))
     parts = {}
     for k in space.degrees:
-        z, b = kernels[k], images[k]
+        z = kernels[k]
+        b = images.get(k) or Subspace.zero(space.dim(k))
         h_sub = complement(b, z)
         c_sub = complement(z, Subspace.full(space.dim(k)))
         h_b, c_b = h_sub.basis, c_sub.basis
@@ -325,13 +324,18 @@ class HodgeData:
         return self.ok
 
 
+def nonzero_weights(m: Multicomplex) -> list:
+    """Weights n >= 1 whose operator is nonzero, ascending; on a transferred
+    structure the first one is the least obstructing weight."""
+    return [n for n in range(1, m.order + 1) if not m.delta(n).is_zero]
+
+
 def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
     """True iff every transferred operator of weight >= 1 vanishes."""
     out = transfer_structure(r, m)
-    for n in range(1, out.transferred.order + 1):
-        if not out.transferred.delta(n).is_zero:
-            return HodgeData(ok=False, witness=n, transfer=out)
-    return HodgeData(ok=True, witness=None, transfer=out)
+    weights = nonzero_weights(out.transferred)
+    return HodgeData(ok=not weights, witness=weights[0] if weights else None,
+                     transfer=out)
 
 
 @dataclass

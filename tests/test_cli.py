@@ -1,10 +1,12 @@
 import json
 import os
 
+from multicx import cli, gauge, spectral, transfer
 from multicx.cli import cmd_analyze, cmd_generate, cmd_geometry, main
 from multicx.derham import PolyVector
 from multicx.formats import parse_multicomplex, print_multicomplex, print_structure
 from multicx.generators import staircase4
+from multicx.spectral import total_complex
 
 
 SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1,
@@ -92,6 +94,62 @@ def test_analyze_staircase_witnesses(tmp_path):
     assert "page 2" in by_name["degenerates at page one"].witness
     assert "weight 2" in by_name["gauge series exists"].witness
     assert by_name["three-way agreement"].passed
+
+
+def count_calls(monkeypatch, *functions):
+    """Count calls of each function wherever a pipeline module holds it."""
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def wrapper(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in (cli, gauge, spectral, transfer):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def stabilization_bound(path):
+    m, _ = parse_multicomplex(open(path, encoding="utf-8").read())
+    return total_complex(m).stabilization_bound()
+
+
+def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    bound = stabilization_bound(path)
+    counts = count_calls(monkeypatch, spectral.page, transfer.minimal_model,
+                         transfer.build_retract, transfer.transfer_structure,
+                         gauge.check_gauge_hodge)
+    report = cmd_analyze(path)
+    assert report.ok
+    assert counts == {"page": bound, "minimal_model": 1, "build_retract": 1,
+                      "transfer_structure": 1, "check_gauge_hodge": 1}
+
+
+def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):
+    path = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
+    bound = stabilization_bound(path)
+    counts = count_calls(monkeypatch, spectral.page)
+    witness = "page 2 at (level, total degree) = (-2, 4)"
+    for pages, shown, built in [(None, bound, bound), (1, 1, 2), (bound + 5, bound, bound)]:
+        counts["page"] = 0
+        report = cmd_analyze(path, pages=pages)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["degenerates at page one"].witness == witness
+        assert list(report.tables["page dimensions"]) == \
+            ["page %d" % r for r in range(1, shown + 1)]
+        assert counts["page"] == built
+
+
+def test_analyze_rejects_pages_below_one(tmp_path, capsys):
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    for bad in ("0", "-1"):
+        assert main(["analyze", path, "--pages", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+    assert main(["analyze", path, "--pages", "1"]) == 0
 
 
 def test_analyze_json_output(tmp_path, capsys):

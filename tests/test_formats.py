@@ -8,19 +8,16 @@ from multicx.errors import ParseError
 from multicx.formats import (
     format_rational,
     parse_multicomplex,
-    parse_retract,
     parse_series,
     parse_structure,
     polyvector_from_terms,
     polyvector_to_terms,
     print_multicomplex,
-    print_retract,
     print_series,
     print_structure,
 )
 from multicx.gauge import OperatorSeries
 from multicx.generators import generate, rand_series, rand_space, rand_square_zero, staircase4
-from multicx.transfer import build_retract
 
 
 def test_rational_formatting():
@@ -73,19 +70,6 @@ def test_series_round_trip():
         assert parse_series(print_series(s)) == s
     assert parse_series(print_series(OperatorSeries.zero(space))) == \
         OperatorSeries.zero(space)
-
-
-def test_retract_round_trip():
-    rng = Random(5)
-    for _ in range(6):
-        space = rand_space(rng)
-        d = rand_square_zero(rng, space, -1)
-        r, _ = build_retract(space, d)
-        back = parse_retract(print_retract(r))
-        assert back.proj == r.proj and back.incl == r.incl
-        assert back.homotopy == r.homotopy
-        assert back.d_big == r.d_big and back.d_small == r.d_small
-        assert back.is_valid()
 
 
 def test_polyvector_terms_round_trip():

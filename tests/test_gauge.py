@@ -31,7 +31,7 @@ from multicx.generators import (
     staircase4,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb
-from multicx.transfer import build_retract
+from multicx.transfer import build_retract, minimal_model
 
 
 WIDE = GradedVectorSpace({0: 2, 2: 2, 4: 2, 6: 2})
@@ -203,11 +203,11 @@ def test_isotopy_series_round_trip():
 def test_find_gauge_trivial_and_obstructed():
     space = GradedVectorSpace({0: 1, 1: 1})
     m = Multicomplex.zero(space)
-    out = find_gauge(m)
+    out = find_gauge(minimal_model(m))
     assert isinstance(out, OperatorSeries) and out.is_zero
     delta = GradedMap.from_entries(space, space, 1, [(0, 0, 0, 1)])
     obstructed = Multicomplex(space, [GradedMap.zero(space, space, -1), delta])
-    out = find_gauge(obstructed)
+    out = find_gauge(minimal_model(obstructed))
     assert isinstance(out, NoGauge) and out.witness == 1
     assert not out
 
@@ -215,13 +215,13 @@ def test_find_gauge_trivial_and_obstructed():
 def test_find_gauge_round_trip_on_gauge_orbits():
     for seed in range(15):
         m = generate("a", 500 + seed)
-        out = find_gauge(m)
+        out = find_gauge(minimal_model(m))
         assert isinstance(out, OperatorSeries)
         assert check_gauge_hodge(out, m).ok
 
 
 def test_find_gauge_staircase_witness():
-    out = find_gauge(staircase4())
+    out = find_gauge(minimal_model(staircase4()))
     assert isinstance(out, NoGauge) and out.witness == 2
 
 
@@ -231,7 +231,7 @@ def test_gauge_exponential_is_an_isotopy_from_bare_complex():
     from multicx.complexes import Multicomplex, validate_infinity_morphism
     for seed in range(10):
         m = generate("a", 800 + seed)
-        series = find_gauge(m)
+        series = find_gauge(minimal_model(m))
         assert isinstance(series, OperatorSeries)
         bare = Multicomplex.trivial(m.space, m.delta(0))
         iso = series_to_isotopy(series_exp(series), bare, m)

@@ -14,6 +14,7 @@ from multicx.generators import (
     invert_degree_zero,
 )
 from multicx.graded import GradedMap, compose
+from multicx.transfer import minimal_model
 
 
 def test_rand_square_zero_really_squares_to_zero():
@@ -42,8 +43,8 @@ def test_every_profile_validates():
 
 def test_profiles_realize_both_gauge_verdicts():
     for seed in range(8):
-        assert not isinstance(find_gauge(generate("a", seed)), NoGauge)
-        assert isinstance(find_gauge(generate("b", seed)), NoGauge)
+        assert not isinstance(find_gauge(minimal_model(generate("a", seed))), NoGauge)
+        assert isinstance(find_gauge(minimal_model(generate("b", seed))), NoGauge)
 
 
 def test_hand_library_members_validate():
