@@ -24,12 +24,11 @@ i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import NotJacobi, NotPoisson, NotSquareZero, ShapeMismatch, WindowTooSmall
-from .exactla import Matrix, kernel_image, rat, solve
+from .exactla import Matrix, accumulate, kernel_image, rat, solve
 from .gauge import OperatorSeries, check_gauge_hodge
 from .graded import GradedMap, GradedVectorSpace, compose
 
@@ -69,23 +68,18 @@ class PolyVector:
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
-        clean = {}
         items = terms.items() if isinstance(terms, dict) else (terms or [])
+        self.terms = dict(sorted(accumulate({}, self._checked(items)).items()))
+
+    def _checked(self, items):
+        """The ((alpha, J), Fraction) items, each checked to be a monomial."""
         for (alpha, J), c in items:
             alpha, J = tuple(alpha), tuple(J)
-            c = rat(c)
-            if len(alpha) != dim or any(e < 0 for e in alpha):
+            if len(alpha) != self.dim or any(e < 0 for e in alpha):
                 raise ShapeMismatch("bad exponent vector %r" % (alpha,))
-            if list(J) != sorted(set(J)) or any(not 0 <= j < dim for j in J):
+            if list(J) != sorted(set(J)) or any(not 0 <= j < self.dim for j in J):
                 raise ShapeMismatch("indices must be strictly increasing in range")
-            if c:
-                key = (alpha, J)
-                tot = clean.get(key, Fraction(0)) + c
-                if tot:
-                    clean[key] = tot
-                elif key in clean:
-                    del clean[key]
-        self.terms = dict(sorted(clean.items()))
+            yield (alpha, J), rat(c)
 
     @staticmethod
     def zero(dim: int) -> "PolyVector":
@@ -120,14 +114,7 @@ class PolyVector:
                                      if len(key[1]) == k})
 
     def add(self, other: "PolyVector") -> "PolyVector":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            tot = out.get(key, Fraction(0)) + c
-            if tot:
-                out[key] = tot
-            elif key in out:
-                del out[key]
-        return PolyVector(self.dim, out)
+        return PolyVector(self.dim, chain(self.terms.items(), other.terms.items()))
 
     def scale(self, a) -> "PolyVector":
         a = rat(a)
@@ -140,39 +127,30 @@ class PolyVector:
         return self.add(other.neg())
 
     def wedge(self, other: "PolyVector") -> "PolyVector":
-        out = {}
-        for (a1, J1), c1 in self.terms.items():
-            for (a2, J2), c2 in other.terms.items():
-                sign, J = _merge_sign(J1, J2)
-                if not sign:
-                    continue
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                key = (alpha, J)
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return PolyVector(self.dim, out)
+        def products():
+            for (a1, J1), c1 in self.terms.items():
+                for (a2, J2), c2 in other.terms.items():
+                    sign, J = _merge_sign(J1, J2)
+                    if sign:
+                        yield (tuple(x + y for x, y in zip(a1, a2)), J), sign * c1 * c2
+        return PolyVector(self.dim, products())
 
 
-def _x_derivative(terms, dim, i):
-    out = {}
+def _x_derivative(terms, i):
+    """Terms of the derivative in x_i, as (key, value) pairs."""
     for (alpha, J), c in terms.items():
         if alpha[i]:
             beta = list(alpha)
             beta[i] -= 1
-            key = (tuple(beta), J)
-            out[key] = out.get(key, Fraction(0)) + c * alpha[i]
-    return out
+            yield (tuple(beta), J), c * alpha[i]
 
 
 def _right_theta_derivative(terms, i):
-    out = {}
+    """Terms of the right derivative in the odd variable of direction i."""
     for (alpha, J), c in terms.items():
-        if i not in J:
-            continue
-        pos = J.index(i)
-        sign = (-1) ** (len(J) - 1 - pos)
-        key = (alpha, tuple(j for j in J if j != i))
-        out[key] = out.get(key, Fraction(0)) + sign * c
-    return out
+        if i in J:
+            sign = (-1) ** (len(J) - 1 - J.index(i))
+            yield (alpha, tuple(j for j in J if j != i)), sign * c
 
 
 def _schouten_homogeneous(p: PolyVector, q: PolyVector, pdeg, qdeg) -> PolyVector:
@@ -180,10 +158,10 @@ def _schouten_homogeneous(p: PolyVector, q: PolyVector, pdeg, qdeg) -> PolyVecto
     acc = PolyVector.zero(dim)
     for i in range(dim):
         left = PolyVector(dim, _right_theta_derivative(p.terms, i))
-        right = PolyVector(dim, _x_derivative(q.terms, dim, i))
+        right = PolyVector(dim, _x_derivative(q.terms, i))
         acc = acc.add(left.wedge(right))
         left2 = PolyVector(dim, _right_theta_derivative(q.terms, i))
-        right2 = PolyVector(dim, _x_derivative(p.terms, dim, i))
+        right2 = PolyVector(dim, _x_derivative(p.terms, i))
         sign = (-1) ** ((pdeg - 1) * (qdeg - 1) % 2)
         acc = acc.sub(left2.wedge(right2).scale(sign))
     return acc

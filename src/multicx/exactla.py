@@ -28,6 +28,31 @@ def rat(x) -> Fraction:
     raise TypeError("not an exact rational: %r" % (x,))
 
 
+def accumulate(acc: dict, items, a=1) -> dict:
+    """Add a*v into acc for every (key, v) in items and return acc.
+
+    This is the package's one sparse-sum loop: a key whose sum cancels is
+    dropped, so a sparse dict never stores an explicit zero.  Values are
+    Fractions.  With a = 1 they are added as they are, without a
+    multiplication, and a new key takes its value without an addition.
+    """
+    unit = a == 1
+    for key, v in items:
+        if not unit:
+            v = a * v
+        prev = acc.get(key)
+        if prev is None:
+            if v:
+                acc[key] = v
+        else:
+            tot = prev + v
+            if tot:
+                acc[key] = tot
+            else:
+                del acc[key]
+    return acc
+
+
 class Matrix:
     """Sparse rational matrix; immutable by convention after construction.
 
@@ -41,25 +66,18 @@ class Matrix:
             raise ShapeMismatch("negative matrix shape %dx%d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        ent = {}
+        self.entries = {}
         if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for item in items:
-                if isinstance(entries, dict):
-                    (r, c), v = item
-                else:
-                    r, c, v = item
-                v = rat(v)
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ShapeMismatch("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
-                if v != 0:
-                    prev = ent.get((r, c), ZERO)
-                    tot = prev + v
-                    if tot:
-                        ent[(r, c)] = tot
-                    elif (r, c) in ent:
-                        del ent[(r, c)]
-        self.entries = ent
+            items = (entries.items() if isinstance(entries, dict)
+                     else (((r, c), v) for r, c, v in entries))
+            accumulate(self.entries, self._checked(items))
+
+    def _checked(self, items):
+        """The ((row, col), Fraction) items, each checked against the shape."""
+        for (r, c), v in items:
+            if not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ShapeMismatch("entry (%d,%d) outside %dx%d" % (r, c, self.rows, self.cols))
+            yield (r, c), rat(v)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -101,24 +119,12 @@ class Matrix:
     def get(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), ZERO)
 
-    def to_rows(self):
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("add %dx%d to %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        ent = dict(self.entries)
-        for key, v in other.entries.items():
-            tot = ent.get(key, ZERO) + v
-            if tot:
-                ent[key] = tot
-            elif key in ent:
-                del ent[key]
         m = Matrix(self.rows, self.cols)
-        m.entries.update(ent)
+        m.entries.update(self.entries)
+        accumulate(m.entries, other.entries.items())
         return m
 
     def scale(self, a) -> "Matrix":
@@ -141,20 +147,18 @@ class Matrix:
         by_row = {}
         for (j, k), v in other.entries.items():
             by_row.setdefault(j, []).append((k, v))
-        acc = {}
+        lefts = {}
         for (i, j), a in self.entries.items():
             hits = by_row.get(j)
-            if not hits:
-                continue
-            for k, b in hits:
-                key = (i, k)
-                tot = acc.get(key, ZERO) + a * b
-                if tot:
-                    acc[key] = tot
-                elif key in acc:
-                    del acc[key]
+            if hits:
+                lefts.setdefault(i, []).append((a, hits))
+        # one output row at a time, so no second copy of the product is held
         m = Matrix(self.rows, other.cols)
-        m.entries.update(acc)
+        for i, terms in lefts.items():
+            row = {}
+            for a, hits in terms:
+                accumulate(row, hits, a)
+            m.entries.update(((i, k), v) for k, v in row.items())
         return m
 
     def transpose(self) -> "Matrix":
@@ -178,13 +182,6 @@ class Matrix:
         m.entries.update(self.entries)
         for (r, c), v in other.entries.items():
             m.entries[(self.rows + r, c)] = v
-        return m
-
-    def col(self, j: int) -> "Matrix":
-        m = Matrix(self.rows, 1)
-        for (r, c), v in self.entries.items():
-            if c == j:
-                m.entries[(r, 0)] = v
         return m
 
     def select_columns(self, js) -> "Matrix":
@@ -234,14 +231,7 @@ def _rref(m: Matrix):
                 f = r.get(col)
                 if f is None:
                     continue
-                new = dict(r)
-                for c, v in piv.items():
-                    t = new.get(c, ZERO) - f * v
-                    if t:
-                        new[c] = t
-                    elif c in new:
-                        del new[c]
-                other_set[k] = new
+                other_set[k] = accumulate(dict(r), piv.items(), -f)
         rows = [r for r in rows if r]
         done.append(piv)
         pivots.append(col)
@@ -277,8 +267,9 @@ class Subspace:
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Matrix) -> "Subspace":
         """Span of arbitrary column vectors; dependent columns are dropped."""
-        _, img = kernel_image(vectors)
-        return Subspace(ambient_dim, img.basis)
+        if vectors.rows != ambient_dim:
+            raise ShapeMismatch("basis rows != ambient dim")
+        return kernel_image(vectors)[1]
 
     @property
     def dim(self) -> int:
@@ -345,26 +336,21 @@ def solve(a: Matrix, b: Matrix):
 
 
 def complement(sub: Subspace, ambient: Subspace) -> Subspace:
-    """A complement of `sub` inside `ambient`, greedy over ambient's basis.
+    """A complement of `sub` inside `ambient`, spanned by ambient basis columns.
 
-    Scans ambient basis columns in order and keeps those that enlarge the
-    span, so the choice is deterministic given the input ordering.
+    The chosen columns are the pivots at or past `sub.dim` of one RREF of
+    [sub | ambient].  A column is a pivot exactly when it is not in the span
+    of the columns before it, so this is the greedy choice: scan ambient's
+    basis in order and keep each column that enlarges the span.  Because
+    ambient's basis is independent, `sub` lies inside `ambient` exactly when
+    the RREF has `ambient.dim` pivots.
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise ShapeMismatch("complement in a different ambient space")
-    if not ambient.contains(sub):
+    pivots, _ = _rref(sub.basis.hstack(ambient.basis))
+    if len(pivots) != ambient.dim:
         raise NotContained("subspace not inside the ambient subspace")
-    current = sub.basis
-    r = current.cols
-    chosen = []
-    for j in range(ambient.basis.cols):
-        if r == ambient.dim:
-            break
-        cand = current.hstack(ambient.basis.col(j))
-        if rank(cand) > r:
-            current = cand
-            r += 1
-            chosen.append(j)
+    chosen = [p - sub.dim for p in pivots if p >= sub.dim]
     return Subspace(ambient.ambient_dim, ambient.basis.select_columns(chosen))
 
 
@@ -379,17 +365,13 @@ def induced_subquotient_map(m: Matrix, src, dst) -> Matrix:
     """
     src_num, src_den = src
     dst_num, dst_den = dst
-    if not src_num.contains(src_den):
-        raise NotContained("source denominator not inside numerator")
-    if not dst_num.contains(dst_den):
-        raise NotContained("target denominator not inside numerator")
+    src_rep = complement(src_den, src_num)
+    dst_rep = complement(dst_den, dst_num)
     if m.cols != src_num.ambient_dim or m.rows != dst_num.ambient_dim:
         raise ShapeMismatch("map shape does not match the ambient spaces")
     if src_den.dim:
         if solve(dst_den.basis, m.mul(src_den.basis)) is None:
             raise NotWellDefined("denominator is not carried into the target denominator")
-    src_rep = complement(src_den, src_num)
-    dst_rep = complement(dst_den, dst_num)
     frame = dst_den.basis.hstack(dst_rep.basis)
     if src_rep.dim == 0:
         return Matrix(dst_rep.dim, 0)

@@ -171,14 +171,16 @@ def parse_multicomplex(text: str):
             raise ParseError("operator indices must increase", no)
         last = n
         entries = _parse_entries(lines, {"operator", "end"})
+        if not entries:
+            continue
         try:
             ops[n] = GradedMap.from_entries(space, space, 2 * n - 1, entries)
         except Exception as exc:
             raise ParseError("operator %d: %s" % (n, exc), no)
-    deltas = [ops.get(n, GradedMap.zero(space, space, 2 * n - 1))
-              for n in range(last + 1)]
-    if not deltas:
-        deltas = [GradedMap.zero(space, space, -1)]
+    # operators past the last section with entries are zero; Multicomplex
+    # needs none of them, so none is built
+    deltas = [ops[n] if n in ops else GradedMap.zero(space, space, 2 * n - 1)
+              for n in range(max(ops, default=-1) + 1)]
     if lines.peek()[1] is not None:
         raise ParseError("trailing content after end", lines.peek()[0])
     return Multicomplex(space, deltas), meta
@@ -229,7 +231,7 @@ def polyvector_to_terms(p: PolyVector):
 
 
 def polyvector_from_terms(terms, dim: int) -> PolyVector:
-    acc = {}
+    pairs = []
     for t in terms:
         try:
             coeff = Fraction(t["coefficient"])
@@ -239,9 +241,8 @@ def polyvector_from_terms(terms, dim: int) -> PolyVector:
             raise ParseError("bad polyvector term %r: %s" % (t, exc))
         if len(alpha) != dim:
             raise ParseError("monomial %r does not have %d exponents" % (t["monomial"], dim))
-        key = (alpha, indices)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    return PolyVector(dim, acc)
+        pairs.append(((alpha, indices), coeff))
+    return PolyVector(dim, pairs)
 
 
 def print_structure(dim: int, bivector: PolyVector, vector=None) -> str:

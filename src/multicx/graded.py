@@ -8,7 +8,7 @@ handled by the de Rham builder.
 from __future__ import annotations
 
 from .errors import DegreeMismatch, NotSquareZero, ShapeMismatch, SpaceMismatch
-from .exactla import Matrix, kernel_image, rat
+from .exactla import Matrix, accumulate, kernel_image, rat
 
 
 class GradedVectorSpace:
@@ -200,8 +200,9 @@ def lincomb(terms, degree=None, source=None, target=None) -> GradedMap:
         if not a:
             continue
         for k, m in f.blocks.items():
-            cur = acc.get(k)
-            acc[k] = m.scale(a) if cur is None else cur.add(m.scale(a))
+            if k not in acc:
+                acc[k] = Matrix(m.rows, m.cols)
+            accumulate(acc[k].entries, m.entries.items(), a)
     return GradedMap(first.source, first.target, first.degree, acc)
 
 

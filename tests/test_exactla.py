@@ -2,17 +2,25 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.errors import NotContained, NotWellDefined
 from multicx.exactla import (
     Matrix,
     Subspace,
+    accumulate,
     complement,
     induced_subquotient_map,
     kernel_image,
     rank,
     solve,
 )
+from multicx.graded import GradedMap, GradedVectorSpace, lincomb
+
+# property tests stay deterministic: the same examples on every run
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+POOL = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
 
 
 def rand_matrix(rng, rows, cols, density=0.5):
@@ -161,11 +169,11 @@ def test_induced_map_commutes_with_projection_random():
         out = induced_subquotient_map(m, (num, den), (num, den))
         rep = complement(den, num)
         for j in range(rep.dim):
-            v = rep.basis.col(j)
+            v = rep.basis.select_columns([j])
             lhs = m.mul(v)
             coords = solve(den.basis.hstack(rep.basis), lhs)
             got = coords.select_rows(range(den.dim, den.dim + rep.dim))
-            assert got == out.col(j)
+            assert got == out.select_columns([j])
         assert den__vecs.rows == n  # silence unused warning path
 
 
@@ -182,9 +190,9 @@ def test_induced_map_with_stable_denominator_commutes():
         rep = complement(den, num)
         frame = den.basis.hstack(rep.basis)
         for j in range(rep.dim):
-            coords = solve(frame, m.mul(rep.basis.col(j)))
+            coords = solve(frame, m.mul(rep.basis.select_columns([j])))
             reduced = coords.select_rows(range(den.dim, den.dim + rep.dim))
-            assert reduced == out.col(j)
+            assert reduced == out.select_columns([j])
 
 
 def test_subspace_equality_and_sum():
@@ -193,3 +201,146 @@ def test_subspace_equality_and_sum():
     assert a == b
     s = a.sum(Subspace(3, Matrix.column([0, 1, 0])))
     assert s.dim == 2
+
+
+# ---- property tests against dense and greedy references ----
+
+def dense(m):
+    return [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def from_dense(rows, cols):
+    return Matrix(len(rows), cols, [(r, c, v) for r, row in enumerate(rows)
+                                    for c, v in enumerate(row)])
+
+
+def dense_rows(rows, cols):
+    return st.lists(st.lists(st.sampled_from(POOL).map(Fraction), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    return from_dense(draw(dense_rows(rows, cols)), cols)
+
+
+def no_stored_zero(m):
+    return all(v != 0 for v in m.entries.values())
+
+
+def greedy_complement(sub, ambient):
+    """The per-column greedy scan complement() used to run: keep each ambient
+    basis column that raises the rank of what is kept so far."""
+    if not ambient.contains(sub):
+        raise NotContained("subspace not inside the ambient subspace")
+    current = sub.basis
+    r = current.cols
+    chosen = []
+    for j in range(ambient.basis.cols):
+        if r == ambient.dim:
+            break
+        cand = current.hstack(ambient.basis.select_columns([j]))
+        if rank(cand) > r:
+            current = cand
+            r += 1
+            chosen.append(j)
+    return Subspace(ambient.ambient_dim, ambient.basis.select_columns(chosen))
+
+
+@PROPERTY
+@given(st.data())
+def test_complement_matches_greedy_scan(data):
+    n = data.draw(st.integers(1, 5))
+    ambient = Subspace.spanned_by(n, data.draw(matrices(rows=n)))
+    if data.draw(st.booleans()):
+        # a subspace of ambient: images of ambient's basis
+        vecs = ambient.basis.mul(data.draw(matrices(rows=ambient.dim)))
+    else:
+        vecs = data.draw(matrices(rows=n))
+    sub = Subspace.spanned_by(n, vecs)
+    if ambient.contains(sub):
+        got = complement(sub, ambient)
+        assert got.basis == greedy_complement(sub, ambient).basis
+        assert got.dim + sub.dim == ambient.dim
+    else:
+        with pytest.raises(NotContained):
+            complement(sub, ambient)
+        with pytest.raises(NotContained):
+            greedy_complement(sub, ambient)
+
+
+@PROPERTY
+@given(st.data())
+def test_matrix_arithmetic_matches_dense(data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(dense_rows(rows, inner)), data.draw(dense_rows(rows, inner))
+    c = data.draw(dense_rows(inner, cols))
+    ma, mb, mc = from_dense(a, inner), from_dense(b, inner), from_dense(c, cols)
+    assert dense(ma) == a and no_stored_zero(ma)
+    total = ma.add(mb)
+    assert dense(total) == [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+    diff = ma.sub(mb)
+    assert dense(diff) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+    prod = ma.mul(mc)
+    assert dense(prod) == [[sum((a[i][j] * c[j][k] for j in range(inner)), Fraction(0))
+                            for k in range(cols)] for i in range(rows)]
+    assert all(no_stored_zero(m) for m in (total, diff, prod))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(POOL)),
+                max_size=12))
+def test_matrix_merges_repeated_entries(triples):
+    want = [[Fraction(0)] * 3 for _ in range(3)]
+    for r, c, v in triples:
+        want[r][c] += v
+    m = Matrix(3, 3, triples)
+    assert dense(m) == want and no_stored_zero(m)
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(0, 5), st.sampled_from(POOL[2:]).map(Fraction)),
+       st.lists(st.tuples(st.integers(0, 5), st.sampled_from(POOL).map(Fraction)),
+                max_size=10),
+       st.sampled_from(POOL).map(Fraction))
+def test_accumulate_matches_dense(acc, items, a):
+    want = [acc.get(k, Fraction(0)) for k in range(6)]
+    for k, v in items:
+        want[k] += a * v
+    out = accumulate(dict(acc), items, a)
+    assert [out.get(k, Fraction(0)) for k in range(6)] == want
+    assert all(v != 0 for v in out.values())
+
+
+@PROPERTY
+@given(st.data())
+def test_lincomb_matches_dense(data):
+    dims = {0: data.draw(st.integers(1, 3)), 1: data.draw(st.integers(1, 3))}
+    space = GradedVectorSpace(dims)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        blocks = {k: data.draw(matrices(rows=d, cols=d)) for k, d in dims.items()}
+        terms.append((data.draw(st.sampled_from(POOL)), GradedMap(space, space, 0, blocks)))
+    out = lincomb(terms)
+    for k, d in dims.items():
+        want = [[sum((Fraction(a) * f.block(k).get(r, c) for a, f in terms), Fraction(0))
+                 for c in range(d)] for r in range(d)]
+        assert dense(out.block(k)) == want
+        assert no_stored_zero(out.block(k))
+    assert all(not m.is_zero() for m in out.blocks.values())
+
+
+@PROPERTY
+@given(st.data())
+def test_kernel_image_and_solve_invariants(data):
+    m = data.draw(matrices())
+    ker, img = kernel_image(m)
+    assert m.mul(ker.basis).is_zero()
+    assert ker.dim + img.dim == m.cols
+    assert img.dim == rank(m)
+    x = data.draw(matrices(rows=m.cols, cols=data.draw(st.integers(0, 3))))
+    b = m.mul(x)
+    y = solve(m, b)
+    assert y is not None and m.mul(y) == b

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
 from multicx.errors import ParseError
 from multicx.formats import (
@@ -18,6 +19,7 @@ from multicx.formats import (
 )
 from multicx.gauge import OperatorSeries
 from multicx.generators import generate, rand_series, rand_space, rand_square_zero, staircase4
+from multicx.graded import GradedMap, GradedVectorSpace
 
 
 def test_rational_formatting():
@@ -60,6 +62,23 @@ def test_multicomplex_rejects_misordered_operators():
            "operator 1\noperator 0\nend\n")
     with pytest.raises(ParseError):
         parse_multicomplex(doc)
+
+
+def test_multicomplex_parse_builds_no_trailing_zero_operators(monkeypatch):
+    # a high operator section with no entries must not cost one zero map per
+    # index below it
+    built = []
+    zero = GradedMap.zero
+    monkeypatch.setattr(GradedMap, "zero",
+                        staticmethod(lambda *args: built.append(args) or zero(*args)))
+    doc = ("multicx multicomplex v1\ndegrees\n0 1\n1 1\n"
+           "operator 0\n1 0 0 2\noperator 100000\nend\n")
+    m, _ = parse_multicomplex(doc)
+    assert len(built) <= 2
+    space = GradedVectorSpace({0: 1, 1: 1})
+    d = GradedMap.from_entries(space, space, -1, [(1, 0, 0, 2)])
+    assert m == Multicomplex(space, [d])
+    assert m.order == 0
 
 
 def test_series_round_trip():
