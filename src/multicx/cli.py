@@ -10,9 +10,12 @@ Subcommands wire the full pipelines together and emit deterministic reports:
 
 `analyze` computes each object once: one minimal model gives the homology,
 the transferred operators with their verdict, and the gauge (whose
-conjugation check runs inside `find_gauge`); one pass over the pages gives
-the page table and the independent degeneration verdict.  `--pages R`
-(R >= 1) truncates only the printed table.
+conjugation check runs inside `find_gauge`).  The independent degeneration
+verdict, in `analyze` and `geometry` alike, comes from ranks: page one
+against the homology of the total complex.  Pages are built only to find
+the witness of a failed verdict, and `analyze` builds the later pages its
+table shows only then; when the verdict holds every page equals page one.
+`--pages R` (R >= 1) truncates only the printed table.
 
 Exit codes: 0 every check passed, 1 a mathematical check failed (the report
 carries the witness), 2 input error.  The only environment hook is
@@ -43,7 +46,7 @@ from .errors import MulticxError, NotJacobi, NotPoisson, ParseError
 from .gauge import NoGauge, find_gauge
 from .generators import generate
 from .graded import homology
-from .spectral import degenerates_at_one, page, total_complex
+from .spectral import degenerates_at_one, page, page_one_dims, total_complex
 from .transfer import alternative_retract, check_hodge_data, minimal_model, nonzero_weights
 from random import Random
 
@@ -155,27 +158,23 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     report.add("transferred operators vanish", hodge_ok,
                "" if hodge_ok else "weight %d" % weights[0])
 
-    # one pass over the pages: the first `pages` of them fill the table, and
-    # the verdict needs them up to the first nonzero differential
+    # the verdict comes from ranks; when it holds every page equals page
+    # one, and when it fails the pages built to find the witness fill the
+    # table before any later page is built
     t = total_complex(m)
+    degen = degenerates_at_one(t)
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
-    page_dims = {}
-    witness = None
-    for r in range(1, bound + 1):
-        if r > shown and witness is not None:
-            break
-        pg = page(t, r)
-        if r <= shown:
-            page_dims["page %d" % r] = {str(k): v for k, v in pg.dims_table().items()}
-        if witness is None:
-            key = pg.first_nonzero_differential()
-            if key is not None:
-                witness = (r,) + key
-    report.tables["page dimensions"] = page_dims
-    degen_ok = witness is None
-    report.add("degenerates at page one", degen_ok,
-               "" if degen_ok else "page %d at (level, total degree) = (%d, %d)" % witness)
+    if degen.ok:
+        rows = [page_one_dims(t)] * shown
+    else:
+        rows = [pg.dims_table() for pg in degen.pages[:shown]]
+        rows += [page(t, r).dims_table() for r in range(len(rows) + 1, shown + 1)]
+    report.tables["page dimensions"] = {
+        "page %d" % r: {str(k): v for k, v in dims.items()}
+        for r, dims in enumerate(rows, 1)}
+    report.add("degenerates at page one", degen.ok,
+               "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 
     gauge = find_gauge(model)
     found = not isinstance(gauge, NoGauge)
@@ -187,10 +186,10 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
         # raises when the check fails, so a returned gauge has passed it
         report.add("gauge series conjugates the differential", True)
 
-    agree = (hodge_ok == degen_ok == found)
+    agree = (hodge_ok == degen.ok == found)
     report.add("three-way agreement", agree,
                "" if agree else "hodge=%s degeneration=%s gauge=%s"
-               % (hodge_ok, degen_ok, found))
+               % (hodge_ok, degen.ok, found))
 
     if seed is not None:
         rng = Random(seed)

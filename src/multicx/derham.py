@@ -428,14 +428,18 @@ def operator_order(a: FormAlgebra, p: GradedMap, bound: int,
                     return False
         return True
 
-    def rec(q, k):
+    # The generators graded-commute, so by the graded Jacobi identity the
+    # nested commutator with a sequence of them depends on its order only up
+    # to sign: one walk over nondecreasing index sequences decides the same.
+    def rec(q, k, first):
         if q.is_zero:
             return True
         if k < 0:
             return zero_enough(q)
-        return all(rec(graded_commutator(q, g), k - 1) for g in gens)
+        return all(rec(graded_commutator(q, gens[i]), k - 1, i)
+                   for i in range(first, len(gens)))
 
-    return rec(p, bound)
+    return rec(p, bound, 0)
 
 
 def order_window(probe_degree: int, bound: int, raise_margin: int) -> int:

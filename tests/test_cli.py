@@ -117,13 +117,12 @@ def stabilization_bound(path):
 
 def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
-    bound = stabilization_bound(path)
     counts = count_calls(monkeypatch, spectral.page, transfer.minimal_model,
                          transfer.build_retract, transfer.transfer_structure,
                          gauge.check_gauge_hodge)
     report = cmd_analyze(path)
     assert report.ok
-    assert counts == {"page": bound, "minimal_model": 1, "build_retract": 1,
+    assert counts == {"page": 0, "minimal_model": 1, "build_retract": 1,
                       "transfer_structure": 1, "check_gauge_hodge": 1}
 
 
@@ -140,6 +139,22 @@ def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):
         assert list(report.tables["page dimensions"]) == \
             ["page %d" % r for r in range(1, shown + 1)]
         assert counts["page"] == built
+
+    # a degenerate instance: every row is page one, and no page is built
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    m, _ = parse_multicomplex(open(path, encoding="utf-8").read())
+    t = total_complex(m)
+    bound = t.stabilization_bound()
+    for pages, shown in [(None, bound), (1, 1), (bound + 5, bound)]:
+        counts["page"] = 0
+        report = cmd_analyze(path, pages=pages)
+        assert report.ok
+        table = report.tables["page dimensions"]
+        assert list(table) == ["page %d" % r for r in range(1, shown + 1)]
+        assert counts["page"] == 0
+        for r in range(1, shown + 1):
+            direct = spectral.page(t, r).dims_table()
+            assert table["page %d" % r] == {str(k): v for k, v in direct.items()}
 
 
 def test_analyze_rejects_pages_below_one(tmp_path, capsys):

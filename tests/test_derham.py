@@ -2,6 +2,8 @@ from itertools import combinations, product as iproduct
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.complexes import validate_multicomplex
 from multicx.errors import NotJacobi, NotPoisson, ShapeMismatch, WindowTooSmall
@@ -26,7 +28,7 @@ from multicx.derham import (
     wedge_multiplication,
 )
 from multicx.gauge import check_gauge_hodge
-from multicx.graded import compose, lincomb
+from multicx.graded import GradedMap, compose, lincomb
 
 
 SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1,
@@ -328,6 +330,70 @@ def test_operator_order_multiplications_and_differential():
     lad = structure_order_ladder(PolyVector(2, {((0, 0), (0, 1)): 1}))
     assert lad.d_at_most_1 and not lad.d_at_most_0
     assert lad.delta1_at_most_2 and not lad.delta1_at_most_1
+
+
+def ordered_operator_order(a, p, bound, probe_degree=None):
+    """The order recursion over every ordered sequence of generators."""
+    gens = multiplication_generators(a)
+
+    def zero_enough(q):
+        if q.is_zero:
+            return True
+        if probe_degree is None:
+            return False
+        return all(sum(a.basis[-k][c][0]) > probe_degree
+                   for k, block in q.blocks.items() for (_, c) in block.entries)
+
+    def rec(q, k):
+        if q.is_zero:
+            return True
+        if k < 0:
+            return zero_enough(q)
+        return all(rec(graded_commutator(q, g), k - 1) for g in gens)
+
+    return rec(p, bound)
+
+
+ORDER_ALGEBRA = FormAlgebra(2, 3)
+# generators (order 0), d (order 1), contractions by a rotation field and by
+# a bivector; words in them have orders up to about the word length
+ORDER_ATOMS = multiplication_generators(ORDER_ALGEBRA) + [
+    d_de_rham(ORDER_ALGEBRA),
+    contraction(ORDER_ALGEBRA, PolyVector(2, {((0, 1), (0,)): 1, ((1, 0), (1,)): -1})),
+    contraction(ORDER_ALGEBRA, PolyVector(2, {((1, 0), (0, 1)): 1})),
+]
+
+ORDER_COEFFICIENTS = st.sampled_from([1, -1, 2, -2])
+
+
+@st.composite
+def order_operators(draw):
+    """A combination of words in ORDER_ATOMS of one degree, sometimes plus a
+    random sparse map, which usually has high order."""
+    space = ORDER_ALGEBRA.space
+    words = draw(st.lists(st.lists(st.sampled_from(ORDER_ATOMS), max_size=3),
+                          min_size=1, max_size=3))
+    terms = []
+    for word in words:
+        op = GradedMap.identity(space)
+        for atom in word:
+            op = compose(atom, op)
+        terms.append((draw(ORDER_COEFFICIENTS), op))
+    degree = terms[0][1].degree
+    blocks = [k for k in space.degrees if space.dim(k + degree)]
+    if blocks and draw(st.booleans()):
+        entries = [(k, draw(st.integers(0, space.dim(k + degree) - 1)),
+                    draw(st.integers(0, space.dim(k) - 1)), draw(ORDER_COEFFICIENTS))
+                   for k in draw(st.lists(st.sampled_from(blocks), max_size=2))]
+        terms.append((1, GradedMap.from_entries(space, space, degree, entries)))
+    return lincomb([(c, op) for c, op in terms if op.degree == degree])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(order_operators(), st.integers(0, 2), st.sampled_from([None, 0, 1, 2]))
+def test_operator_order_matches_ordered_walk(p, bound, probe_degree):
+    assert operator_order(ORDER_ALGEBRA, p, bound, probe_degree) == \
+        ordered_operator_order(ORDER_ALGEBRA, p, bound, probe_degree)
 
 
 def test_order_ladder_jacobi():

@@ -2,15 +2,24 @@ from random import Random
 
 import pytest
 
+from multicx import spectral
 from multicx.complexes import Multicomplex
-from multicx.errors import InvalidMulticomplex
+from multicx.errors import InvalidMulticomplex, NotWellDefined
 from multicx.exactla import kernel_image
-from multicx.generators import generate, mixed_gauge_instance, staircase4
+from multicx.generators import (
+    corpus,
+    generate,
+    hand_library,
+    mixed_gauge_instance,
+    staircase4,
+)
 from multicx.graded import GradedMap, GradedVectorSpace, homology
 from multicx.spectral import (
+    SpectralPage,
     degenerates_at_one,
     identify_with_homology,
     page,
+    page_one_dims,
     total_complex,
 )
 from multicx.transfer import build_retract, check_hodge_data, transfer_structure
@@ -125,6 +134,46 @@ def test_staircase_witness_page_two():
     res = degenerates_at_one(total_complex(staircase4()))
     assert not res.ok
     assert res.witness[0] == 2
+    assert [pg.r for pg in res.pages] == [1, 2] and res.pages_checked == 2
+
+
+def page_walk(t):
+    """The page-by-page verdict: pages 1..bound up to the first nonzero
+    differential, returned with the witness (None when every one vanishes)."""
+    pages = []
+    for r in range(1, t.stabilization_bound() + 1):
+        pages.append(page(t, r))
+        key = pages[-1].first_nonzero_differential()
+        if key is not None:
+            return (r,) + key, pages
+    return None, pages
+
+
+def test_rank_verdict_agrees_with_page_walk():
+    instances = [m for _, _, m in corpus(60)] + hand_library()
+    seen = {True: 0, False: 0}
+    for m in instances:
+        t = total_complex(m)
+        witness, pages = page_walk(t)
+        res = degenerates_at_one(t)
+        assert res.ok == (witness is None)
+        assert res.witness == witness
+        seen[res.ok] += 1
+        assert page_one_dims(t) == pages[0].dims_table()
+        if res.ok:
+            assert res.pages_checked == 0
+            for pg in pages:
+                assert page_one_dims(t) == pg.dims_table()
+        else:
+            assert [pg.dims_table() for pg in res.pages] == \
+                [pg.dims_table() for pg in pages]
+    assert seen[True] and seen[False]
+
+
+def test_rank_failure_without_witness_is_a_logic_error(monkeypatch):
+    monkeypatch.setattr(spectral, "page", lambda t, r: SpectralPage(r=r))
+    with pytest.raises(NotWellDefined):
+        degenerates_at_one(total_complex(staircase4()))
 
 
 def test_page_recomputation_dims_consistency():
