@@ -30,7 +30,7 @@ from .complexes import Multicomplex, validate_multicomplex
 from .errors import NotJacobi, NotPoisson, NotSquareZero, ShapeMismatch, WindowTooSmall
 from .exactla import Matrix, accumulate, kernel_image, rat, solve
 from .gauge import OperatorSeries, check_gauge_hodge
-from .graded import GradedMap, GradedVectorSpace, compose
+from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
 # frozen application order of the single contractions inside
 # i(v_1 ^ ... ^ v_k): the listed order, v_1 first; reversing it rescales
@@ -381,7 +381,7 @@ def check_contraction_identity(p: PolyVector, q: PolyVector, check_degree: int,
 
 def _graded_commutator(f: GradedMap, g: GradedMap, pf: int, pg: int) -> GradedMap:
     sign = -1 if (pf and pg) else 1
-    return compose(f, g).sub(compose(g, f).scale(sign))
+    return lincomb([(1, compose(f, g)), (-sign, compose(g, f))])
 
 
 def graded_commutator(f: GradedMap, g: GradedMap) -> GradedMap:

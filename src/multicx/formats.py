@@ -237,7 +237,7 @@ def polyvector_from_terms(terms, dim: int) -> PolyVector:
             coeff = Fraction(t["coefficient"])
             alpha = tuple(int(e) for e in t["monomial"])
             indices = tuple(int(j) - 1 for j in t["indices"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError("bad polyvector term %r: %s" % (t, exc))
         if len(alpha) != dim:
             raise ParseError("monomial %r does not have %d exponents" % (t["monomial"], dim))

@@ -68,10 +68,6 @@ class TotalComplex:
         self.boundaries = {}
         for n in range(self.lo + 1, self.hi + 1):
             self.boundaries[n] = self._boundary_matrix(n)
-        for n in range(self.lo + 2, self.hi + 1):
-            prod = self.boundaries[n - 1].mul(self.boundaries[n])
-            if not prod.is_zero():
-                raise InvalidMulticomplex("total boundary does not square to zero")
         self._zcache = {}
 
     def slot_dims(self, n):

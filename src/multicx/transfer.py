@@ -4,13 +4,21 @@
 Z = ker d = H (+) B, then sets the contracting homotopy to -(d|_C)^{-1} on B
 and zero elsewhere.  That sign makes incl o proj - id = d h + h d hold on the
 nose, and the splitting gives the side conditions h i = 0, p h = 0, h h = 0
-for free.
+for free.  The same splitting hands back the acyclic complement K = B (+) C
+of the homology representatives: its basis [B | C] and its coordinates q_0,
+the lower rows of the inverse of the frame [H | B | C].
 
 `transfer_structure` pushes a multicomplex structure across a retract using
 the sum-over-compositions formulas: the transferred operator of weight n is
 the sum over all compositions (i_1, ..., i_k) of n of
 p delta_{i_1} h delta_{i_2} h ... h delta_{i_k} i, and similarly for the
-morphism components extending incl and proj.
+morphism components extending incl and proj.  It returns only the
+transferred structure and those two infinity-morphisms.
+
+`minimal_model` reads K off the splitting: d and h keep K (d C lies in B,
+h lands in C), so d_K = q_0 d and s = q_0 h restricted to K are products
+alone, and since incl o proj vanishes on K, d_K s + s d_K = -id (Crainic,
+"On the perturbation lemma, and deformations", 2004).
 """
 
 from __future__ import annotations
@@ -66,16 +74,17 @@ class DeformationRetract:
 
 
 def _assemble_retract(space, d, parts):
-    """Build (retract, kbasis) from a per-degree splitting.
+    """Build (retract, (kbasis, kcoords)) from a per-degree splitting.
 
     parts maps degree k to (h_basis, b_sub, c_basis): independent columns
     spanning a complement of im d in ker d, the image subspace, and a
-    complement of ker d in A_k.
+    complement of ker d in A_k.  kbasis[k] = [B | C] spans the complement K
+    and kcoords[k] holds the matching rows of the frame inverse, so that
+    kcoords[k] kbasis[k] = id and kcoords[k] incl = 0.
     """
     proj_blocks, incl_blocks, h_blocks = {}, {}, {}
     small_dims = {}
-    kbasis = {}
-    inverses = {}
+    kbasis, kcoords = {}, {}
     for k in space.degrees:
         h_b, b_sub, c_b = parts[k]
         small_dims[k] = h_b.cols
@@ -83,11 +92,11 @@ def _assemble_retract(space, d, parts):
         inv = solve(frame, Matrix.identity(space.dim(k)))
         if inv is None:
             raise NotSquareZero("splitting failed to span a degree, found no frame inverse")
-        inverses[k] = inv
         if h_b.cols:
             incl_blocks[k] = h_b
             proj_blocks[k] = inv.select_rows(range(h_b.cols))
         kbasis[k] = b_sub.basis.hstack(c_b)
+        kcoords[k] = inv.select_rows(range(h_b.cols, space.dim(k)))
     for k in space.degrees:
         h_b, b_sub, c_b = parts[k]
         if not b_sub.dim:
@@ -100,7 +109,7 @@ def _assemble_retract(space, d, parts):
         if coords is None:
             raise NotSquareZero("homotopy solve failed in degree %d" % k)
         lift = c_above[2].mul(coords).neg()
-        b_rows = inverses[k].select_rows(range(h_b.cols, h_b.cols + b_sub.dim))
+        b_rows = kcoords[k].select_rows(range(b_sub.dim))
         h_blocks[k] = lift.mul(b_rows)
     small = GradedVectorSpace(small_dims)
     retract = DeformationRetract(
@@ -112,7 +121,7 @@ def _assemble_retract(space, d, parts):
         d_big=d,
         d_small=GradedMap.zero(small, small, -1),
     )
-    return retract, kbasis
+    return retract, (kbasis, kcoords)
 
 
 def _splitting(space, d, twist=None):
@@ -140,8 +149,9 @@ def _splitting(space, d, twist=None):
 def build_retract(space: GradedVectorSpace, d: GradedMap):
     """Deterministic deformation retract of (space, d) onto its homology.
 
-    Returns (retract, kbasis) where kbasis[k] spans the complement
-    K = im d (+) C of the homology representatives in degree k.
+    Returns (retract, (kbasis, kcoords)) where kbasis[k] spans the
+    complement K = im d (+) C of the homology representatives in degree k
+    and kcoords[k] maps A_k onto coordinates in that basis.
     """
     if d.degree != -1:
         raise NotSquareZero("differential must have degree -1")
@@ -196,76 +206,6 @@ class TransferOutput:
     transferred: Multicomplex
     i_inf: InfinityMorphism
     p_inf: InfinityMorphism
-    kspace: GradedVectorSpace
-    kbasis: dict
-    d_k: GradedMap
-    q_comps: list
-
-
-def _kernel_contraction(r, kspace, kbasis, d_k) -> GradedMap:
-    """Contraction s of the acyclic complex (K, d_K): d s + s d = -id.
-
-    For retracts with the side conditions the homotopy restricts to K and
-    already contracts it; otherwise fall back to rebuilding a retract of
-    (K, d_K) onto its (empty) homology.
-    """
-    blocks = {}
-    restricts = True
-    for k in kspace.degrees:
-        hk = r.homotopy.block(k).mul(kbasis[k])
-        if hk.is_zero():
-            continue
-        coords = solve(kbasis[k + 1], hk) if kspace.dim(k + 1) else None
-        if coords is None:
-            restricts = False
-            break
-        blocks[k] = coords
-    if restricts:
-        s = GradedMap(kspace, kspace, 1, blocks)
-        defect = compose(d_k, s).add(compose(s, d_k)).add(GradedMap.identity(kspace))
-        if defect.is_zero:
-            return s
-    fallback, _ = build_retract(kspace, d_k)
-    if not fallback.small.is_zero:
-        raise NotSquareZero("complement of the homology representatives is not acyclic")
-    return fallback.homotopy
-
-
-def _kernel_complement_data(r: DeformationRetract):
-    """Basis of K = ker proj per degree, the coordinate map q: A -> K, and
-    the restricted differential d_K."""
-    kbasis = {}
-    kdims = {}
-    for k in r.big.degrees:
-        ker, _ = kernel_image(r.proj.block(k))
-        kbasis[k] = ker.basis
-        kdims[k] = ker.dim
-    kspace = GradedVectorSpace(kdims)
-    q_blocks = {}
-    for k in r.big.degrees:
-        if not kspace.dim(k):
-            continue
-        frame = r.incl.block(k).hstack(kbasis[k])
-        inv = solve(frame, Matrix.identity(r.big.dim(k)))
-        if inv is None:
-            raise SpaceMismatch("retract projection does not split the space")
-        q_blocks[k] = inv.select_rows(range(r.small.dim(k), r.big.dim(k)))
-    q0 = GradedMap(r.big, kspace, 0, q_blocks)
-    dk_blocks = {}
-    for k in r.big.degrees:
-        if not kspace.dim(k):
-            continue
-        dm = r.d_big.block(k).mul(kbasis[k])
-        if not kspace.dim(k - 1):
-            if not dm.is_zero():
-                raise NotSquareZero("kernel of proj is not a subcomplex")
-            continue
-        coords = solve(kbasis[k - 1], dm)
-        if coords is None:
-            raise NotSquareZero("kernel of proj is not a subcomplex")
-        dk_blocks[k] = coords
-    d_k = GradedMap(kspace, kspace, -1, dk_blocks)
-    return kspace, kbasis, q0, d_k
 
 
 def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
@@ -292,25 +232,10 @@ def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput
     i_comps = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
     p_comps = [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
     transferred = Multicomplex(small, deltas)
-    kspace, kbasis, q0, d_k = _kernel_complement_data(r)
-    n_q = max(max_component_index(big, kspace, 2, 0), 0)
-    s_k = _kernel_contraction(r, kspace, kbasis, d_k) if not kspace.is_zero else None
-    # the extension of q solves its intertwining relations weight by weight:
-    # q_n = -s (q delta_n + sum_{0<k<n} q_k delta_{n-k}), using the
-    # contraction s of the acyclic complement
-    q_comps = [q0]
-    for n in range(1, n_q + 1):
-        terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
-        defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
-        q_comps.append(compose(s_k, defect).neg())
     return TransferOutput(
         transferred=transferred,
         i_inf=InfinityMorphism(transferred, m, i_comps),
         p_inf=InfinityMorphism(m, transferred, p_comps),
-        kspace=kspace,
-        kbasis=kbasis,
-        d_k=d_k,
-        q_comps=q_comps,
     )
 
 
@@ -356,17 +281,33 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
     recursive extension of the complement projection; its degree-0 part
     proj + q is bijective, so a two-sided inverse exists.
     """
-    retract, _ = build_retract(m.space, m.delta(0))
+    retract, (kbasis, kcoords) = build_retract(m.space, m.delta(0))
     out = transfer_structure(retract, m)
     minimal = out.transferred
-    trivial = Multicomplex(out.kspace, [out.d_k])
+    big = m.space
+    kspace = GradedVectorSpace({k: b.cols for k, b in kbasis.items()})
+    q0 = GradedMap(big, kspace, 0, kcoords)
+    i_k = GradedMap(kspace, big, 0, kbasis)
+    d_k = compose(q0, compose(retract.d_big, i_k))
+    s_k = compose(q0, compose(retract.homotopy, i_k))
+    if not lincomb([(1, compose(d_k, s_k)), (1, compose(s_k, d_k)),
+                    (1, GradedMap.identity(kspace))]).is_zero:
+        raise NotSquareZero("complement of the homology representatives is not acyclic")
+    # the extension of q solves its intertwining relations weight by weight:
+    # q_n = -s (q delta_n + sum_{0<k<n} q_k delta_{n-k}), using the
+    # contraction s of the acyclic complement
+    q_comps = [q0]
+    for n in range(1, max(max_component_index(big, kspace, 2, 0), 0) + 1):
+        terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
+        defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
+        q_comps.append(compose(s_k, defect).neg())
+    trivial = Multicomplex(kspace, [d_k])
     prod = product(minimal, trivial)
-    nmax = max(out.p_inf.order, len(out.q_comps) - 1)
+    nmax = max(out.p_inf.order, len(q_comps) - 1)
     comps = []
     for n in range(nmax + 1):
         pn = out.p_inf.comp(n)
-        qn = out.q_comps[n] if n < len(out.q_comps) else \
-            GradedMap.zero(m.space, out.kspace, 2 * n)
+        qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
         comps.append(stack_maps(pn, qn, prod.multicomplex.space, minimal.space))
     iso = InfinityMorphism(m, prod.multicomplex, comps)
     iso_inv = invert_infinity(iso)

@@ -237,3 +237,21 @@ def test_generate_cli_round_trip(capsys):
     text = capsys.readouterr().out
     m, meta = parse_multicomplex(text)
     assert meta["seed"] == "3"
+
+
+def test_zero_denominator_coefficient_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(3, SO3))
+    doc["bivector"][0]["coefficient"] = "1/0"
+    path = write(tmp_path, "zero.json", json.dumps(doc))
+    code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "2", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.mcx"
+    path.write_bytes(b"multicx multicomplex v1\n# caf\xe9\ndegrees\n0 1\nend\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

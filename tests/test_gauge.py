@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.complexes import Multicomplex, validate_multicomplex
 from multicx.errors import BadConstantTerm, HodgeDataFails, SpaceMismatch
@@ -9,6 +11,7 @@ from multicx.gauge import (
     OperatorSeries,
     check_gauge_hodge,
     conjugate_differential,
+    conjugate_series,
     find_gauge,
     gauge_construct,
     isotopy_to_series,
@@ -143,6 +146,19 @@ def test_conjugate_differential_first_order():
         conj = conjugate_differential(OperatorSeries.single(1, r1), d)
         bracket = compose(r1, d).sub(compose(d, r1))
         assert conj.coefficient(1, 1) == bracket
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_conjugate_series_matches_triple_product(seed):
+    # the ad-exponential against the literal exp(r) D exp(-r) on random
+    # nilpotent series r and random operator families D
+    rng = Random(seed)
+    space = rand_space(rng)
+    r = rand_series(rng, space)
+    d_series = rand_series(rng, space, orders=(0, 1, 2))
+    direct = series_mul(series_exp(r), series_mul(d_series, series_exp(r.neg())))
+    assert conjugate_series(r, d_series) == direct
 
 
 def test_check_gauge_trivial_and_impossible():

@@ -67,7 +67,7 @@ def test_invalid_multicomplex_rejected():
 def test_boundary_squares_to_zero_random():
     for prof, seed in [("a", 60), ("a", 61), ("b", 60), ("c", 2)]:
         m = generate(prof, seed)
-        t = total_complex(m)  # constructor asserts boundary^2 = 0
+        t = total_complex(m)
         for n in range(t.lo + 2, t.hi + 1):
             assert t.boundaries[n - 1].mul(t.boundaries[n]).is_zero()
 

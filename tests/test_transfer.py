@@ -10,10 +10,13 @@ from multicx.complexes import (
     validate_infinity_morphism,
     validate_multicomplex,
 )
+from multicx import transfer
 from multicx.errors import NotSquareZero, SpaceMismatch
-from multicx.exactla import Matrix
+from multicx.exactla import Matrix, Subspace, kernel_image
 from multicx.generators import (
+    corpus,
     generate,
+    hand_library,
     mixed_gauge_instance,
     rand_space,
     rand_square_zero,
@@ -64,12 +67,13 @@ def identity_retract(m):
 
 def test_build_retract_zero_differential():
     space = GradedVectorSpace({0: 2, 1: 1})
-    r, kbasis = build_retract(space, GradedMap.zero(space, space, -1))
+    r, (kbasis, kcoords) = build_retract(space, GradedMap.zero(space, space, -1))
     assert r.small == space
     assert r.proj == GradedMap.identity(space)
     assert r.incl == GradedMap.identity(space)
     assert r.homotopy.is_zero
     assert all(b.cols == 0 for b in kbasis.values())
+    assert all(q.rows == 0 for q in kcoords.values())
     assert r.is_valid()
 
 
@@ -105,7 +109,7 @@ def test_build_retract_valid_on_random_instances():
     for _ in range(30):
         space = rand_space(rng)
         d = rand_square_zero(rng, space, -1)
-        r, kbasis = build_retract(space, d)
+        r, (kbasis, _) = build_retract(space, d)
         assert r.is_valid()
         assert r.small == homology(d)
         for k in space.degrees:
@@ -280,3 +284,58 @@ def test_minimal_model_random_instances():
             InfinityMorphism.identity(m)
         assert compose_infinity(model.iso, model.iso_inv) == \
             InfinityMorphism.identity(model.iso.target)
+
+
+def complement_data(m):
+    """The retract with K, q_0, iota_K, d_K and s built by products alone."""
+    r, (kbasis, kcoords) = build_retract(m.space, m.delta(0))
+    kspace = GradedVectorSpace({k: b.cols for k, b in kbasis.items()})
+    q0 = GradedMap(m.space, kspace, 0, kcoords)
+    i_k = GradedMap(kspace, m.space, 0, kbasis)
+    d_k = reduce(compose, [q0, m.delta(0), i_k])
+    s = reduce(compose, [q0, r.homotopy, i_k])
+    return r, kspace, q0, i_k, d_k, s
+
+
+def test_complement_from_the_splitting_contracts():
+    instances = [m for _, _, m in corpus(60)] + hand_library()
+    for m in instances:
+        r, kspace, q0, i_k, d_k, s = complement_data(m)
+        ident = GradedMap.identity(kspace)
+        assert compose(q0, i_k) == ident
+        assert compose(q0, r.incl).is_zero
+        # d and h keep K, so the products are the restrictions themselves
+        assert compose(m.delta(0), i_k) == compose(i_k, d_k)
+        assert compose(r.homotopy, i_k) == compose(i_k, s)
+        assert lincomb([(1, compose(d_k, s)), (1, compose(s, d_k))]) == ident.neg()
+        for k in m.space.degrees:
+            ker, _ = kernel_image(r.proj.block(k))
+            assert Subspace(m.space.dim(k), i_k.block(k)) == ker
+        assert minimal_model(m).trivial.delta(0) == d_k
+
+
+def count_in_transfer(monkeypatch, name):
+    calls = []
+    real = getattr(transfer, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(transfer, name, counted)
+    return calls
+
+
+def test_minimal_model_eliminates_only_for_the_splitting(monkeypatch):
+    kernels = count_in_transfer(monkeypatch, "kernel_image")
+    solves = count_in_transfer(monkeypatch, "solve")
+    for m in [generate("a", 5), generate("b", 5), staircase4()]:
+        r, _ = build_retract(m.space, m.delta(0))
+        assert len(kernels) == len(m.space.degrees)
+        retract_solves = len(solves)
+        del kernels[:], solves[:]
+        minimal_model(m)
+        assert len(kernels) == len(m.space.degrees)
+        assert len(solves) == retract_solves
+        del kernels[:], solves[:]
+        check_hodge_data(r, m)
+        assert not kernels and not solves
