@@ -213,6 +213,8 @@ def _write_output(name: str, text: str) -> str:
 
 
 def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report:
+    if trunc < 0:
+        raise ParseError("--trunc must be nonnegative, got %d" % trunc)
     report = Report(command="geometry",
                     inputs={"kind": kind, "dim": dim, "trunc": trunc,
                             "structure": structure_path})

@@ -10,7 +10,9 @@ de Rham differential has degree -1 and contraction by a bivector degree +2.
 
 Truncation compresses everything onto the span of the monomials below a
 cutoff; see FormAlgebra for the two cutoff semantics and when operator
-identities survive the compression exactly.
+identities survive the compression exactly.  The order ladder needs no
+cutoff: it reads each operator's order off its normal-ordered symbol, a
+polynomial differential operator on the untruncated algebra Q[x, dx].
 
 Sign conventions are pinned by the contraction/bracket compatibility check
 `check_contraction_identity` rather than trusted: with the frozen choices
@@ -46,6 +48,11 @@ def _merge_sign(left, right):
     inversions = sum(1 for j in left for i in right if j > i)
     merged = tuple(sorted(left + right))
     return (-1) ** (inversions % 2), merged
+
+
+def _bumped(t, i, step):
+    """The tuple t with step added to entry i."""
+    return t[:i] + (t[i] + step,) + t[i + 1:]
 
 
 def _iota_chain(indices, application_order):
@@ -140,9 +147,7 @@ def _x_derivative(terms, i):
     """Terms of the derivative in x_i, as (key, value) pairs."""
     for (alpha, J), c in terms.items():
         if alpha[i]:
-            beta = list(alpha)
-            beta[i] -= 1
-            yield (tuple(beta), J), c * alpha[i]
+            yield (_bumped(alpha, i, -1), J), c * alpha[i]
 
 
 def _right_theta_derivative(terms, i):
@@ -287,23 +292,9 @@ def d_de_rham(a: FormAlgebra) -> GradedMap:
             if not alpha[i]:
                 continue
             sign, J = _merge_sign((i,), I)
-            if not sign:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            yield (tuple(beta), J), sign * alpha[i]
+            if sign:
+                yield (_bumped(alpha, i, -1), J), sign * alpha[i]
     return a.operator(1, action)
-
-
-def wedge_multiplication(a: FormAlgebra, beta, J) -> GradedMap:
-    """Left wedge multiplication by x^beta dx_J on the quotient."""
-    beta, J = tuple(beta), tuple(J)
-    def action(k, alpha, I):
-        sign, merged = _merge_sign(J, I)
-        if sign:
-            gamma = tuple(x + y for x, y in zip(beta, alpha))
-            yield (gamma, merged), sign
-    return a.operator(len(J), action)
 
 
 def contraction(a: FormAlgebra, p: PolyVector,
@@ -366,17 +357,9 @@ def check_contraction_identity(p: PolyVector, q: PolyVector, check_degree: int,
     # graded commutators with parities read off the operator degrees
     inner = _graded_commutator(iq, d, qdeg % 2, 1)
     outer = _graded_commutator(inner, ip, (qdeg + 1) % 2, pdeg % 2)
-    defect = ibr.add(outer)
-    if defect.is_zero:
-        return True
-    # restrict the verdict to the uncut columns when the window is exactly
-    # the needed one the defect is already exact
-    for k, block in defect.blocks.items():
-        for (_, col) in block.entries:
-            alpha, _ = a.basis[-k][col]
-            if sum(alpha) <= check_degree:
-                return False
-    return True
+    # the verdict reads only the columns of polynomial degree <= check_degree
+    return all(sum(a.basis[-k][col][0]) > check_degree
+               for k, block in ibr.add(outer).blocks.items() for (_, col) in block.entries)
 
 
 def _graded_commutator(f: GradedMap, g: GradedMap, pf: int, pg: int) -> GradedMap:
@@ -389,63 +372,86 @@ def graded_commutator(f: GradedMap, g: GradedMap) -> GradedMap:
     return _graded_commutator(f, g, f.degree % 2, g.degree % 2)
 
 
-def multiplication_generators(a: FormAlgebra):
-    """Left multiplications by the algebra generators x_i and dx_i."""
-    gens = []
-    zero = (0,) * a.dim
-    for i in range(a.dim):
-        e_i = tuple(1 if t == i else 0 for t in range(a.dim))
-        gens.append(wedge_multiplication(a, e_i, ()))
-        gens.append(wedge_multiplication(a, zero, (i,)))
-    return gens
+# Normal-ordered symbols.  A polynomial differential operator on Q[x, theta],
+# theta_i = dx_i, is the sparse dict {(alpha, I, a, b): c} of the operator
+# sum c x^alpha theta_I dx^a dtheta_b: alpha and a are exponent tuples, I and b
+# increasing index tuples, and dtheta_b applies its last factor first.
+# Generators are (kind, i) with kind "x", "theta", "dx" or "dtheta".
+
+def _left_multiply(sym: dict, gen) -> dict:
+    """Normal-ordered symbol of g o sym for the generator g = (kind, i)."""
+    kind, i = gen
+
+    def terms():
+        for (alpha, I, a, b), c in sym.items():
+            if kind == "x":
+                yield (_bumped(alpha, i, 1), I, a, b), c
+            elif kind == "theta":
+                sign, J = _merge_sign((i,), I)
+                if sign:
+                    yield (alpha, J, a, b), sign * c
+            elif kind == "dx":
+                # Leibniz: dx_i hits the coefficient or joins the derivatives
+                if alpha[i]:
+                    yield (_bumped(alpha, i, -1), I, a, b), alpha[i] * c
+                yield (alpha, I, _bumped(a, i, 1), b), c
+            else:
+                # the odd derivation dtheta_i passes theta_I with sign (-1)^|I|
+                sign, J = _iota_chain(I, (i,))
+                if sign:
+                    yield (alpha, J, a, b), sign * c
+                sign, B = _merge_sign((i,), b)
+                if sign:
+                    yield (alpha, I, a, B), (-1) ** len(I) * sign * c
+    return accumulate({}, terms())
 
 
-def operator_order(a: FormAlgebra, p: GradedMap, bound: int,
-                   probe_degree: int | None = None) -> bool:
-    """Differential-operator order, recursively: order <= -1 means zero,
-    order <= k means every graded commutator with a generator multiplication
-    L_{x_i} or L_{dx_i} has order <= k - 1.  Checking generators suffices
-    since multiplications by products expand by the Leibniz rule.
-
-    With probe_degree set, the zero test at the bottom of the recursion only
-    reads columns of polynomial degree <= probe_degree.  Operators of
-    x-derivative order <= probe_degree vanish there iff they vanish on the
-    whole polynomial algebra, so a wide enough ambient window (see
-    `order_window`) certifies the order of the untruncated operator instead
-    of an artifact of the cutoff.
-    """
-    gens = multiplication_generators(a)
-
-    def zero_enough(q):
-        if q.is_zero:
-            return True
-        if probe_degree is None:
-            return False
-        for k, block in q.blocks.items():
-            for (_, c) in block.entries:
-                alpha, _ = a.basis[-k][c]
-                if sum(alpha) <= probe_degree:
-                    return False
-        return True
-
-    # The generators graded-commute, so by the graded Jacobi identity the
-    # nested commutator with a sequence of them depends on its order only up
-    # to sign: one walk over nondecreasing index sequences decides the same.
-    def rec(q, k, first):
-        if q.is_zero:
-            return True
-        if k < 0:
-            return zero_enough(q)
-        return all(rec(graded_commutator(q, gens[i]), k - 1, i)
-                   for i in range(first, len(gens)))
-
-    return rec(p, bound, 0)
+def _word(sym: dict, gens) -> dict:
+    """Left-multiply sym by each generator in turn, the first innermost."""
+    for gen in gens:
+        sym = _left_multiply(sym, gen)
+    return sym
 
 
-def order_window(probe_degree: int, bound: int, raise_margin: int) -> int:
-    """Truncation making the order recursion exact on the probe columns:
-    one degree per commutator level plus the operator's internal raising."""
-    return probe_degree + bound + 1 + raise_margin
+def _powers(kind, exponents):
+    return [(kind, i) for i, e in enumerate(exponents) for _ in range(e)]
+
+
+def _unit(dim: int) -> dict:
+    zero = (0,) * dim
+    return {(zero, (), zero, ()): rat(1)}
+
+
+def _symbol_compose(s: dict, t: dict) -> dict:
+    """Normal-ordered symbol of s o t."""
+    out = {}
+    for (alpha, I, a, b), c in s.items():
+        gens = ([("dtheta", j) for j in reversed(b)] + _powers("dx", a)
+                + [("theta", j) for j in reversed(I)] + _powers("x", alpha))
+        accumulate(out, _word(t, gens).items(), c)
+    return out
+
+
+def _d_symbol(dim: int) -> dict:
+    """d = sum_i theta_i dx_i."""
+    return accumulate({}, chain.from_iterable(
+        _word(_unit(dim), [("dx", i), ("theta", i)]).items() for i in range(dim)))
+
+
+def _contraction_symbol(p: PolyVector) -> dict:
+    """i(p), the factors of each term applied in listed order as in `_iota_chain`."""
+    out = {}
+    for (beta, J), c in p.terms.items():
+        gens = [("dtheta", j) for j in J] + _powers("x", beta)
+        accumulate(out, _word(_unit(p.dim), gens).items(), c)
+    return out
+
+
+def _order(sym: dict) -> int:
+    """Grothendieck order: the highest total derivative order, -1 for zero.
+    A graded commutator with x_i or theta_i acts on the symbol as the formal
+    derivative in the dx_i or dtheta_i slot, which cancels no term."""
+    return max((sum(a) + len(b) for (_, _, a, b) in sym), default=-1)
 
 
 @dataclass
@@ -458,34 +464,22 @@ class OrderLadder:
 
 
 def structure_order_ladder(w: PolyVector, e: PolyVector | None = None) -> OrderLadder:
-    """Certified differential-operator orders of the structure operators on
-    the full polynomial algebra: the exterior differential, the bivector's
-    square-lowering operator, and (for a Jacobi pair) the weight-two
-    contraction composite."""
-    dim = w.dim
-    c_w = w.coefficient_degree()
-
-    def fresh(probe, bound, margin):
-        return FormAlgebra(dim, order_window(probe, bound, margin))
-
-    a_d = fresh(1, 1, 0)
-    d = d_de_rham(a_d)
-    d0 = operator_order(a_d, d, 0, probe_degree=1)
-    d1 = operator_order(a_d, d, 1, probe_degree=1)
-
-    a1 = fresh(1, 2, c_w)
-    delta1 = koszul_delta(a1, w)
-    l1 = operator_order(a1, delta1, 1, probe_degree=1)
-    l2 = operator_order(a1, delta1, 2, probe_degree=1)
-
+    """Differential-operator orders of the structure operators on the full
+    polynomial algebra, read off their normal-ordered symbols: the exterior
+    differential, the bivector's square-lowering operator, and (for a Jacobi
+    pair) the weight-two contraction composite."""
+    if not w.is_homogeneous(2) or (e is not None and (
+            e.dim != w.dim or len(e.vector_degrees()) > 1)):
+        raise ShapeMismatch("the ladder needs a bivector and a homogeneous field")
+    d = _d_symbol(w.dim)
+    iw = _contraction_symbol(w)
+    delta1 = accumulate(_symbol_compose(iw, d), _symbol_compose(d, iw).items(), -1)
+    o_d, o_1 = _order(d), _order(delta1)
     l3 = None
     if e is not None:
-        c_e = e.coefficient_degree()
-        a2 = fresh(0, 3, c_w + c_e)
-        delta2 = compose(contraction(a2, e), contraction(a2, w))
-        l3 = operator_order(a2, delta2, 3, probe_degree=0)
-    return OrderLadder(d_at_most_0=d0, d_at_most_1=d1,
-                       delta1_at_most_1=l1, delta1_at_most_2=l2,
+        l3 = _order(_symbol_compose(_contraction_symbol(e), iw)) <= 3
+    return OrderLadder(d_at_most_0=o_d <= 0, d_at_most_1=o_d <= 1,
+                       delta1_at_most_1=o_1 <= 1, delta1_at_most_2=o_1 <= 2,
                        delta2_at_most_3=l3)
 
 

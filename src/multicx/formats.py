@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .complexes import Multicomplex
 from .derham import PolyVector
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 from .exactla import rat
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace
@@ -242,7 +242,10 @@ def polyvector_from_terms(terms, dim: int) -> PolyVector:
         if len(alpha) != dim:
             raise ParseError("monomial %r does not have %d exponents" % (t["monomial"], dim))
         pairs.append(((alpha, indices), coeff))
-    return PolyVector(dim, pairs)
+    try:
+        return PolyVector(dim, pairs)
+    except ShapeMismatch as exc:
+        raise ParseError("bad polyvector term: %s" % exc)
 
 
 def print_structure(dim: int, bivector: PolyVector, vector=None) -> str:

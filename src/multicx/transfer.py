@@ -208,30 +208,33 @@ class TransferOutput:
     p_inf: InfinityMorphism
 
 
-def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
-    """Transferred multicomplex on the small space plus the extending
-    infinity-quasi-isomorphisms. Higher operators past the grading bound are
-    recomputed once and asserted zero rather than assumed."""
+def _transferred(r: DeformationRetract, m: Multicomplex, nmax: int = 0):
+    """The transferred multicomplex and the chain sums S_1 .. S_N over the
+    inclusion, N the larger of nmax and one past the grading bound.  The
+    operator at that weight is recomputed once and asserted zero rather than
+    assumed."""
     if m.space != r.big:
         raise SpaceMismatch("multicomplex lives on a different space than the retract")
     if m.delta(0) != r.d_big:
         raise SpaceMismatch("retract differential disagrees with delta_0")
+    n_delta = max(max_component_index(r.small, r.small, 2, -1), 0)
+    s_chain = _chain_sums(m, r.homotopy, r.incl, max(nmax, n_delta + 1))
+    deltas = [r.d_small] + [compose(r.proj, s_chain[n]) for n in range(1, n_delta + 1)]
+    if not compose(r.proj, s_chain[n_delta + 1]).is_zero:
+        raise NotSquareZero("transferred operator beyond the grading bound is nonzero")
+    return Multicomplex(r.small, deltas), s_chain
+
+
+def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
+    """Transferred multicomplex on the small space plus the extending
+    infinity-quasi-isomorphisms."""
     small, big = r.small, r.big
-    n_delta = max(max_component_index(small, small, 2, -1), 0)
     n_i = max(max_component_index(small, big, 2, 0), 0)
     n_p = max(max_component_index(big, small, 2, 0), 0)
-    nmax = max(n_delta + 1, n_i, n_p, m.order)
-    s_chain = _chain_sums(m, r.homotopy, r.incl, nmax)
-    u_chain = _chain_sums(m, r.homotopy, r.homotopy, nmax)
-    deltas = [r.d_small]
-    for n in range(1, n_delta + 1):
-        deltas.append(compose(r.proj, s_chain[n]))
-    overflow = compose(r.proj, s_chain[n_delta + 1])
-    if not overflow.is_zero:
-        raise NotSquareZero("transferred operator beyond the grading bound is nonzero")
+    transferred, s_chain = _transferred(r, m, n_i)
+    u_chain = _chain_sums(m, r.homotopy, r.homotopy, n_p)
     i_comps = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
     p_comps = [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
-    transferred = Multicomplex(small, deltas)
     return TransferOutput(
         transferred=transferred,
         i_inf=InfinityMorphism(transferred, m, i_comps),
@@ -243,7 +246,6 @@ def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput
 class HodgeData:
     ok: bool
     witness: object  # least violating n, or None
-    transfer: TransferOutput
 
     def __bool__(self):
         return self.ok
@@ -257,10 +259,9 @@ def nonzero_weights(m: Multicomplex) -> list:
 
 def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
     """True iff every transferred operator of weight >= 1 vanishes."""
-    out = transfer_structure(r, m)
-    weights = nonzero_weights(out.transferred)
-    return HodgeData(ok=not weights, witness=weights[0] if weights else None,
-                     transfer=out)
+    transferred, _ = _transferred(r, m)
+    weights = nonzero_weights(transferred)
+    return HodgeData(ok=not weights, witness=weights[0] if weights else None)
 
 
 @dataclass
@@ -270,7 +271,6 @@ class MinimalModel:
     iso: InfinityMorphism       # from the input to minimal (+) trivial
     iso_inv: InfinityMorphism
     retract: DeformationRetract
-    transfer: TransferOutput
 
 
 def minimal_model(m: Multicomplex) -> MinimalModel:
@@ -312,4 +312,4 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
     iso = InfinityMorphism(m, prod.multicomplex, comps)
     iso_inv = invert_infinity(iso)
     return MinimalModel(minimal=minimal, trivial=trivial, iso=iso,
-                        iso_inv=iso_inv, retract=retract, transfer=out)
+                        iso_inv=iso_inv, retract=retract)

@@ -255,3 +255,35 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path.write_bytes(b"multicx multicomplex v1\n# caf\xe9\ndegrees\n0 1\nend\n")
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_negative_truncation_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    path = write(tmp_path, "so3.json", print_structure(3, SO3))
+    code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "-1", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_negative_exponent_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(3, SO3))
+    doc["bivector"][0]["monomial"] = [0, -1, 1]
+    path = write(tmp_path, "negative.json", json.dumps(doc))
+    code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "2", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_bad_indices_are_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    for indices in ([2, 1], [1, 4]):
+        doc = json.loads(print_structure(3, SO3))
+        doc["bivector"][0]["indices"] = indices
+        path = write(tmp_path, "indices.json", json.dumps(doc))
+        code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                     "--trunc", "2", "--structure", path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")

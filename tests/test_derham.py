@@ -9,6 +9,7 @@ from multicx.complexes import validate_multicomplex
 from multicx.errors import NotJacobi, NotPoisson, ShapeMismatch, WindowTooSmall
 from multicx.derham import (
     FormAlgebra,
+    OrderLadder,
     PolyVector,
     basic_subcomplex,
     check_contraction_identity,
@@ -18,15 +19,23 @@ from multicx.derham import (
     jacobi_defects,
     jacobi_multicomplex,
     koszul_delta,
-    multiplication_generators,
-    operator_order,
     poisson_mixed_complex,
     schouten,
     structure_order_ladder,
     verify_jacobi,
     verify_poisson,
-    wedge_multiplication,
 )
+from multicx import derham
+from multicx.derham import (
+    _contraction_symbol,
+    _d_symbol,
+    _merge_sign,
+    _order,
+    _symbol_compose,
+    _unit,
+    _word,
+)
+from multicx.exactla import accumulate
 from multicx.gauge import check_gauge_hodge
 from multicx.graded import GradedMap, compose, lincomb
 
@@ -45,6 +54,17 @@ def rand_polyvector(rng, dim, k, cdeg=1, density=0.4):
             if sum(alpha) <= cdeg and rng.random() < density:
                 terms[(alpha, J)] = rng.randint(-2, 2)
     return PolyVector(dim, terms)
+
+
+def wedge_multiplication(a, beta, J):
+    """Left wedge multiplication by x^beta dx_J on the quotient."""
+    beta, J = tuple(beta), tuple(J)
+
+    def action(k, alpha, I):
+        sign, merged = _merge_sign(J, I)
+        if sign:
+            yield (tuple(x + y for x, y in zip(beta, alpha)), merged), sign
+    return a.operator(len(J), action)
 
 
 def unit_form(a, alpha, I):
@@ -323,13 +343,14 @@ def test_jacobi_bracket_identities_on_weight_model():
     assert lhs == rhs
 
 
-def test_operator_order_multiplications_and_differential():
-    a = FormAlgebra(2, 2)
-    for g in multiplication_generators(a):
-        assert operator_order(a, g, 0)
-    lad = structure_order_ladder(PolyVector(2, {((0, 0), (0, 1)): 1}))
-    assert lad.d_at_most_1 and not lad.d_at_most_0
-    assert lad.delta1_at_most_2 and not lad.delta1_at_most_1
+def multiplication_generators(a):
+    """Left multiplications by the algebra generators x_i and dx_i."""
+    zero = (0,) * a.dim
+    gens = []
+    for i in range(a.dim):
+        e_i = tuple(int(t == i) for t in range(a.dim))
+        gens += [wedge_multiplication(a, e_i, ()), wedge_multiplication(a, zero, (i,))]
+    return gens
 
 
 def ordered_operator_order(a, p, bound, probe_degree=None):
@@ -354,46 +375,206 @@ def ordered_operator_order(a, p, bound, probe_degree=None):
     return rec(p, bound)
 
 
-ORDER_ALGEBRA = FormAlgebra(2, 3)
-# generators (order 0), d (order 1), contractions by a rotation field and by
-# a bivector; words in them have orders up to about the word length
-ORDER_ATOMS = multiplication_generators(ORDER_ALGEBRA) + [
-    d_de_rham(ORDER_ALGEBRA),
-    contraction(ORDER_ALGEBRA, PolyVector(2, {((0, 1), (0,)): 1, ((1, 0), (1,)): -1})),
-    contraction(ORDER_ALGEBRA, PolyVector(2, {((1, 0), (0, 1)): 1})),
-]
+def generator_symbol(dim, kind, i):
+    return _word(_unit(dim), [(kind, i)])
 
-ORDER_COEFFICIENTS = st.sampled_from([1, -1, 2, -2])
+
+def delta_symbol(w):
+    iw, d = _contraction_symbol(w), _d_symbol(w.dim)
+    return accumulate(_symbol_compose(iw, d), _symbol_compose(d, iw).items(), -1)
+
+
+def apply_symbol(sym, alpha, I):
+    """S(f) for the form monomial f = x^alpha dx_I: the derivative-free part
+    of S o L_f, as {(beta, J): c}."""
+    zero = (0,) * len(alpha)
+    out = _symbol_compose(sym, {(tuple(alpha), tuple(I), zero, ()): 1})
+    return {(beta, J): c for (beta, J, a, b), c in out.items() if not any(a) and not b}
+
+
+def column(a, op, k, col):
+    """Column col of op on form degree k, as {(beta, J): c}."""
+    out_basis = a.basis.get(k - op.degree, [])
+    return {out_basis[r]: v for (r, c), v in op.block(-k).entries.items() if c == col}
+
+
+def assert_symbols_match_matrices(a, pairs):
+    """Each (symbol, matrix, margin) agrees on every column whose image and
+    intermediate factors the window does not cut: margin bounds the
+    polynomial degree any factor adds."""
+    checked = 0
+    for sym, op, margin in pairs:
+        for k in range(a.dim + 1):
+            for col, (alpha, I) in enumerate(a.basis[k]):
+                if sum(alpha) + margin <= a.truncation:
+                    assert apply_symbol(sym, alpha, I) == column(a, op, k, col), (alpha, I)
+                    checked += 1
+    assert checked
+
+
+def structure_pairs(a, w, e):
+    """(symbol, matrix, margin) for d, i(w), delta and, given e, i(e) i(w)."""
+    c_w = w.coefficient_degree()
+    pairs = [(_d_symbol(a.dim), d_de_rham(a), 0),
+             (_contraction_symbol(w), contraction(a, w), c_w),
+             (delta_symbol(w), koszul_delta(a, w), c_w)]
+    if e is not None:
+        pairs.append((_symbol_compose(_contraction_symbol(e), _contraction_symbol(w)),
+                      compose(contraction(a, e), contraction(a, w)),
+                      c_w + e.coefficient_degree()))
+    return pairs
+
+
+PLANE_MONOMIALS = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
+PLANE_COEFFICIENTS = st.sampled_from([0, 0, 1, -1, 2, -3])
 
 
 @st.composite
-def order_operators(draw):
-    """A combination of words in ORDER_ATOMS of one degree, sometimes plus a
-    random sparse map, which usually has high order."""
-    space = ORDER_ALGEBRA.space
-    words = draw(st.lists(st.lists(st.sampled_from(ORDER_ATOMS), max_size=3),
+def plane_structures(draw):
+    """A bivector with coefficients of degree <= 2 on the plane, and either
+    None or a vector field with coefficients of degree <= 1."""
+    w = PolyVector(2, {(alpha, (0, 1)): draw(PLANE_COEFFICIENTS)
+                       for alpha in PLANE_MONOMIALS})
+    e = None
+    if draw(st.booleans()):
+        e = PolyVector(2, {(alpha, (j,)): draw(PLANE_COEFFICIENTS)
+                           for alpha in PLANE_MONOMIALS if sum(alpha) <= 1 for j in (0, 1)})
+    return w, e
+
+
+def test_generator_symbols_match_multiplications_and_have_order_zero():
+    a = FormAlgebra(2, 2)
+    gens = multiplication_generators(a)
+    pairs = []
+    for i in range(2):
+        pairs += [(generator_symbol(2, "x", i), gens[2 * i], 1),
+                  (generator_symbol(2, "theta", i), gens[2 * i + 1], 0)]
+    assert_symbols_match_matrices(a, pairs)
+    for sym, op, _ in pairs:
+        assert _order(sym) == 0
+        assert ordered_operator_order(a, op, 0)
+    lad = structure_order_ladder(PolyVector(2, {((0, 0), (0, 1)): 1}))
+    assert lad.d_at_most_1 and not lad.d_at_most_0
+    assert lad.delta1_at_most_2 and not lad.delta1_at_most_1
+
+
+@pytest.mark.parametrize("w, e", [(SO3, None), (CONTACT_W, CONTACT_E)])
+def test_symbols_match_matrix_builders(w, e):
+    a = FormAlgebra(3, 3)
+    assert_symbols_match_matrices(a, structure_pairs(a, w, e))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(plane_structures())
+def test_symbols_match_matrix_builders_on_the_plane(structure):
+    a = FormAlgebra(2, 4)
+    assert_symbols_match_matrices(a, structure_pairs(a, *structure))
+
+
+def matrix_ladder(w, e=None):
+    """The ladder by the ordered commutator walk, on the windows the matrix
+    ladder used: probe + bound + 1 + coefficient degree, with the zero test
+    read on the columns of polynomial degree <= probe."""
+    def walk(build, probe, bound, margin, bounds):
+        a = FormAlgebra(w.dim, probe + bound + 1 + margin)
+        op = build(a)
+        return [ordered_operator_order(a, op, b, probe) for b in bounds]
+
+    c_w = w.coefficient_degree()
+    d0, d1 = walk(d_de_rham, 1, 1, 0, (0, 1))
+    l1, l2 = walk(lambda a: koszul_delta(a, w), 1, 2, c_w, (1, 2))
+    l3 = None
+    if e is not None:
+        l3, = walk(lambda a: compose(contraction(a, e), contraction(a, w)),
+                   0, 3, c_w + e.coefficient_degree(), (3,))
+    return OrderLadder(d0, d1, l1, l2, l3)
+
+
+@pytest.mark.parametrize("w, e", [(SO3, None), (CONTACT_W, CONTACT_E)])
+def test_order_ladder_matches_matrix_walk(w, e):
+    assert structure_order_ladder(w, e) == matrix_ladder(w, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(plane_structures())
+def test_order_ladder_matches_matrix_walk_on_the_plane(structure):
+    assert structure_order_ladder(*structure) == matrix_ladder(*structure)
+
+
+# (symbol, matrix builder, exported degree, polynomial degree it can add):
+# the generators (order 0), d (order 1), and contractions by a rotation
+# field and by a bivector; words in them have orders up to the word length
+ROTATION = PolyVector(2, {((0, 1), (0,)): 1, ((1, 0), (1,)): -1})
+PLANE_BIVECTOR = PolyVector(2, {((1, 0), (0, 1)): 1})
+WORD_ATOMS = [atom for i in range(2) for atom in (
+    (generator_symbol(2, "x", i),
+     lambda a, i=i: wedge_multiplication(a, tuple(int(t == i) for t in range(2)), ()), 0, 1),
+    (generator_symbol(2, "theta", i), lambda a, i=i: wedge_multiplication(a, (0, 0), (i,)), -1, 0))]
+WORD_ATOMS += [(_d_symbol(2), d_de_rham, -1, 0),
+               (_contraction_symbol(ROTATION), lambda a: contraction(a, ROTATION), 1, 1),
+               (_contraction_symbol(PLANE_BIVECTOR),
+                lambda a: contraction(a, PLANE_BIVECTOR), 2, 1)]
+
+
+@st.composite
+def word_operators(draw):
+    """A combination of words in WORD_ATOMS of one degree, as
+    [(coefficient, word)], the first atom of a word innermost."""
+    words = draw(st.lists(st.lists(st.sampled_from(WORD_ATOMS), max_size=3),
                           min_size=1, max_size=3))
-    terms = []
-    for word in words:
-        op = GradedMap.identity(space)
+    degree = sum(atom[2] for atom in words[0])
+    return [(draw(st.sampled_from([1, -1, 2, -2])), word) for word in words
+            if sum(atom[2] for atom in word) == degree]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(word_operators(), st.integers(0, 2))
+def test_symbol_order_matches_ordered_walk(terms, bound):
+    # the zero test on columns of degree <= probe, the symbol's x-derivative
+    # order, decides the order of the untruncated operator once the window
+    # covers probe + bound + 1 + the polynomial degree the words add
+    sym = {}
+    for c, word in terms:
+        word_sym = _unit(2)
         for atom in word:
-            op = compose(atom, op)
-        terms.append((draw(ORDER_COEFFICIENTS), op))
-    degree = terms[0][1].degree
-    blocks = [k for k in space.degrees if space.dim(k + degree)]
-    if blocks and draw(st.booleans()):
-        entries = [(k, draw(st.integers(0, space.dim(k + degree) - 1)),
-                    draw(st.integers(0, space.dim(k) - 1)), draw(ORDER_COEFFICIENTS))
-                   for k in draw(st.lists(st.sampled_from(blocks), max_size=2))]
-        terms.append((1, GradedMap.from_entries(space, space, degree, entries)))
-    return lincomb([(c, op) for c, op in terms if op.degree == degree])
+            word_sym = _symbol_compose(atom[0], word_sym)
+        accumulate(sym, word_sym.items(), c)
+    probe = max((sum(a) for (_, _, a, _) in sym), default=0)
+    margin = max(sum(atom[3] for atom in word) for _, word in terms)
+    a = FormAlgebra(2, probe + bound + 1 + margin)
+    ops = []
+    for c, word in terms:
+        op = GradedMap.identity(a.space)
+        for atom in word:
+            op = compose(atom[1](a), op)
+        ops.append((c, op))
+    assert (_order(sym) <= bound) == ordered_operator_order(a, lincomb(ops), bound, probe)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(order_operators(), st.integers(0, 2), st.sampled_from([None, 0, 1, 2]))
-def test_operator_order_matches_ordered_walk(p, bound, probe_degree):
-    assert operator_order(ORDER_ALGEBRA, p, bound, probe_degree) == \
-        ordered_operator_order(ORDER_ALGEBRA, p, bound, probe_degree)
+def test_ladder_builds_no_window_and_composes_no_matrix(monkeypatch):
+    counts = {"FormAlgebra": 0, "compose": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(derham, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(derham, name, counted)
+    structure_order_ladder(SO3)
+    structure_order_ladder(CONTACT_W, CONTACT_E)
+    assert counts == {"FormAlgebra": 0, "compose": 0}
+
+
+def test_order_ladder_beyond_the_matrix_walk():
+    # x1 d1^d2 + x3 d3^d4 in dimension 4 and the Lie-Poisson bivector of
+    # so3 (+) so3 in dimension 6, where the matrix walk was out of reach
+    dim4 = PolyVector(4, {((1, 0, 0, 0), (0, 1)): 1, ((0, 0, 1, 0), (2, 3)): 1})
+    so3_sum = PolyVector(6, [(((alpha + (0,) * 3), J), c) for (alpha, J), c in SO3.terms.items()]
+                         + [((((0,) * 3 + alpha), tuple(j + 3 for j in J)), c)
+                            for (alpha, J), c in SO3.terms.items()])
+    for w in (dim4, so3_sum):
+        assert verify_poisson(w)
+        assert structure_order_ladder(w) == OrderLadder(
+            d_at_most_0=False, d_at_most_1=True, delta1_at_most_1=False,
+            delta1_at_most_2=True, delta2_at_most_3=None)
 
 
 def test_order_ladder_jacobi():

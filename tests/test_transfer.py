@@ -23,6 +23,7 @@ from multicx.generators import (
     staircase4,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, compose, homology, lincomb
+from multicx import transfer
 from multicx.transfer import (
     DeformationRetract,
     alternative_retract,
@@ -215,7 +216,27 @@ def test_hodge_data_trivial_and_obstructed():
     assert not res.ok and res.witness == 1
     # with d = 0 the homology is the space itself and the transferred
     # operator is delta itself
-    assert res.transfer.transferred.delta(1) == delta
+    assert transfer_structure(r0, m).transferred.delta(1) == delta
+
+
+def test_hodge_data_builds_no_morphism_components(monkeypatch):
+    # the verdict reads only the transferred operators, so no chain sum ends
+    # in the homotopy (those feed only the projection's components)
+    rightmost = []
+
+    def recorded(m, h, right, nmax, _fn=transfer._chain_sums):
+        rightmost.append(right)
+        return _fn(m, h, right, nmax)
+    monkeypatch.setattr(transfer, "_chain_sums", recorded)
+    for seed in range(3):
+        m = generate("a", 50 + seed)
+        r, _ = build_retract(m.space, m.delta(0))
+        check_hodge_data(r, m)
+        assert rightmost and not any(right is r.homotopy for right in rightmost)
+        rightmost.clear()
+        transfer_structure(r, m)
+        assert sum(right is r.homotopy for right in rightmost) == 1
+        rightmost.clear()
 
 
 def test_hodge_data_matches_transferred_vanishing():
