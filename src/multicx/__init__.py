@@ -26,7 +26,6 @@ from .derham import (
     d_de_rham,
     jacobi_multicomplex,
     koszul_delta,
-    poisson_mixed_complex,
     schouten,
     structure_order_ladder,
     verify_jacobi,

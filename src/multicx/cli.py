@@ -8,18 +8,24 @@ Subcommands wire the full pipelines together and emit deterministic reports:
   geometry  --kind poisson|jacobi|basic --dim m --trunc D --structure <file>
   generate  --profile a|b|c --seed S     instance generators, file on stdout
 
-`analyze` computes each object once: one minimal model gives the homology,
-the transferred operators with their verdict, and the gauge (whose
-conjugation check runs inside `find_gauge`).  The independent degeneration
-verdict, in `analyze` and `geometry` alike, comes from ranks: page one
-against the homology of the total complex.  Pages are built only to find
-the witness of a failed verdict, and `analyze` builds the later pages its
-table shows only then; when the verdict holds every page equals page one.
-`--pages R` (R >= 1) truncates only the printed table.
+Every check a report prints is evaluated once, where the report shows it.
+The relations come from the one validation `TotalComplex` runs (its error
+carries the report); a failing relation stops the command before the
+degeneration check.  `analyze` computes each object once: one minimal model
+gives the homology, the transferred operators with their verdict, and the
+gauge.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0);
+the builders check only the structure equations.  The independent
+degeneration verdict, in `analyze` and `geometry` alike, comes from ranks:
+page one against the homology of the total complex.  Pages are built only
+to find the witness of a failed verdict, and `analyze` builds the later
+pages its table shows only then; when the verdict holds every page equals
+page one.  `--pages R` (R >= 1) truncates only the printed table.
 
 Exit codes: 0 every check passed, 1 a mathematical check failed (the report
-carries the witness), 2 input error.  The only environment hook is
-MULTICX_OUTDIR, the directory where geometry writes its multicomplex file.
+carries the witness), 2 input error, 3 internal error (a fault of the
+program; stderr names the exception, with no traceback).  The only
+environment hook is MULTICX_OUTDIR, the directory where geometry writes its
+multicomplex file.
 """
 
 from __future__ import annotations
@@ -32,20 +38,20 @@ import time
 from dataclasses import dataclass, field
 
 from . import formats
-from .complexes import validate_multicomplex
+from .complexes import ValidationReport, validate_multicomplex
 from .derham import (
     FormAlgebra,
+    PolyVector,
     basic_subcomplex,
     jacobi_defects,
     jacobi_multicomplex,
-    poisson_mixed_complex,
     schouten,
     structure_order_ladder,
 )
-from .errors import MulticxError, NotJacobi, NotPoisson, ParseError
-from .gauge import NoGauge, find_gauge
+from .errors import InvalidMulticomplex, MulticxError, NotContained, ParseError
+from .gauge import NoGauge, check_gauge_hodge, find_gauge
 from .generators import generate
-from .graded import homology
+from .graded import compose, homology, lincomb
 from .spectral import degenerates_at_one, page, page_one_dims, total_complex
 from .transfer import alternative_retract, check_hodge_data, minimal_model, nonzero_weights
 from random import Random
@@ -120,17 +126,41 @@ def _read(path: str) -> str:
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
+def _validated(m):
+    """The total complex of m (None when a relation fails) and the report of
+    the one validation, which `TotalComplex` runs and its error carries."""
+    try:
+        return total_complex(m), ValidationReport()
+    except InvalidMulticomplex as exc:
+        return None, exc.report
+
+
+def _relation(rep: ValidationReport, n=None):
+    """Verdict and witness of relation n, or of every relation, read off rep."""
+    found = [v for v in rep.violations if n is None or v.index == n]
+    return not found, "; ".join(v.describe() for v in found)
+
+
+def _gauge(series, m):
+    """Verdict and witness of the gauge identity exp(r) d exp(-r) = family."""
+    check = check_gauge_hodge(series, m)
+    return check.ok, "" if check.ok else "fails at power %d" % check.witness
+
+
+def _done(report: Report, started: float) -> Report:
+    report.elapsed = round(time.perf_counter() - started, 6)
+    return report
+
+
 def cmd_validate(path: str) -> Report:
     report = Report(command="validate", inputs={"file": path})
     started = time.perf_counter()
     m, meta = formats.parse_multicomplex(_read(path))
     report.notes.update(meta)
     report.tables["dimensions"] = dict(m.space.dims)
-    rep = validate_multicomplex(m)
-    report.add("multicomplex relations", rep.ok, rep.describe() if not rep.ok else "",
+    report.add("multicomplex relations", *_relation(validate_multicomplex(m)),
                operators=m.order + 1)
-    report.elapsed = round(time.perf_counter() - started, 6)
-    return report
+    return _done(report, started)
 
 
 def cmd_analyze(path: str, pages=None, seed=None) -> Report:
@@ -142,11 +172,10 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     report.notes.update(meta)
     report.notes["retract"] = "deterministic leftmost-pivot splitting"
     report.tables["dimensions"] = dict(m.space.dims)
-    rep = validate_multicomplex(m)
-    report.add("multicomplex relations", rep.ok, rep.describe() if not rep.ok else "")
+    t, rep = _validated(m)
+    report.add("multicomplex relations", *_relation(rep))
     if not rep.ok:
-        report.elapsed = round(time.perf_counter() - started, 6)
-        return report
+        return _done(report, started)
 
     # one minimal model: its space is the homology, its operators are the
     # transferred ones, and it carries the isomorphism the gauge is built from
@@ -161,7 +190,6 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     # the verdict comes from ranks; when it holds every page equals page
     # one, and when it fails the pages built to find the witness fill the
     # table before any later page is built
-    t = total_complex(m)
     degen = degenerates_at_one(t)
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
@@ -182,9 +210,7 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
                "" if found else "obstructed at weight %d" % gauge.witness)
     if found:
         report.notes["gauge"] = " | ".join(formats.print_series(gauge).strip().splitlines())
-        # find_gauge runs check_gauge_hodge on the series it returns and
-        # raises when the check fails, so a returned gauge has passed it
-        report.add("gauge series conjugates the differential", True)
+        report.add("gauge series conjugates the differential", *_gauge(gauge, m))
 
     agree = (hodge_ok == degen.ok == found)
     report.add("three-way agreement", agree,
@@ -199,8 +225,7 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
             if check_hodge_data(alt, m).ok != hodge_ok:
                 match = False
         report.add("randomized retracts agree", match, seed=seed)
-    report.elapsed = round(time.perf_counter() - started, 6)
-    return report
+    return _done(report, started)
 
 
 def _write_output(name: str, text: str) -> str:
@@ -226,18 +251,12 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
         else ("polynomial degree |alpha| <= %d" % trunc)
 
     if kind == "poisson":
+        # a Poisson bivector is the Jacobi pair (w, 0)
+        vector = PolyVector.zero(dim)
         bracket = schouten(bivector, bivector)
-        report.add("bivector brackets to zero", bracket.is_zero,
-                   "" if bracket.is_zero else "[w, w] has terms %s"
+        ok = bracket.is_zero
+        report.add("bivector brackets to zero", ok, "" if ok else "[w, w] has terms %s"
                    % formats.polyvector_to_terms(bracket))
-        if not bracket.is_zero:
-            report.elapsed = round(time.perf_counter() - started, 6)
-            return report
-        geo = poisson_mixed_complex(bivector, algebra)
-        for name in ("square of the induced operator vanishes",
-                     "differential anticommutes with the induced operator",
-                     "weight-one gauge identity"):
-            report.add(name, True)
     else:
         if vector is None:
             raise ParseError("kind %r needs a 'vector' term list in the structure" % kind)
@@ -249,30 +268,47 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
         elif not second.is_zero:
             witness = "[e, w] has terms %s" % formats.polyvector_to_terms(second)
         report.add("structure equations hold", ok, witness)
-        if not ok:
-            report.elapsed = round(time.perf_counter() - started, 6)
-            return report
-        if kind == "jacobi":
-            geo = jacobi_multicomplex(bivector, vector, algebra)
-            report.add("five multicomplex relations", True)
-            report.add("bracket identity [i(w), delta] = 2 i(e) i(w)", True)
-            report.add("quadratic gauge identity", True)
-        else:
+    if not ok:
+        return _done(report, started)
+
+    if kind == "basic":
+        try:
             geo = basic_subcomplex(bivector, vector, algebra)
-            report.add("basic subcomplex is stable and squares to zero", True)
-            report.add("restricted gauge identity", True)
-
+        except NotContained as exc:
+            report.add("basic subcomplex is stable and squares to zero", False, exc)
+            return _done(report, started)
+    else:
+        geo = jacobi_multicomplex(bivector, vector, algebra)
     m = geo.multicomplex
-    rep = validate_multicomplex(m)
-    report.add("multicomplex relations", rep.ok, rep.describe() if not rep.ok else "")
+    t, rep = _validated(m)
+    gauge = _gauge(geo.gauge, m)
+    if kind == "poisson":
+        report.add("square of the induced operator vanishes", *_relation(rep, 2))
+        report.add("differential anticommutes with the induced operator", *_relation(rep, 1))
+        report.add("weight-one gauge identity", *gauge)
+    elif kind == "jacobi":
+        report.add("five multicomplex relations", *_relation(rep))
+        # [i(w), delta_1] - 2 delta_2, with i(w) the gauge's weight-one term
+        iw, d1 = geo.gauge.coefficient(1, 2), m.delta(1)
+        defect = lincomb([(1, compose(iw, d1)), (-1, compose(d1, iw)), (-2, m.delta(2))])
+        report.add("bracket identity [i(w), delta] = 2 i(e) i(w)", defect.is_zero,
+                   "" if defect.is_zero else "source degree %d, entry (%d,%d) = %s"
+                   % next(defect.entries()))
+        report.add("quadratic gauge identity", *gauge)
+    else:
+        report.add("basic subcomplex is stable and squares to zero", *_relation(rep))
+        report.add("restricted gauge identity", *gauge)
+    report.add("multicomplex relations", *_relation(rep))
     report.tables["dimensions"] = dict(m.space.dims)
-    report.tables["homology"] = dict(homology(m.delta(0)).dims)
+    if not rep.ok:
+        return _done(report, started)
 
-    degen = degenerates_at_one(total_complex(m))
+    report.tables["homology"] = dict(homology(m.delta(0)).dims)
+    degen = degenerates_at_one(t)
     report.add("degenerates at page one", degen.ok,
                "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 
-    ladder = structure_order_ladder(bivector, vector if kind != "poisson" else None)
+    ladder = structure_order_ladder(bivector, None if kind == "poisson" else vector)
     report.add("differential has order exactly one",
                ladder.d_at_most_1 and not ladder.d_at_most_0)
     report.add("induced operator has order at most two", ladder.delta1_at_most_2)
@@ -284,8 +320,7 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
     meta = {"generator": "geometry-%s" % kind, "structure": stem}
     path = _write_output("%s-%s.mcx" % (stem, kind), formats.print_multicomplex(m, meta))
     report.notes["multicomplex file"] = path
-    report.elapsed = round(time.perf_counter() - started, 6)
-    return report
+    return _done(report, started)
 
 
 def cmd_generate(profile: str, seed: int) -> str:
@@ -336,12 +371,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
-    except (NotPoisson, NotJacobi) as exc:
-        sys.stderr.write("structure check failed: %s\n" % exc)
-        return 1
     except MulticxError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return 3
     if getattr(args, "json", False):
         sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     else:

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .complexes import Multicomplex, validate_multicomplex
-from .errors import NotJacobi, NotPoisson, NotSquareZero, ShapeMismatch, WindowTooSmall
+from .complexes import Multicomplex
+from .errors import NotContained, NotJacobi, ShapeMismatch, WindowTooSmall
 from .exactla import Matrix, accumulate, kernel_image, rat, solve
-from .gauge import OperatorSeries, check_gauge_hodge
+from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
 # frozen application order of the single contractions inside
@@ -490,64 +490,35 @@ class GeometricComplex:
     algebra: FormAlgebra
 
 
-def poisson_mixed_complex(w: PolyVector, a: FormAlgebra) -> GeometricComplex:
-    """Mixed complex (forms, d, [i(w), d]) of a Poisson bivector, plus the
-    weight-one gauge series i(w) z; both defining identities are asserted."""
-    if not verify_poisson(w):
-        raise NotPoisson("the bivector does not bracket to zero with itself")
-    d = d_de_rham(a)
-    delta = koszul_delta(a, w)
-    if not compose(delta, delta).is_zero:
-        raise NotSquareZero("square of the induced operator is nonzero")
-    m = Multicomplex(a.space, [d, delta])
-    rep = validate_multicomplex(m)
-    if not rep.ok:
-        raise NotSquareZero(rep.describe())
-    series = OperatorSeries(a.space, {1: contraction(a, w)})
-    if not check_gauge_hodge(series, m).ok:
-        raise NotSquareZero("contraction series fails to conjugate the differential")
-    return GeometricComplex(multicomplex=m, gauge=series, algebra=a)
-
-
 def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> GeometricComplex:
-    """Multicomplex (forms, d, [i(w), d], i(e) i(w)) of a Jacobi pair.
+    """Multicomplex (forms, d, [i(w), d], i(e) i(w)) of a Jacobi pair, with
+    the weight-one gauge series i(w) z.  A Poisson bivector is the pair with
+    e = 0, and then this is its mixed complex (forms, d, [i(w), d]).
 
-    All five convolution relations, the bracket identity
-    [i(w), [i(w), d]] = 2 i(e) i(w), and the quadratic gauge identity are
-    asserted exactly before returning.  For structure fields with nonzero
-    coefficient degree use a weight-truncated algebra: the plain polynomial
-    cutoff loses raise-then-lower composites at its top degree and the
-    weight-two relation then genuinely fails there.
+    Only the structure equations are checked here.  The multicomplex
+    relations, the bracket identity [i(w), [i(w), d]] = 2 i(e) i(w) and the
+    gauge identity are left to the caller (`validate_multicomplex`,
+    `check_gauge_hodge`); `TotalComplex` refuses a family that fails the
+    relations.  They hold exactly on a weight-truncated algebra.  The plain
+    polynomial cutoff loses raise-then-lower composites at its top degree,
+    and the relations of weight two can then fail there.
     """
     if not verify_jacobi(w, e):
         raise NotJacobi("the pair fails the structure equations")
-    d = d_de_rham(a)
-    delta1 = koszul_delta(a, w)
     iw = contraction(a, w) if not w.is_zero else GradedMap.zero(a.space, a.space, 2)
-    ie = contraction(a, e)
     if e.is_zero or w.is_zero:
         delta2 = GradedMap.zero(a.space, a.space, 3)
     else:
-        delta2 = compose(ie, iw)
-    checks = {
-        "d squared": compose(d, d),
-        "anticommute": compose(d, delta1).add(compose(delta1, d)),
-        "square defect": compose(delta1, delta1).add(compose(delta2, d)).add(compose(d, delta2)),
-        "weight three": compose(delta1, delta2).add(compose(delta2, delta1)),
-        "weight four": compose(delta2, delta2),
-        "adjoint square": graded_commutator(iw, delta1).sub(delta2.scale(2)),
-    }
-    for name, defect in checks.items():
-        if not defect.is_zero:
-            raise NotJacobi("identity %r fails on the truncated algebra" % name)
-    m = Multicomplex(a.space, [d, delta1, delta2])
-    rep = validate_multicomplex(m)
-    if not rep.ok:
-        raise NotJacobi(rep.describe())
-    series = OperatorSeries(a.space, {1: iw})
-    if not check_gauge_hodge(series, m).ok:
-        raise NotJacobi("contraction series fails the quadratic gauge identity")
-    return GeometricComplex(multicomplex=m, gauge=series, algebra=a)
+        delta2 = compose(contraction(a, e), iw)
+    m = Multicomplex(a.space, [d_de_rham(a), koszul_delta(a, w), delta2])
+    return GeometricComplex(multicomplex=m, gauge=OperatorSeries(a.space, {1: iw}), algebra=a)
+
+
+def poisson_mixed_complex(w: PolyVector, a: FormAlgebra) -> GeometricComplex:
+    """The Jacobi builder on the pair (w, 0).  Nothing in the package calls
+    it; the layer trace of `perfbench/spans.py` wraps this name, and it goes
+    with that entry (ROADMAP item 7)."""
+    return jacobi_multicomplex(w, PolyVector.zero(w.dim), a)
 
 
 @dataclass
@@ -561,51 +532,38 @@ class BasicComplex:
 def _restrict(f: GradedMap, subspace_basis: dict, sub: GradedVectorSpace) -> GradedMap:
     blocks = {}
     for k in sub.degrees:
-        src = subspace_basis[k]
-        img = f.block(k).mul(src)
+        img = f.block(k).mul(subspace_basis[k])
         if img.is_zero():
             continue
-        tgt_dim = sub.dim(k + f.degree)
-        if not tgt_dim:
-            raise NotJacobi("operator does not preserve the basic subcomplex")
-        coords = solve(subspace_basis[k + f.degree], img)
+        coords = None
+        if sub.dim(k + f.degree):
+            coords = solve(subspace_basis[k + f.degree], img)
         if coords is None:
-            raise NotJacobi("operator does not preserve the basic subcomplex")
+            raise NotContained("an operator does not preserve the basic subcomplex")
         blocks[k] = coords
     return GradedMap(sub, sub, f.degree, blocks)
 
 
 def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicComplex:
-    """Mixed complex of basic forms: kernel of i(e) and of i(e) d, with the
-    restricted differential and square-lowering operator."""
+    """Mixed complex of basic forms: the kernel of i(e) and of i(e) d, with
+    the restricted differential, square-lowering operator and gauge series.
+
+    Only the structure equations are checked here; a restriction that leaves
+    the subcomplex raises NotContained.  The relations and the gauge identity
+    are left to the caller, as in `jacobi_multicomplex`.
+    """
     if not verify_jacobi(w, e):
         raise NotJacobi("the pair fails the structure equations")
     d = d_de_rham(a)
-    delta = koszul_delta(a, w)
     ie = contraction(a, e)
     ie_d = compose(ie, d)
-    anti = compose(ie, delta).add(compose(delta, ie))
-    if not anti.is_zero:
-        raise NotJacobi("contraction by the structure field fails to anticommute")
-    bases = {}
-    dims = {}
+    bases, dims = {}, {}
     for k in a.space.degrees:
-        stacked = ie.block(k).vstack(ie_d.block(k))
-        ker, _ = kernel_image(stacked)
+        ker, _ = kernel_image(ie.block(k).vstack(ie_d.block(k)))
         bases[k] = ker.basis
         dims[k] = ker.dim
     sub = GradedVectorSpace(dims)
     basis = {k: bases[k] for k in sub.degrees}
-    d_b = _restrict(d, basis, sub)
-    delta_b = _restrict(delta, basis, sub)
-    if not compose(delta_b, delta_b).is_zero:
-        raise NotJacobi("restricted operator fails to square to zero")
-    m = Multicomplex(sub, [d_b, delta_b])
-    rep = validate_multicomplex(m)
-    if not rep.ok:
-        raise NotJacobi(rep.describe())
-    iw_b = _restrict(contraction(a, w), basis, sub)
-    series = OperatorSeries(sub, {1: iw_b})
-    if not check_gauge_hodge(series, m).ok:
-        raise NotJacobi("restricted contraction series fails the gauge identity")
+    m = Multicomplex(sub, [_restrict(d, basis, sub), _restrict(koszul_delta(a, w), basis, sub)])
+    series = OperatorSeries(sub, {1: _restrict(contraction(a, w), basis, sub)})
     return BasicComplex(multicomplex=m, inclusions=basis, ambient=a, gauge=series)

@@ -38,7 +38,12 @@ class NotInvertible(MulticxError):
 
 
 class InvalidMulticomplex(MulticxError):
-    pass
+    """A family that fails the multicomplex relations; `report` is the
+    `ValidationReport` that found it, when there is one."""
+
+    def __init__(self, message, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class BadConstantTerm(MulticxError):
@@ -46,10 +51,6 @@ class BadConstantTerm(MulticxError):
 
 
 class HodgeDataFails(MulticxError):
-    pass
-
-
-class NotPoisson(MulticxError):
     pass
 
 

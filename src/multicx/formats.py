@@ -230,14 +230,32 @@ def polyvector_to_terms(p: PolyVector):
     return out
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats and booleans are refused, not truncated."""
+    if type(value) is not int:
+        raise ParseError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _coefficient(value):
+    """A JSON integer or a rational string such as "3/7"; never a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError("coefficient must be an integer or a rational string, got %r"
+                         % (value,))
+    try:
+        return rat(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError("bad coefficient %r: %s" % (value, exc))
+
+
 def polyvector_from_terms(terms, dim: int) -> PolyVector:
     pairs = []
     for t in terms:
         try:
-            coeff = Fraction(t["coefficient"])
-            alpha = tuple(int(e) for e in t["monomial"])
-            indices = tuple(int(j) - 1 for j in t["indices"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            coeff = _coefficient(t["coefficient"])
+            alpha = tuple(_integer(e, "exponent") for e in t["monomial"])
+            indices = tuple(_integer(j, "index") - 1 for j in t["indices"])
+        except (KeyError, TypeError) as exc:
             raise ParseError("bad polyvector term %r: %s" % (t, exc))
         if len(alpha) != dim:
             raise ParseError("monomial %r does not have %d exponents" % (t["monomial"], dim))
@@ -267,7 +285,7 @@ def parse_structure(text: str, dim=None):
     file_dim = doc.get("dim", dim)
     if file_dim is None:
         raise ParseError("structure file lacks 'dim' and no dimension was given")
-    file_dim = int(file_dim)
+    file_dim = _integer(file_dim, "dim")
     if dim is not None and file_dim != dim:
         raise ParseError("structure dim %d conflicts with requested %d" % (file_dim, dim))
     bivector = polyvector_from_terms(doc["bivector"], file_dim)

@@ -8,7 +8,7 @@ handled by the de Rham builder.
 from __future__ import annotations
 
 from .errors import DegreeMismatch, NotSquareZero, ShapeMismatch, SpaceMismatch
-from .exactla import Matrix, accumulate, kernel_image, rat
+from .exactla import Matrix, accumulate, rank, rat
 
 
 class GradedVectorSpace:
@@ -214,8 +214,6 @@ def homology(d: GradedMap) -> GradedVectorSpace:
         raise SpaceMismatch("differential endpoints disagree")
     if not compose(d, d).is_zero:
         raise NotSquareZero("d squared is nonzero")
-    nullity, rank = {}, {}
-    for k in d.source.degrees:
-        ker, img = kernel_image(d.block(k))
-        nullity[k], rank[k - 1] = ker.dim, img.dim
-    return GradedVectorSpace({k: z - rank.get(k, 0) for k, z in nullity.items()})
+    ranks = {k: rank(d.block(k)) for k in d.source.degrees}
+    return GradedVectorSpace({k: d.source.dim(k) - r - ranks.get(k + 1, 0)
+                              for k, r in ranks.items()})

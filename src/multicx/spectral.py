@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
 from .exactla import Matrix, Subspace, kernel_image, induced_subquotient_map, rank
+from .graded import homology
 
 
 class TotalComplex:
@@ -45,7 +46,7 @@ class TotalComplex:
     def __init__(self, source: Multicomplex):
         rep = validate_multicomplex(source)
         if not rep.ok:
-            raise InvalidMulticomplex(rep.describe())
+            raise InvalidMulticomplex(rep.describe(), rep)
         self.source = source
         space = source.space
         if space.is_zero:
@@ -235,19 +236,10 @@ def page(t: TotalComplex, r: int) -> SpectralPage:
 
 def page_one_dims(t: TotalComplex):
     """Nonzero entries of page one, {(s, n): dim}, as `page(t, 1).dims_table()`
-    gives them: dim E^1_s(n) = dim H(A, d)_{n+2s}, read off ranks of the
-    d-blocks without building a basis."""
-    d = t.source.delta(0)
-    space = t.source.space
-    ranks = {k: rank(d.block(k)) for k in space.degrees}
-    out = {}
-    for n in t.page_window():
-        for s in t.levels(n):
-            k = n + 2 * s
-            dim = space.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            if dim:
-                out[(s, n)] = dim
-    return dict(sorted(out.items()))
+    gives them: dim E^1_s(n) = dim H(A, d)_{n+2s}."""
+    h = homology(t.source.delta(0))
+    return dict(sorted(((s, n), h.dim(n + 2 * s)) for n in t.page_window()
+                       for s in t.levels(n) if h.dim(n + 2 * s)))
 
 
 @dataclass

@@ -1,9 +1,13 @@
 import json
 import os
 
-from multicx import cli, gauge, spectral, transfer
+import pytest
+
+from multicx import cli, complexes, derham, gauge, spectral, transfer
 from multicx.cli import cmd_analyze, cmd_generate, cmd_geometry, main
+from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
+from multicx.graded import GradedMap
 from multicx.formats import parse_multicomplex, print_multicomplex, print_structure
 from multicx.generators import staircase4
 from multicx.spectral import total_complex
@@ -103,7 +107,7 @@ def count_calls(monkeypatch, *functions):
         def wrapper(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        for mod in (cli, gauge, spectral, transfer):
+        for mod in (cli, derham, gauge, spectral, transfer):
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
@@ -124,6 +128,92 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     assert report.ok
     assert counts == {"page": 0, "minimal_model": 1, "build_retract": 1,
                       "transfer_structure": 1, "check_gauge_hodge": 1}
+
+
+def structure_file(tmp_path, kind):
+    if kind == "poisson":
+        return write(tmp_path, "so3.json", print_structure(3, SO3))
+    return write(tmp_path, "contact.json", print_structure(3, CONTACT_W, CONTACT_E))
+
+
+def test_each_check_runs_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    counts = count_calls(monkeypatch, complexes.validate_multicomplex,
+                         gauge.check_gauge_hodge)
+    for kind in ("poisson", "jacobi", "basic"):
+        counts.update(validate_multicomplex=0, check_gauge_hodge=0)
+        assert cmd_geometry(kind, 3, 3, structure_file(tmp_path, kind)).ok
+        assert counts == {"validate_multicomplex": 1, "check_gauge_hodge": 1}, kind
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    counts.update(validate_multicomplex=0)
+    assert cmd_analyze(path).ok
+    assert counts["validate_multicomplex"] == 1
+
+
+def corrupted(builder, n):
+    """The builder with one entry added to operator n of its multicomplex."""
+    def build(*args):
+        geo = builder(*args)
+        m = geo.multicomplex
+        deltas = [m.delta(i) for i in range(max(m.order, n) + 1)]
+        k = next(k for k in m.space.degrees if m.space.dim(k + 2 * n - 1))
+        bump = GradedMap.from_entries(m.space, m.space, 2 * n - 1, [(k, 0, 0, 1)])
+        deltas[n] = deltas[n].add(bump)
+        geo.multicomplex = Multicomplex(m.space, deltas)
+        return geo
+    return build
+
+
+IDENTITY_LINES = {
+    "poisson": ("jacobi_multicomplex", 1, [
+        "square of the induced operator vanishes",
+        "differential anticommutes with the induced operator",
+        "weight-one gauge identity", "multicomplex relations"]),
+    "jacobi": ("jacobi_multicomplex", 2, [
+        "five multicomplex relations", "bracket identity [i(w), delta] = 2 i(e) i(w)",
+        "quadratic gauge identity", "multicomplex relations"]),
+    "basic": ("basic_subcomplex", 1, [
+        "basic subcomplex is stable and squares to zero", "restricted gauge identity",
+        "multicomplex relations"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IDENTITY_LINES))
+def test_corrupted_operator_fails_each_identity_line(kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    builder, n, names = IDENTITY_LINES[kind]
+    monkeypatch.setattr(cli, builder, corrupted(getattr(cli, builder), n))
+    path = structure_file(tmp_path, kind)
+    code = main(["geometry", "--kind", kind, "--dim", "3", "--trunc", "3",
+                 "--structure", path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" not in captured.err
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    for name in names:
+        assert not checks[name]["passed"] and checks[name]["witness"], name
+    # a failing relation ends the command before the degeneration check
+    assert "degenerates at page one" not in checks
+
+
+def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    real = derham.koszul_delta
+
+    def leaky(a, w):
+        # every 1-form also picks up the function x3, which is not basic
+        x3 = a.position[0][((0, 0, 1), ())]
+        bump = GradedMap.from_entries(a.space, a.space, 1, [
+            (-1, x3, col, 1) for col in range(a.space.dim(-1))])
+        return real(a, w).add(bump)
+    monkeypatch.setattr(derham, "koszul_delta", leaky)
+    code = main(["geometry", "--kind", "basic", "--dim", "3", "--trunc", "3",
+                 "--structure", structure_file(tmp_path, "basic")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert ("FAIL basic subcomplex is stable and squares to zero (witness: "
+            "an operator does not preserve the basic subcomplex)") in captured.out
 
 
 def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):
@@ -287,3 +377,32 @@ def test_bad_indices_are_an_input_error(tmp_path, monkeypatch, capsys):
                      "--trunc", "2", "--structure", path])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 3.9), ("coefficient", 0.1), ("coefficient", True), ("coefficient", [1]),
+    ("monomial", [0, 0, 1.7]), ("monomial", [0, 0, True]),
+    ("indices", [1, 2.2]), ("indices", [True, 2])])
+def test_structure_numbers_must_be_exact(field, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(3, SO3))
+    if field == "dim":
+        doc["dim"] = value
+    else:
+        doc["bivector"][0][field] = value
+    path = write(tmp_path, "inexact.json", json.dumps(doc))
+    code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "2", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage broke")
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: stage broke\n"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicx.complexes import validate_multicomplex
-from multicx.errors import NotJacobi, NotPoisson, ShapeMismatch, WindowTooSmall
+from multicx.complexes import Multicomplex, validate_multicomplex
+from multicx.errors import NotJacobi, ShapeMismatch, WindowTooSmall
 from multicx.derham import (
     FormAlgebra,
     OrderLadder,
@@ -19,7 +19,6 @@ from multicx.derham import (
     jacobi_defects,
     jacobi_multicomplex,
     koszul_delta,
-    poisson_mixed_complex,
     schouten,
     structure_order_ladder,
     verify_jacobi,
@@ -36,7 +35,7 @@ from multicx.derham import (
     _word,
 )
 from multicx.exactla import accumulate
-from multicx.gauge import check_gauge_hodge
+from multicx.gauge import OperatorSeries, check_gauge_hodge
 from multicx.graded import GradedMap, compose, lincomb
 
 
@@ -242,7 +241,7 @@ def test_verify_jacobi_cases():
 def test_poisson_pipeline_symplectic_plane():
     w = PolyVector(2, {((0, 0), (0, 1)): 1})
     a = FormAlgebra(2, 2)
-    geo = poisson_mixed_complex(w, a)
+    geo = jacobi_multicomplex(w, PolyVector.zero(2), a)
     assert geo.multicomplex.is_mixed
     assert validate_multicomplex(geo.multicomplex).ok
     assert check_gauge_hodge(geo.gauge, geo.multicomplex).ok
@@ -253,13 +252,13 @@ def test_poisson_pipeline_rejects_non_poisson():
     bad = PolyVector(3, {((0, 1, 0), (1, 2)): 1, ((0, 0, 1), (0, 2)): 1})
     bracket = schouten(bad, bad)
     assert bracket == PolyVector(3, {((0, 1, 0), (0, 1, 2)): -2})
-    with pytest.raises(NotPoisson):
-        poisson_mixed_complex(bad, FormAlgebra(3, 2))
+    with pytest.raises(NotJacobi):
+        jacobi_multicomplex(bad, PolyVector.zero(3), FormAlgebra(3, 2))
 
 
 def test_poisson_pipeline_zero_bivector():
     a = FormAlgebra(2, 1)
-    geo = poisson_mixed_complex(PolyVector.zero(2), a)
+    geo = jacobi_multicomplex(PolyVector.zero(2), PolyVector.zero(2), a)
     assert geo.multicomplex.is_trivial
 
 
@@ -277,8 +276,8 @@ def test_jacobi_pipeline_poisson_reduction():
     a = FormAlgebra(3, 2)
     geo = jacobi_multicomplex(SO3, PolyVector.zero(3), a)
     assert geo.multicomplex.is_mixed
-    ref = poisson_mixed_complex(SO3, a)
-    assert geo.multicomplex == ref.multicomplex
+    assert geo.multicomplex == Multicomplex(a.space, [d_de_rham(a), koszul_delta(a, SO3)])
+    assert geo.gauge == OperatorSeries(a.space, {1: contraction(a, SO3)})
 
 
 def test_jacobi_pipeline_rejects_non_jacobi():
@@ -290,7 +289,7 @@ def test_basic_subcomplex_e_zero_recovers_everything():
     a = FormAlgebra(3, 2)
     basic = basic_subcomplex(SO3, PolyVector.zero(3), a)
     assert basic.multicomplex.space == a.space
-    ref = poisson_mixed_complex(SO3, a)
+    ref = jacobi_multicomplex(SO3, PolyVector.zero(3), a)
     # same dims and a valid mixed structure; bases may be permuted
     assert validate_multicomplex(basic.multicomplex).ok
     assert basic.multicomplex.space == ref.multicomplex.space
