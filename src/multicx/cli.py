@@ -51,7 +51,7 @@ from .derham import (
 from .errors import InvalidMulticomplex, MulticxError, NotContained, ParseError
 from .gauge import NoGauge, check_gauge_hodge, find_gauge
 from .generators import generate
-from .graded import compose, homology, lincomb
+from .graded import compose, lincomb
 from .spectral import degenerates_at_one, page, page_one_dims, total_complex
 from .transfer import alternative_retract, check_hodge_data, minimal_model, nonzero_weights
 from random import Random
@@ -194,7 +194,7 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
     if degen.ok:
-        rows = [page_one_dims(t)] * shown
+        rows = [page_one_dims(t, degen.homology)] * shown
     else:
         rows = [pg.dims_table() for pg in degen.pages[:shown]]
         rows += [page(t, r).dims_table() for r in range(len(rows) + 1, shown + 1)]
@@ -303,8 +303,8 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
     if not rep.ok:
         return _done(report, started)
 
-    report.tables["homology"] = dict(homology(m.delta(0)).dims)
     degen = degenerates_at_one(t)
+    report.tables["homology"] = dict(degen.homology.dims)
     report.add("degenerates at page one", degen.ok,
                "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 

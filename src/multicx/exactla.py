@@ -5,6 +5,24 @@ ranks, kernels, images, complements and induced maps on subquotients computed
 here.  All arithmetic uses `fractions.Fraction`; there is no floating point
 anywhere in the package.  Basis selection follows a leftmost-pivot convention,
 so every output is reproducible byte for byte.
+
+Every elimination goes through one kernel, `_rref`.  It keeps a column index
+(column -> ids of the rows holding a nonzero there), so it reads pivot
+candidates and the rows to clear from the index, visits only the columns
+that occur, and costs nothing on an empty matrix.
+
+`Subspace(n, basis)` checks that a caller's basis is independent, with one
+rank computation.  Bases that are independent by construction skip that
+check through the private `Subspace._independent`:
+  - the kernel basis of `kernel_image` has an identity entry at its own free
+    column and zeros at every other free column;
+  - the image basis of `kernel_image` is the pivot columns, which no earlier
+    column spans;
+  - `complement` keeps pivot columns of an independent ambient basis;
+  - `Subspace.zero` and `Subspace.full` have no columns and identity columns;
+  - the spectral filtration F_s takes identity columns, and the cycles Z^r_s
+    re-index a kernel basis injectively into the total degree, which keeps
+    it independent.
 """
 
 from __future__ import annotations
@@ -207,32 +225,55 @@ def _rref(m: Matrix):
     """Reduced row echelon form.
 
     Returns (pivot_cols, rows) where rows is a list of {col: value} dicts in
-    echelon order.  Pivot columns are scanned left to right; among candidate
-    pivot rows the sparsest (then lowest-index) is chosen, which does not
-    affect the result (RREF is unique) but keeps intermediate fill-in low.
+    echelon order.  A column index `where` maps each column to the ids of
+    the rows holding a nonzero there, so pivot candidates and the rows to
+    clear are read from it instead of found by scanning every row.  Only
+    columns that occur in the matrix are visited, left to right: elimination
+    adds multiples of rows that are already there, so it never creates a
+    new column.  Clearing a row with the pivot row can change that row only
+    at the pivot row's keys, so those are the only index entries updated.
+    Among the candidate pivot rows still unused, the sparsest (then lowest
+    row id) is chosen; that does not affect the result (RREF is unique) but
+    keeps intermediate fill-in low.  A pivot row whose pivot is already 1 is
+    used as it is.
     """
-    rows = [dict() for _ in range(m.rows)]
+    rows = {}
+    where = {}
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    rows = [r for r in rows if r]
+        row = rows.get(r)
+        if row is None:
+            rows[r] = row = {}
+        row[c] = v
+        ids = where.get(c)
+        if ids is None:
+            where[c] = ids = set()
+        ids.add(r)
+    used = set()
     done = []
     pivots = []
-    for col in range(m.cols):
-        cand = [i for i, r in enumerate(rows) if col in r]
+    for col in sorted(where):
+        holders = where[col]
+        cand = [i for i in holders if i not in used]
         if not cand:
             continue
-        cand.sort(key=lambda i: (len(rows[i]), i))
-        i = cand[0]
-        piv = rows.pop(i)
-        inv = ONE / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for other_set in (rows, done):
-            for k, r in enumerate(other_set):
-                f = r.get(col)
-                if f is None:
-                    continue
-                other_set[k] = accumulate(dict(r), piv.items(), -f)
-        rows = [r for r in rows if r]
+        i = min(cand, key=lambda i: (len(rows[i]), i))
+        used.add(i)
+        piv = rows[i]
+        if piv[col] != 1:
+            inv = ONE / piv[col]
+            rows[i] = piv = {c: v * inv for c, v in piv.items()}
+        where[col] = {i}
+        keys = [c for c in piv if c != col]
+        for k in holders:
+            if k == i:
+                continue
+            row = rows[k]
+            accumulate(row, piv.items(), -row[col])
+            for c in keys:
+                if c in row:
+                    where[c].add(k)
+                else:
+                    where[c].discard(k)
         done.append(piv)
         pivots.append(col)
     return pivots, done
@@ -244,7 +285,12 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of Q^n given by a basis matrix with independent columns."""
+    """A subspace of Q^n given by a basis matrix with independent columns.
+
+    `Subspace(n, basis)` checks the shape and the independence of the basis;
+    `Subspace._independent` skips the rank check for bases that are
+    independent by construction (see the module docstring).
+    """
 
     __slots__ = ("ambient_dim", "basis")
 
@@ -256,13 +302,21 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
 
+    @classmethod
+    def _independent(cls, ambient_dim: int, basis: Matrix) -> "Subspace":
+        """A subspace on a basis whose columns are known to be independent."""
+        sub = object.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.basis = basis
+        return sub
+
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(ambient_dim, 0))
+        return Subspace._independent(ambient_dim, Matrix(ambient_dim, 0))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace._independent(ambient_dim, Matrix.identity(ambient_dim))
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Matrix) -> "Subspace":
@@ -312,7 +366,7 @@ def kernel_image(m: Matrix):
             if v:
                 ker.entries[(pcol, k)] = -v
     image = m.select_columns(pivots)
-    return Subspace(m.cols, ker), Subspace(m.rows, image)
+    return Subspace._independent(m.cols, ker), Subspace._independent(m.rows, image)
 
 
 def solve(a: Matrix, b: Matrix):
@@ -351,7 +405,7 @@ def complement(sub: Subspace, ambient: Subspace) -> Subspace:
     if len(pivots) != ambient.dim:
         raise NotContained("subspace not inside the ambient subspace")
     chosen = [p - sub.dim for p in pivots if p >= sub.dim]
-    return Subspace(ambient.ambient_dim, ambient.basis.select_columns(chosen))
+    return Subspace._independent(ambient.ambient_dim, ambient.basis.select_columns(chosen))
 
 
 def induced_subquotient_map(m: Matrix, src, dst) -> Matrix:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
 from .exactla import Matrix, Subspace, kernel_image, induced_subquotient_map, rank
-from .graded import homology
+from .graded import GradedVectorSpace, homology
 
 
 class TotalComplex:
@@ -122,7 +122,7 @@ class TotalComplex:
     def filtration(self, n, s) -> Subspace:
         dim = self.total_dim(n)
         cols = self.filtration_indices(n, s)
-        return Subspace(dim, Matrix.identity(dim).select_columns(cols))
+        return Subspace._independent(dim, Matrix.identity(dim).select_columns(cols))
 
     def cycles(self, n, s, r) -> Subspace:
         """Z^r_s at total degree n: elements of F_s pushed into F_{s+r};
@@ -144,7 +144,7 @@ class TotalComplex:
         embed = Matrix(dim, ker.dim)
         for (i, j), v in ker.basis.entries.items():
             embed.entries[(cols[i], j)] = v
-        out = Subspace(dim, embed)
+        out = Subspace._independent(dim, embed)
         self._zcache[key] = out
         return out
 
@@ -234,10 +234,12 @@ def page(t: TotalComplex, r: int) -> SpectralPage:
     return out
 
 
-def page_one_dims(t: TotalComplex):
+def page_one_dims(t: TotalComplex, h=None):
     """Nonzero entries of page one, {(s, n): dim}, as `page(t, 1).dims_table()`
-    gives them: dim E^1_s(n) = dim H(A, d)_{n+2s}."""
-    h = homology(t.source.delta(0))
+    gives them: dim E^1_s(n) = dim H(A, d)_{n+2s}.  `h` is H(A, d) when the
+    caller has it already."""
+    if h is None:
+        h = homology(t.source.delta(0))
     return dict(sorted(((s, n), h.dim(n + 2 * s)) for n in t.page_window()
                        for s in t.levels(n) if h.dim(n + 2 * s)))
 
@@ -246,6 +248,7 @@ def page_one_dims(t: TotalComplex):
 class DegenerationResult:
     ok: bool
     witness: object  # (r, s, n) of the first nonzero differential, or None
+    homology: GradedVectorSpace  # H(A, d), which gives page one
     pages: list = field(default_factory=list)  # pages built to find the witness
 
     @property
@@ -260,18 +263,19 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     """True iff every differential on every page vanishes, decided by the
     rank test of the module docstring; when it fails, pages 1, 2, ... are
     built up to the first nonzero differential, which is the witness."""
+    h = homology(t.source.delta(0))
     e1 = {}
-    for (_, n), dim in page_one_dims(t).items():
+    for (_, n), dim in page_one_dims(t, h).items():
         e1[n] = e1.get(n, 0) + dim
     b = {n: rank(m) for n, m in t.boundaries.items()}
     if all(e1.get(n, 0) == t.total_dim(n) - b[n] - b[n + 1] for n in t.page_window()):
-        return DegenerationResult(ok=True, witness=None)
+        return DegenerationResult(ok=True, witness=None, homology=h)
     pages = []
     for r in range(1, t.stabilization_bound() + 1):
         pages.append(page(t, r))
         key = pages[-1].first_nonzero_differential()
         if key is not None:
-            return DegenerationResult(ok=False, witness=(r,) + key, pages=pages)
+            return DegenerationResult(ok=False, witness=(r,) + key, homology=h, pages=pages)
     raise NotWellDefined("page one does not account for the total homology, "
                          "yet no page up to %d has a nonzero differential" % len(pages))
 

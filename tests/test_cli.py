@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from multicx import cli, complexes, derham, gauge, spectral, transfer
+from multicx import cli, complexes, derham, gauge, graded, spectral, transfer
 from multicx.cli import cmd_analyze, cmd_generate, cmd_geometry, main
 from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
+from multicx.exactla import Subspace
 from multicx.graded import GradedMap
 from multicx.formats import parse_multicomplex, print_multicomplex, print_structure
 from multicx.generators import staircase4
@@ -134,6 +135,37 @@ def structure_file(tmp_path, kind):
     if kind == "poisson":
         return write(tmp_path, "so3.json", print_structure(3, SO3))
     return write(tmp_path, "contact.json", print_structure(3, CONTACT_W, CONTACT_E))
+
+
+def test_pipeline_subspaces_skip_the_independence_check(tmp_path, monkeypatch):
+    # every pipeline basis is independent by construction, so no command
+    # goes through the checking constructor and its rank computation
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    checked = []
+    original = Subspace.__init__
+
+    def counting(self, *args):
+        checked.append(args)
+        original(self, *args)
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
+    assert not cmd_analyze(stair).ok
+    assert cmd_geometry("basic", 3, 3, structure_file(tmp_path, "basic")).ok
+    assert checked == []
+
+
+def test_homology_is_computed_once_per_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    counts = count_calls(monkeypatch, graded.homology)
+    runs = [lambda kind=kind: cmd_geometry(kind, 3, 3, structure_file(tmp_path, kind))
+            for kind in ("poisson", "jacobi", "basic")]
+    for text in (cmd_generate("a", 2), print_multicomplex(staircase4())):
+        path = write(tmp_path, "in.mcx", text)
+        runs.append(lambda path=path: cmd_analyze(path))
+    for run in runs:
+        counts["homology"] = 0
+        run()
+        assert counts["homology"] == 1
 
 
 def test_each_check_runs_once(tmp_path, monkeypatch):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicx.errors import NotContained, NotWellDefined
+from multicx.errors import NotContained, NotWellDefined, ShapeMismatch
 from multicx.exactla import (
     Matrix,
     Subspace,
+    _rref,
     accumulate,
     complement,
     induced_subquotient_map,
@@ -344,3 +345,111 @@ def test_kernel_image_and_solve_invariants(data):
     b = m.mul(x)
     y = solve(m, b)
     assert y is not None and m.mul(y) == b
+
+
+# ---- the indexed elimination kernel against the scanning one it replaced ----
+
+def scanning_rref(m):
+    """The row-scanning `_rref` the column index replaced: for each column it
+    scans every remaining row for pivot candidates and every row for the
+    entries to clear."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    rows = [r for r in rows if r]
+    done = []
+    pivots = []
+    for col in range(m.cols):
+        cand = [i for i, r in enumerate(rows) if col in r]
+        if not cand:
+            continue
+        cand.sort(key=lambda i: (len(rows[i]), i))
+        i = cand[0]
+        piv = rows.pop(i)
+        inv = Fraction(1) / piv[col]
+        piv = {c: v * inv for c, v in piv.items()}
+        for other_set in (rows, done):
+            for k, r in enumerate(other_set):
+                f = r.get(col)
+                if f is None:
+                    continue
+                other_set[k] = accumulate(dict(r), piv.items(), -f)
+        rows = [r for r in rows if r]
+        done.append(piv)
+        pivots.append(col)
+    return pivots, done
+
+
+def sparse(draw, rows, cols, density):
+    """rows x cols with each entry nonzero with probability about `density`."""
+    ent = []
+    for r in range(rows):
+        for c in range(cols):
+            if draw(st.integers(0, 99)) < density:
+                ent.append((r, c, draw(st.sampled_from(POOL[2:]))))
+    return Matrix(rows, cols, ent)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Empty, all-zero, wide, tall, duplicate-row and fill-in-heavy matrices."""
+    kind = draw(st.sampled_from(["empty", "zero", "wide", "tall", "duplicate", "arrow"]))
+    if kind == "empty":
+        return Matrix(*draw(st.sampled_from([(0, 0), (0, 5), (5, 0)])))
+    if kind == "zero":
+        return Matrix(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    if kind == "wide":
+        return sparse(draw, draw(st.integers(1, 3)), draw(st.integers(5, 12)), 40)
+    if kind == "tall":
+        return sparse(draw, draw(st.integers(5, 12)), draw(st.integers(1, 3)), 40)
+    if kind == "duplicate":
+        # rows repeated and rescaled, so whole rows cancel during elimination
+        base = sparse(draw, draw(st.integers(1, 4)), draw(st.integers(1, 6)), 50)
+        picks = draw(st.lists(st.tuples(st.integers(0, base.rows - 1),
+                                        st.sampled_from(POOL[2:])), min_size=1, max_size=8))
+        ent = [(k, c, a * v) for k, (r, a) in enumerate(picks)
+               for (r2, c), v in base.entries.items() if r2 == r]
+        return Matrix(len(picks), base.cols, ent)
+    # arrowhead: a dense first row and column on a diagonal; every pivot on
+    # the first column fills the other rows in
+    n = draw(st.integers(2, 8))
+    ent = [(0, c, draw(st.sampled_from(POOL[2:]))) for c in range(n)]
+    ent += [(r, 0, draw(st.sampled_from(POOL[2:]))) for r in range(1, n)]
+    ent += [(r, r, draw(st.sampled_from(POOL[2:]))) for r in range(1, n)]
+    return Matrix(n, n, ent)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(elimination_inputs())
+def test_indexed_rref_matches_scanning_rref(m):
+    pivots, rows = _rref(m)
+    want_pivots, want_rows = scanning_rref(m)
+    assert pivots == want_pivots
+    # the same entries in the same insertion order, so every matrix built
+    # from the rows is byte-identical too
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
+
+
+
+# ---- the trusted constructor: independence by construction ----
+
+def test_caller_supplied_dependent_basis_is_rejected():
+    with pytest.raises(ShapeMismatch):
+        Subspace(2, Matrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ShapeMismatch):
+        Subspace(3, Matrix.from_rows([[1, 0], [0, 1]]))
+
+
+@PROPERTY
+@given(st.data())
+def test_constructed_bases_are_independent(data):
+    m = data.draw(matrices())
+    n = m.rows
+    ker, img = kernel_image(m)
+    vecs = data.draw(matrices(rows=n))
+    span = Subspace.spanned_by(n, vecs)
+    ambient = Subspace.spanned_by(n, span.basis.hstack(data.draw(matrices(rows=n))))
+    subspaces = [ker, img, span, ambient, complement(span, ambient),
+                 complement(img, Subspace.full(n)), Subspace.zero(n), Subspace.full(n)]
+    for sub in subspaces:
+        assert rank(sub.basis) == sub.basis.cols
