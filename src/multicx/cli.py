@@ -13,13 +13,15 @@ The relations come from the one validation `TotalComplex` runs (its error
 carries the report); a failing relation stops the command before the
 degeneration check.  `analyze` computes each object once: one minimal model
 gives the homology, the transferred operators with their verdict, and the
-gauge.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0);
-the builders check only the structure equations.  The independent
-degeneration verdict, in `analyze` and `geometry` alike, comes from ranks:
-page one against the homology of the total complex.  Pages are built only
-to find the witness of a failed verdict, and `analyze` builds the later
-pages its table shows only then; when the verdict holds every page equals
-page one.  `--pages R` (R >= 1) truncates only the printed table.
+gauge.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0)
+and calls its builder once; the builders check only the structure
+equations, and the structure line reads its witness from their NotJacobi
+error.  The independent degeneration verdict, in `analyze` and `geometry`
+alike, comes from ranks: page one against the homology of the total
+complex.  Pages are built only to find the witness of a failed verdict,
+and `analyze` builds the later pages its table shows only then; when the
+verdict holds every page equals page one.  `--pages R` (R >= 1) truncates
+only the printed table.
 
 Exit codes: 0 every check passed, 1 a mathematical check failed (the report
 carries the witness), 2 input error, 3 internal error (a fault of the
@@ -43,12 +45,10 @@ from .derham import (
     FormAlgebra,
     PolyVector,
     basic_subcomplex,
-    jacobi_defects,
     jacobi_multicomplex,
-    schouten,
     structure_order_ladder,
 )
-from .errors import InvalidMulticomplex, MulticxError, NotContained, ParseError
+from .errors import InvalidMulticomplex, MulticxError, NotContained, NotJacobi, ParseError
 from .gauge import NoGauge, check_gauge_hodge, find_gauge
 from .generators import generate
 from .graded import compose, lincomb
@@ -253,32 +253,26 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
     if kind == "poisson":
         # a Poisson bivector is the Jacobi pair (w, 0)
         vector = PolyVector.zero(dim)
-        bracket = schouten(bivector, bivector)
-        ok = bracket.is_zero
-        report.add("bivector brackets to zero", ok, "" if ok else "[w, w] has terms %s"
-                   % formats.polyvector_to_terms(bracket))
-    else:
-        if vector is None:
-            raise ParseError("kind %r needs a 'vector' term list in the structure" % kind)
-        first, second = jacobi_defects(bivector, vector)
-        ok = first.is_zero and second.is_zero
-        witness = ""
-        if not first.is_zero:
-            witness = "[w, w] - 2 e ^ w has terms %s" % formats.polyvector_to_terms(first)
-        elif not second.is_zero:
-            witness = "[e, w] has terms %s" % formats.polyvector_to_terms(second)
-        report.add("structure equations hold", ok, witness)
-    if not ok:
+    elif vector is None:
+        raise ParseError("kind %r needs a 'vector' term list in the structure" % kind)
+    structure = "bivector brackets to zero" if kind == "poisson" else "structure equations hold"
+    build = basic_subcomplex if kind == "basic" else jacobi_multicomplex
+    try:
+        geo = build(bivector, vector, algebra)
+    except NotJacobi as exc:
+        # with e = 0 the first defect is [w, w] and the second is zero
+        first, second = exc.defects
+        name, defect = ("[w, w] - 2 e ^ w", first) if not first.is_zero else ("[e, w]", second)
+        if kind == "poisson":
+            name = "[w, w]"
+        report.add(structure, False, "%s has terms %s"
+                   % (name, formats.polyvector_to_terms(defect)))
         return _done(report, started)
-
-    if kind == "basic":
-        try:
-            geo = basic_subcomplex(bivector, vector, algebra)
-        except NotContained as exc:
-            report.add("basic subcomplex is stable and squares to zero", False, exc)
-            return _done(report, started)
-    else:
-        geo = jacobi_multicomplex(bivector, vector, algebra)
+    except NotContained as exc:
+        report.add(structure, True)
+        report.add("basic subcomplex is stable and squares to zero", False, exc)
+        return _done(report, started)
+    report.add(structure, True)
     m = geo.multicomplex
     t, rep = _validated(m)
     gauge = _gauge(geo.gauge, m)

@@ -18,9 +18,9 @@ Sign conventions are pinned by the contraction/bracket compatibility check
 `check_contraction_identity` rather than trusted: with the frozen choices
 (the factors of i(v_1 ^ ... ^ v_k) applied to the form in listed order, and
 the odd-bracket convention below) the identity
-i([P, Q]) = -[[i(Q), d], i(P)] holds on every tested pair, while composing
-the factors the other way round breaks it.  Under the frozen choice
-i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
+i([P, Q]) = -[[i(Q), d], i(P)] holds as an identity of symbols on every
+tested pair, while composing the factors the other way round breaks it.
+Under the frozen choice i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .complexes import Multicomplex
-from .errors import NotContained, NotJacobi, ShapeMismatch, WindowTooSmall
+from .errors import NotContained, NotJacobi, ShapeMismatch
 from .exactla import Matrix, accumulate, kernel_image, rat, solve
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
@@ -202,6 +202,13 @@ def verify_jacobi(w: PolyVector, e: PolyVector) -> bool:
     return first.is_zero and second.is_zero
 
 
+def _check_structure(w: PolyVector, e: PolyVector):
+    """Raise NotJacobi, carrying the defects, unless the structure equations hold."""
+    first, second = jacobi_defects(w, e)
+    if not (first.is_zero and second.is_zero):
+        raise NotJacobi("the pair fails the structure equations", (first, second))
+
+
 class FormAlgebra:
     """Monomial basis of the truncated form algebra and operator builders.
 
@@ -297,8 +304,7 @@ def d_de_rham(a: FormAlgebra) -> GradedMap:
     return a.operator(1, action)
 
 
-def contraction(a: FormAlgebra, p: PolyVector,
-                reversed_order: bool = CONTRACTION_REVERSED) -> GradedMap:
+def contraction(a: FormAlgebra, p: PolyVector) -> GradedMap:
     """Contraction by a homogeneous polyvector, extended linearly over the
     polynomial coefficients."""
     if p.dim != a.dim:
@@ -309,7 +315,7 @@ def contraction(a: FormAlgebra, p: PolyVector,
     j = degs[0] if degs else 0
     def action(k, alpha, I):
         for (beta, J), c in p.terms.items():
-            order = tuple(reversed(J)) if reversed_order else J
+            order = tuple(reversed(J)) if CONTRACTION_REVERSED else J
             sign, rest = _iota_chain(I, order)
             if not sign:
                 continue
@@ -318,58 +324,24 @@ def contraction(a: FormAlgebra, p: PolyVector,
     return a.operator(-j, action)
 
 
-def koszul_delta(a: FormAlgebra, w: PolyVector) -> GradedMap:
-    """The square-lowering operator [i(w), d] of a bivector."""
-    if not w.is_zero and not w.is_homogeneous(2):
-        raise ShapeMismatch("the structure field must be a bivector")
-    if w.is_zero:
-        return GradedMap.zero(a.space, a.space, 1)
-    iw = contraction(a, w)
-    d = d_de_rham(a)
-    return compose(iw, d).sub(compose(d, iw))
-
-
-def check_contraction_identity(p: PolyVector, q: PolyVector, check_degree: int,
-                               reversed_order: bool = CONTRACTION_REVERSED,
-                               window: int | None = None) -> bool:
-    """Compatibility of contraction, bracket, and differential:
-    i([p, q]) = -[[i(q), d], i(p)] on all forms of polynomial degree
-    <= check_degree, evaluated inside a window wide enough not to cut the
-    outputs.  This single identity pins every sign convention here."""
-    if p.dim != q.dim:
-        raise ShapeMismatch("polyvectors on different spaces")
-    needed = check_degree + p.coefficient_degree() + q.coefficient_degree()
-    if window is None:
-        window = needed
-    if window < needed:
-        raise WindowTooSmall("window %d below required %d" % (window, needed))
-    a = FormAlgebra(p.dim, window)
-    d = d_de_rham(a)
-    ip = contraction(a, p, reversed_order)
-    iq = contraction(a, q, reversed_order)
-    pdeg = p.vector_degrees()[0] if p.vector_degrees() else 0
-    qdeg = q.vector_degrees()[0] if q.vector_degrees() else 0
-    bracket = schouten(p, q)
-    if bracket.is_zero:
-        ibr = GradedMap.zero(a.space, a.space, pdeg + qdeg - 1)
-    else:
-        ibr = contraction(a, bracket, reversed_order)
-    # graded commutators with parities read off the operator degrees
-    inner = _graded_commutator(iq, d, qdeg % 2, 1)
-    outer = _graded_commutator(inner, ip, (qdeg + 1) % 2, pdeg % 2)
-    # the verdict reads only the columns of polynomial degree <= check_degree
-    return all(sum(a.basis[-k][col][0]) > check_degree
-               for k, block in ibr.add(outer).blocks.items() for (_, col) in block.entries)
-
-
-def _graded_commutator(f: GradedMap, g: GradedMap, pf: int, pg: int) -> GradedMap:
-    sign = -1 if (pf and pg) else 1
+def graded_commutator(f: GradedMap, g: GradedMap) -> GradedMap:
+    """Commutator with Koszul sign read from the map degrees."""
+    sign = -1 if f.degree % 2 and g.degree % 2 else 1
     return lincomb([(1, compose(f, g)), (-sign, compose(g, f))])
 
 
-def graded_commutator(f: GradedMap, g: GradedMap) -> GradedMap:
-    """Commutator with Koszul sign read from the map degrees."""
-    return _graded_commutator(f, g, f.degree % 2, g.degree % 2)
+def _bivector_contraction(a: FormAlgebra, w: PolyVector) -> GradedMap:
+    """i(w) for a bivector w; the zero map of degree 2 when w = 0."""
+    if not w.is_zero and not w.is_homogeneous(2):
+        raise ShapeMismatch("the structure field must be a bivector")
+    if w.is_zero:
+        return GradedMap.zero(a.space, a.space, 2)
+    return contraction(a, w)
+
+
+def koszul_delta(a: FormAlgebra, w: PolyVector) -> GradedMap:
+    """The square-lowering operator [i(w), d] of a bivector."""
+    return graded_commutator(_bivector_contraction(a, w), d_de_rham(a))
 
 
 # Normal-ordered symbols.  A polynomial differential operator on Q[x, theta],
@@ -438,13 +410,40 @@ def _d_symbol(dim: int) -> dict:
         _word(_unit(dim), [("dx", i), ("theta", i)]).items() for i in range(dim)))
 
 
-def _contraction_symbol(p: PolyVector) -> dict:
-    """i(p), the factors of each term applied in listed order as in `_iota_chain`."""
+def _contraction_symbol(p: PolyVector, reversed_order: bool = CONTRACTION_REVERSED) -> dict:
+    """i(p), the factors of each term applied in listed order as in `_iota_chain`
+    (or in reversed order, for the negative control of the sign check)."""
     out = {}
     for (beta, J), c in p.terms.items():
-        gens = [("dtheta", j) for j in J] + _powers("x", beta)
+        order = tuple(reversed(J)) if reversed_order else J
+        gens = [("dtheta", j) for j in order] + _powers("x", beta)
         accumulate(out, _word(_unit(p.dim), gens).items(), c)
     return out
+
+
+def _symbol_commutator(s: dict, t: dict) -> dict:
+    """Graded commutator s t - (-1)^{|s||t|} t s of homogeneous symbols; the
+    parity of a term is the number of its odd factors theta and dtheta."""
+    def parity(sym):
+        return next(((len(I) + len(b)) % 2 for (_, I, _, b) in sym), 0)
+    sign = -1 if parity(s) and parity(t) else 1
+    return accumulate(_symbol_compose(s, t), _symbol_compose(t, s).items(), -sign)
+
+
+def check_contraction_identity(p: PolyVector, q: PolyVector,
+                               reversed_order: bool = CONTRACTION_REVERSED) -> bool:
+    """Compatibility of contraction, bracket, and differential:
+    i([p, q]) = -[[i(q), d], i(p)], compared as normal-ordered symbols.
+    Symbols are unique, so the verdict holds on the whole polynomial
+    algebra, with no truncation.  This single identity pins every sign
+    convention here."""
+    if p.dim != q.dim:
+        raise ShapeMismatch("polyvectors on different spaces")
+    if len(p.vector_degrees()) > 1 or len(q.vector_degrees()) > 1:
+        raise ShapeMismatch("contraction needs a homogeneous polyvector")
+    inner = _symbol_commutator(_contraction_symbol(q, reversed_order), _d_symbol(p.dim))
+    outer = _symbol_commutator(inner, _contraction_symbol(p, reversed_order))
+    return not accumulate(outer, _contraction_symbol(schouten(p, q), reversed_order).items())
 
 
 def _order(sym: dict) -> int:
@@ -473,8 +472,7 @@ def structure_order_ladder(w: PolyVector, e: PolyVector | None = None) -> OrderL
         raise ShapeMismatch("the ladder needs a bivector and a homogeneous field")
     d = _d_symbol(w.dim)
     iw = _contraction_symbol(w)
-    delta1 = accumulate(_symbol_compose(iw, d), _symbol_compose(d, iw).items(), -1)
-    o_d, o_1 = _order(d), _order(delta1)
+    o_d, o_1 = _order(d), _order(_symbol_commutator(iw, d))
     l3 = None
     if e is not None:
         l3 = _order(_symbol_compose(_contraction_symbol(e), iw)) <= 3
@@ -495,22 +493,24 @@ def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> Geometr
     the weight-one gauge series i(w) z.  A Poisson bivector is the pair with
     e = 0, and then this is its mixed complex (forms, d, [i(w), d]).
 
-    Only the structure equations are checked here.  The multicomplex
-    relations, the bracket identity [i(w), [i(w), d]] = 2 i(e) i(w) and the
-    gauge identity are left to the caller (`validate_multicomplex`,
-    `check_gauge_hodge`); `TotalComplex` refuses a family that fails the
-    relations.  They hold exactly on a weight-truncated algebra.  The plain
-    polynomial cutoff loses raise-then-lower composites at its top degree,
-    and the relations of weight two can then fail there.
+    Only the structure equations are checked here, and a failure raises
+    NotJacobi carrying both defects.  d and i(w) are built once each.  The
+    multicomplex relations, the bracket identity
+    [i(w), [i(w), d]] = 2 i(e) i(w) and the gauge identity are left to the
+    caller (`validate_multicomplex`, `check_gauge_hodge`); `TotalComplex`
+    refuses a family that fails the relations.  They hold exactly on a
+    weight-truncated algebra.  The plain polynomial cutoff loses
+    raise-then-lower composites at its top degree, and the relations of
+    weight two can then fail there.
     """
-    if not verify_jacobi(w, e):
-        raise NotJacobi("the pair fails the structure equations")
-    iw = contraction(a, w) if not w.is_zero else GradedMap.zero(a.space, a.space, 2)
+    _check_structure(w, e)
+    d = d_de_rham(a)
+    iw = _bivector_contraction(a, w)
     if e.is_zero or w.is_zero:
         delta2 = GradedMap.zero(a.space, a.space, 3)
     else:
         delta2 = compose(contraction(a, e), iw)
-    m = Multicomplex(a.space, [d_de_rham(a), koszul_delta(a, w), delta2])
+    m = Multicomplex(a.space, [d, graded_commutator(iw, d), delta2])
     return GeometricComplex(multicomplex=m, gauge=OperatorSeries(a.space, {1: iw}), algebra=a)
 
 
@@ -548,13 +548,14 @@ def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicCompl
     """Mixed complex of basic forms: the kernel of i(e) and of i(e) d, with
     the restricted differential, square-lowering operator and gauge series.
 
-    Only the structure equations are checked here; a restriction that leaves
-    the subcomplex raises NotContained.  The relations and the gauge identity
-    are left to the caller, as in `jacobi_multicomplex`.
+    Only the structure equations are checked here, as in
+    `jacobi_multicomplex`, and d and i(w) are built once each; a restriction
+    that leaves the subcomplex raises NotContained.  The relations and the
+    gauge identity are left to the caller.
     """
-    if not verify_jacobi(w, e):
-        raise NotJacobi("the pair fails the structure equations")
+    _check_structure(w, e)
     d = d_de_rham(a)
+    iw = _bivector_contraction(a, w)
     ie = contraction(a, e)
     ie_d = compose(ie, d)
     bases, dims = {}, {}
@@ -564,6 +565,7 @@ def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicCompl
         dims[k] = ker.dim
     sub = GradedVectorSpace(dims)
     basis = {k: bases[k] for k in sub.degrees}
-    m = Multicomplex(sub, [_restrict(d, basis, sub), _restrict(koszul_delta(a, w), basis, sub)])
-    series = OperatorSeries(sub, {1: _restrict(contraction(a, w), basis, sub)})
+    m = Multicomplex(sub, [_restrict(d, basis, sub),
+                           _restrict(graded_commutator(iw, d), basis, sub)])
+    series = OperatorSeries(sub, {1: _restrict(iw, basis, sub)})
     return BasicComplex(multicomplex=m, inclusions=basis, ambient=a, gauge=series)

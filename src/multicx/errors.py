@@ -55,11 +55,12 @@ class HodgeDataFails(MulticxError):
 
 
 class NotJacobi(MulticxError):
-    pass
+    """A pair that fails the structure equations; `defects` holds the two
+    exact defects (first, second) of `derham.jacobi_defects`."""
 
-
-class WindowTooSmall(MulticxError):
-    pass
+    def __init__(self, message, defects=None):
+        self.defects = defects
+        super().__init__(message)
 
 
 class ParseError(MulticxError):

@@ -248,7 +248,9 @@ def _coefficient(value):
         raise ParseError("bad coefficient %r: %s" % (value, exc))
 
 
-def polyvector_from_terms(terms, dim: int) -> PolyVector:
+def polyvector_from_terms(terms, dim: int, degree=None) -> PolyVector:
+    """The polyvector of a term list; with `degree`, every term must carry
+    exactly that many indices."""
     pairs = []
     for t in terms:
         try:
@@ -259,6 +261,8 @@ def polyvector_from_terms(terms, dim: int) -> PolyVector:
             raise ParseError("bad polyvector term %r: %s" % (t, exc))
         if len(alpha) != dim:
             raise ParseError("monomial %r does not have %d exponents" % (t["monomial"], dim))
+        if degree is not None and len(indices) != degree:
+            raise ParseError("term %r needs exactly %d indices" % (t, degree))
         pairs.append(((alpha, indices), coeff))
     try:
         return PolyVector(dim, pairs)
@@ -286,10 +290,12 @@ def parse_structure(text: str, dim=None):
     if file_dim is None:
         raise ParseError("structure file lacks 'dim' and no dimension was given")
     file_dim = _integer(file_dim, "dim")
+    if file_dim < 0:
+        raise ParseError("dim must be nonnegative, got %d" % file_dim)
     if dim is not None and file_dim != dim:
         raise ParseError("structure dim %d conflicts with requested %d" % (file_dim, dim))
-    bivector = polyvector_from_terms(doc["bivector"], file_dim)
+    bivector = polyvector_from_terms(doc["bivector"], file_dim, 2)
     vector = None
     if doc.get("vector"):
-        vector = polyvector_from_terms(doc["vector"], file_dim)
+        vector = polyvector_from_terms(doc["vector"], file_dim, 1)
     return file_dim, bivector, vector

@@ -17,15 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (
-    InfinityMorphism,
-    Multicomplex,
-    compose_infinity,
-    validate_multicomplex,
-)
+from .complexes import InfinityMorphism, Multicomplex, validate_multicomplex
 from .errors import BadConstantTerm, NotSquareZero, SpaceMismatch
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
-from .transfer import MinimalModel, check_hodge_data, nonzero_weights
+from .transfer import HodgeData, MinimalModel, check_hodge_data, nonzero_weights
 
 
 def power_cap(space: GradedVectorSpace) -> int:
@@ -202,25 +197,17 @@ def deltas_as_series(m: Multicomplex) -> OperatorSeries:
                                     if not m.delta(n).is_zero})
 
 
-@dataclass
-class GaugeCheck:
-    ok: bool
-    witness: object  # first differing power, or None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_gauge_hodge(r: OperatorSeries, m: Multicomplex) -> GaugeCheck:
-    """Does exp(r) d exp(-r) reproduce the operator family coefficientwise?"""
+def check_gauge_hodge(r: OperatorSeries, m: Multicomplex) -> HodgeData:
+    """Does exp(r) d exp(-r) reproduce the operator family coefficientwise?
+    The witness is the first differing power."""
     if r.space != m.space:
         raise SpaceMismatch("series and multicomplex live on different spaces")
     conj = conjugate_differential(r, m.delta(0))
     top = max(conj.max_power, m.order, 0)
     for n in range(top + 1):
         if conj.coefficient(n, 2 * n - 1) != m.delta(n):
-            return GaugeCheck(ok=False, witness=n)
-    return GaugeCheck(ok=True, witness=None)
+            return HodgeData(ok=False, witness=n)
+    return HodgeData(ok=True, witness=None)
 
 
 def gauge_construct(d: GradedMap, r: OperatorSeries) -> Multicomplex:
@@ -231,9 +218,7 @@ def gauge_construct(d: GradedMap, r: OperatorSeries) -> Multicomplex:
     """
     if not compose(d, d).is_zero:
         raise NotSquareZero("d squared is nonzero")
-    conj = conjugate_differential(r, d)
-    deltas = [conj.coefficient(n, 2 * n - 1) for n in range(max(conj.max_power, 0) + 1)]
-    m = Multicomplex(d.source, deltas)
+    m = conjugate_multicomplex(r, Multicomplex.trivial(d.source, d))
     rep = validate_multicomplex(m)
     if not rep.ok:
         raise NotSquareZero("conjugated family fails the relations: " + rep.describe())
@@ -280,21 +265,22 @@ class NoGauge:
 def find_gauge(model: MinimalModel):
     """A gauge series for the input of a minimal model, or NoGauge.
 
-    When every transferred operator on homology vanishes, the inverse of the
-    minimal-model isomorphism composed with the splitting chain map is an
-    infinity-isotopy from (A, d) with trivial higher structure to the input;
-    its logarithm is a gauge.  Otherwise no gauge can exist, and the least
-    obstructing weight is cited.  The series is returned unchecked;
-    `check_gauge_hodge(series, input)` verifies it.
+    When every transferred operator on homology vanishes, psi_n = frame o
+    iso_n is an infinity-isotopy from the input to (A, d): the frame inverts
+    iso_0 and is a chain map out of the product, whose higher operators
+    vanish.  The logarithm of psi^{-1} is a gauge, and log(psi^{-1}) =
+    -log(psi) exactly in the nilpotent series ring, so no inverse is built.
+    Otherwise no gauge can exist, and the least obstructing weight is cited.
+    The series is returned unchecked; `check_gauge_hodge(series, input)`
+    verifies it.
     """
     weights = nonzero_weights(model.minimal)
     if weights:
         return NoGauge(witness=weights[0])
-    m = model.iso.source
-    bare = Multicomplex.trivial(m.space, m.delta(0))
-    to_product = InfinityMorphism.strict(bare, model.iso.target, model.iso.comp(0))
-    phi = compose_infinity(model.iso_inv, to_product)
-    return series_log(isotopy_to_series(phi))
+    iso = model.iso
+    psi = OperatorSeries(iso.source.space,
+                         {n: compose(model.frame, iso.comp(n)) for n in range(iso.order + 1)})
+    return series_log(psi).neg()
 
 
 def mixed_complex_gauge(retract, delta: GradedMap) -> OperatorSeries:

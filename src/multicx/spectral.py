@@ -205,8 +205,10 @@ def _page_entry(t: TotalComplex, n, s, r) -> PageEntry:
     if db is None:
         raise KeyError("total degree %d has no incoming boundary" % (n + 1))
     pre = t.cycles(n + 1, s - r + 1, r - 1)
-    den_b = Subspace.spanned_by(t.total_dim(n), db.mul(pre.basis))
-    return PageEntry(numerator=num, denominator=den_a.sum(den_b))
+    # one elimination: a boundary column dependent on earlier boundaries is no
+    # pivot of the joint RREF either, so the basis is that of den_a + im(db pre)
+    den = Subspace.spanned_by(t.total_dim(n), den_a.basis.hstack(db.mul(pre.basis)))
+    return PageEntry(numerator=num, denominator=den)
 
 
 def page(t: TotalComplex, r: int) -> SpectralPage:

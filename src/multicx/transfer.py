@@ -18,7 +18,9 @@ transferred structure and those two infinity-morphisms.
 `minimal_model` reads K off the splitting: d and h keep K (d C lies in B,
 h lands in C), so d_K = q_0 d and s = q_0 h restricted to K are products
 alone, and since incl o proj vanishes on K, d_K s + s d_K = -id (Crainic,
-"On the perturbation lemma, and deformations", 2004).
+"On the perturbation lemma, and deformations", 2004).  The frame
+[H | B | C] itself is the inverse of the isomorphism's degree-0 part
+[proj; q_0], so the model keeps it instead of inverting that part again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from .complexes import (
     InfinityMorphism,
     Multicomplex,
-    invert_infinity,
     product,
     stack_maps,
 )
@@ -244,8 +245,10 @@ def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput
 
 @dataclass
 class HodgeData:
+    """A verdict with its witness: the least weight or power at which the
+    check fails, or None when it holds."""
     ok: bool
-    witness: object  # least violating n, or None
+    witness: object
 
     def __bool__(self):
         return self.ok
@@ -268,8 +271,8 @@ def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
 class MinimalModel:
     minimal: Multicomplex
     trivial: Multicomplex
-    iso: InfinityMorphism       # from the input to minimal (+) trivial
-    iso_inv: InfinityMorphism
+    iso: InfinityMorphism  # from the input to minimal (+) trivial
+    frame: GradedMap       # minimal (+) trivial -> input, the inverse of iso.comp(0)
     retract: DeformationRetract
 
 
@@ -278,8 +281,10 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
     its homology and an acyclic trivial complement.
 
     The isomorphism stacks the transferred projection components with the
-    recursive extension of the complement projection; its degree-0 part
-    proj + q is bijective, so a two-sided inverse exists.
+    recursive extension of the complement projection.  Its degree-0 part
+    [proj; q_0] is the inverse of the retract's frame [incl | B | C], which
+    the model keeps as `frame`; `invert_infinity(model.iso)` gives the whole
+    inverse when a caller needs it.
     """
     retract, (kbasis, kcoords) = build_retract(m.space, m.delta(0))
     out = transfer_structure(retract, m)
@@ -310,6 +315,7 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
         qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
         comps.append(stack_maps(pn, qn, prod.multicomplex.space, minimal.space))
     iso = InfinityMorphism(m, prod.multicomplex, comps)
-    iso_inv = invert_infinity(iso)
+    frame = GradedMap(prod.multicomplex.space, big, 0,
+                      {k: retract.incl.block(k).hstack(kbasis[k]) for k in big.degrees})
     return MinimalModel(minimal=minimal, trivial=trivial, iso=iso,
-                        iso_inv=iso_inv, retract=retract)
+                        frame=frame, retract=retract)

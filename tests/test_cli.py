@@ -108,7 +108,7 @@ def count_calls(monkeypatch, *functions):
         def wrapper(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        for mod in (cli, derham, gauge, spectral, transfer):
+        for mod in (cli, complexes, derham, gauge, spectral, transfer):
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
@@ -124,11 +124,17 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
     counts = count_calls(monkeypatch, spectral.page, transfer.minimal_model,
                          transfer.build_retract, transfer.transfer_structure,
-                         gauge.check_gauge_hodge)
+                         gauge.check_gauge_hodge, complexes.invert_infinity,
+                         complexes.compose_infinity)
     report = cmd_analyze(path)
     assert report.ok
     assert counts == {"page": 0, "minimal_model": 1, "build_retract": 1,
-                      "transfer_structure": 1, "check_gauge_hodge": 1}
+                      "transfer_structure": 1, "check_gauge_hodge": 1,
+                      "invert_infinity": 0, "compose_infinity": 0}
+    # the gauge comes from the retract's frame, obstructed or not
+    stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
+    assert not cmd_analyze(stair).ok
+    assert counts["invert_infinity"] == counts["compose_infinity"] == 0
 
 
 def structure_file(tmp_path, kind):
@@ -182,6 +188,24 @@ def test_each_check_runs_once(tmp_path, monkeypatch):
     assert counts["validate_multicomplex"] == 1
 
 
+def test_geometry_builds_each_operator_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    counts = count_calls(monkeypatch, derham.d_de_rham, derham.jacobi_defects)
+    contracted = []
+    real = derham.contraction
+
+    def counting(a, p):
+        contracted.append(p)
+        return real(a, p)
+    monkeypatch.setattr(derham, "contraction", counting)
+    for kind, w in (("poisson", SO3), ("jacobi", CONTACT_W), ("basic", CONTACT_W)):
+        counts.update(d_de_rham=0, jacobi_defects=0)
+        contracted.clear()
+        assert cmd_geometry(kind, 3, 3, structure_file(tmp_path, kind)).ok
+        assert counts == {"d_de_rham": 1, "jacobi_defects": 1}, kind
+        assert contracted.count(w) == 1, kind
+
+
 def corrupted(builder, n):
     """The builder with one entry added to operator n of its multicomplex."""
     def build(*args):
@@ -230,15 +254,17 @@ def test_corrupted_operator_fails_each_identity_line(kind, tmp_path, monkeypatch
 
 def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
-    real = derham.koszul_delta
+    real = derham.graded_commutator
+    a = derham.FormAlgebra(3, 3, weight=True)
+    x3 = a.position[0][((0, 0, 1), ())]
 
-    def leaky(a, w):
-        # every 1-form also picks up the function x3, which is not basic
-        x3 = a.position[0][((0, 0, 1), ())]
+    def leaky(f, g):
+        # delta = [i(w), d] sends every 1-form also to the function x3,
+        # which is not basic
         bump = GradedMap.from_entries(a.space, a.space, 1, [
             (-1, x3, col, 1) for col in range(a.space.dim(-1))])
-        return real(a, w).add(bump)
-    monkeypatch.setattr(derham, "koszul_delta", leaky)
+        return real(f, g).add(bump)
+    monkeypatch.setattr(derham, "graded_commutator", leaky)
     code = main(["geometry", "--kind", "basic", "--dim", "3", "--trunc", "3",
                  "--structure", structure_file(tmp_path, "basic")])
     captured = capsys.readouterr()
@@ -246,6 +272,9 @@ def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatc
     assert captured.err == ""
     assert ("FAIL basic subcomplex is stable and squares to zero (witness: "
             "an operator does not preserve the basic subcomplex)") in captured.out
+    # the structure line, checked before the restriction, passes first
+    assert captured.out.index("PASS structure equations hold") < \
+        captured.out.index("FAIL basic subcomplex")
 
 
 def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):
@@ -394,6 +423,34 @@ def test_negative_exponent_is_an_input_error(tmp_path, monkeypatch, capsys):
     doc["bivector"][0]["monomial"] = [0, -1, 1]
     path = write(tmp_path, "negative.json", json.dumps(doc))
     code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "2", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def one_index_bivector(doc):
+    doc["bivector"][0]["indices"] = [1]
+
+
+def two_index_vector(doc):
+    doc["vector"][0]["indices"] = [1, 3]
+
+
+def negative_dim(doc):
+    doc.update(dim=-1, bivector=[])
+    doc.pop("vector")
+
+
+@pytest.mark.parametrize("kind, dim, edit", [
+    ("poisson", "3", one_index_bivector), ("jacobi", "3", two_index_vector),
+    ("poisson", "-1", negative_dim)])
+def test_structure_field_shape_is_an_input_error(kind, dim, edit, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(3, CONTACT_W, CONTACT_E))
+    edit(doc)
+    path = write(tmp_path, "shape.json", json.dumps(doc))
+    code = main(["geometry", "--kind", kind, "--dim", dim,
                  "--trunc", "2", "--structure", path])
     assert code == 2
     assert capsys.readouterr().err.startswith("input error:")

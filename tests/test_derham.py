@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicx.complexes import Multicomplex, validate_multicomplex
-from multicx.errors import NotJacobi, ShapeMismatch, WindowTooSmall
+from multicx.errors import NotJacobi, ShapeMismatch
 from multicx.derham import (
     FormAlgebra,
     OrderLadder,
@@ -186,27 +186,21 @@ def test_schouten_graded_antisymmetry_and_jacobi():
 def test_contraction_identity_trivial_and_random():
     c0 = PolyVector.coordinate_field(2, 0)
     c1 = PolyVector.coordinate_field(2, 1)
-    assert check_contraction_identity(c0, c1, 1)
+    assert check_contraction_identity(c0, c1)
     rng = Random(13)
     for dim in (2, 3):
         for _ in range(8):
             p = rand_polyvector(rng, dim, min(2, dim))
             q = rand_polyvector(rng, dim, rng.choice([1, 2]))
-            assert check_contraction_identity(p, q, 2)
+            assert check_contraction_identity(p, q)
 
 
 def test_contraction_identity_negative_control():
     # the reversed composite order flips signs on even factors and fails
     p = PolyVector(3, {((1, 0, 0), (0, 1)): 1})
     q = PolyVector(3, {((0, 1, 0), (1, 2)): 1})
-    assert check_contraction_identity(p, q, 2)
-    assert not check_contraction_identity(p, q, 2, reversed_order=True)
-
-
-def test_contraction_identity_window_guard():
-    p = PolyVector(3, {((1, 0, 0), (0, 1)): 1})
-    with pytest.raises(WindowTooSmall):
-        check_contraction_identity(p, p, 2, window=1)
+    assert check_contraction_identity(p, q)
+    assert not check_contraction_identity(p, q, reversed_order=True)
 
 
 def test_koszul_delta_zero_and_symplectic_sign():

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicx.complexes import Multicomplex, validate_multicomplex
+from multicx.complexes import (
+    InfinityMorphism,
+    Multicomplex,
+    compose_infinity,
+    invert_infinity,
+    validate_multicomplex,
+)
 from multicx.errors import BadConstantTerm, HodgeDataFails, SpaceMismatch
 from multicx.gauge import (
     NoGauge,
@@ -34,7 +40,7 @@ from multicx.generators import (
     staircase4,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb
-from multicx.transfer import build_retract, minimal_model
+from multicx.transfer import build_retract, minimal_model, nonzero_weights
 
 
 WIDE = GradedVectorSpace({0: 2, 2: 2, 4: 2, 6: 2})
@@ -234,6 +240,37 @@ def test_find_gauge_round_trip_on_gauge_orbits():
         out = find_gauge(minimal_model(m))
         assert isinstance(out, OperatorSeries)
         assert check_gauge_hodge(out, m).ok
+
+
+def inverse_isomorphism_gauge(model):
+    """The gauge read off the inverse isomorphism: log of iso^{-1} composed
+    with the strict splitting map iso_0 out of (A, d)."""
+    weights = nonzero_weights(model.minimal)
+    if weights:
+        return NoGauge(witness=weights[0])
+    m = model.iso.source
+    bare = Multicomplex.trivial(m.space, m.delta(0))
+    strict = InfinityMorphism.strict(bare, model.iso.target, model.iso.comp(0))
+    return series_log(isotopy_to_series(compose_infinity(invert_infinity(model.iso), strict)))
+
+
+def test_find_gauge_matches_the_inverse_isomorphism_on_the_corpus(acceptance_corpus):
+    for _, _, m in acceptance_corpus:
+        model = minimal_model(m)
+        assert find_gauge(model) == inverse_isomorphism_gauge(model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_find_gauge_matches_the_inverse_isomorphism_on_orbits(seed):
+    # -log(frame o iso) against log(iso^{-1} o iso_0) on random gauge orbits
+    rng = Random(seed)
+    space = rand_space(rng)
+    d = rand_square_zero(rng, space, -1)
+    model = minimal_model(gauge_construct(d, rand_series(rng, space)))
+    found = find_gauge(model)
+    assert isinstance(found, OperatorSeries)
+    assert found == inverse_isomorphism_gauge(model)
 
 
 def test_find_gauge_staircase_witness():

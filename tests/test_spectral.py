@@ -5,7 +5,7 @@ import pytest
 from multicx import spectral
 from multicx.complexes import Multicomplex
 from multicx.errors import InvalidMulticomplex, NotWellDefined
-from multicx.exactla import kernel_image
+from multicx.exactla import Subspace, kernel_image
 from multicx.generators import (
     corpus,
     generate,
@@ -174,6 +174,25 @@ def test_rank_failure_without_witness_is_a_logic_error(monkeypatch):
     monkeypatch.setattr(spectral, "page", lambda t, r: SpectralPage(r=r))
     with pytest.raises(NotWellDefined):
         degenerates_at_one(total_complex(staircase4()))
+
+
+def test_page_denominator_matches_the_two_step_sum():
+    # one elimination of [Z^{r-1}_{s+1} | boundaries] keeps the basis matrix
+    # that spanning the boundaries first and then summing gives
+    mixed = 0
+    for m in [staircase4()] + [generate("b", seed) for seed in (11, 80, 81)]:
+        t = total_complex(m)
+        for r in range(t.stabilization_bound() + 1):
+            for n in t.page_window():
+                for s in t.levels(n):
+                    den_a = t.cycles(n, s + 1, r - 1)
+                    pre = t.cycles(n + 1, s - r + 1, r - 1)
+                    den_b = Subspace.spanned_by(t.total_dim(n),
+                                                t.boundaries[n + 1].mul(pre.basis))
+                    den = spectral._page_entry(t, n, s, r).denominator
+                    assert den.basis == den_a.sum(den_b).basis, (r, s, n)
+                    mixed += bool(den_a.dim and den_b.dim)
+    assert mixed
 
 
 def test_page_recomputation_dims_consistency():

@@ -7,6 +7,7 @@ from multicx.complexes import (
     InfinityMorphism,
     Multicomplex,
     compose_infinity,
+    invert_infinity,
     validate_infinity_morphism,
     validate_multicomplex,
 )
@@ -300,11 +301,13 @@ def test_minimal_model_random_instances():
         assert model.minimal.space == homology(m.delta(0))
         assert homology(model.trivial.delta(0)).is_zero
         assert validate_infinity_morphism(model.iso).ok
-        assert validate_infinity_morphism(model.iso_inv).ok
-        assert compose_infinity(model.iso_inv, model.iso) == \
-            InfinityMorphism.identity(m)
-        assert compose_infinity(model.iso, model.iso_inv) == \
+        iso_inv = invert_infinity(model.iso)
+        assert validate_infinity_morphism(iso_inv).ok
+        assert compose_infinity(iso_inv, model.iso) == InfinityMorphism.identity(m)
+        assert compose_infinity(model.iso, iso_inv) == \
             InfinityMorphism.identity(model.iso.target)
+        # the kept frame is the degree-0 part of the inverse
+        assert iso_inv.comp(0) == model.frame
 
 
 def complement_data(m):
