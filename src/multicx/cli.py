@@ -302,13 +302,17 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
     report.add("degenerates at page one", degen.ok,
                "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 
+    def order_line(name, order, ok):
+        # a failing line names the order found, -1 for the zero operator
+        report.add(name, ok, "" if ok else "order %d" % order)
+
     ladder = structure_order_ladder(bivector, None if kind == "poisson" else vector)
-    report.add("differential has order exactly one",
-               ladder.d_at_most_1 and not ladder.d_at_most_0)
-    report.add("induced operator has order at most two", ladder.delta1_at_most_2)
-    report.notes["induced operator order at most one"] = str(ladder.delta1_at_most_1)
-    if ladder.delta2_at_most_3 is not None:
-        report.add("weight-two operator has order at most three", ladder.delta2_at_most_3)
+    order_line("differential has order exactly one", ladder.d, ladder.d == 1)
+    order_line("induced operator has order at most two", ladder.delta1, ladder.delta1 <= 2)
+    report.notes["induced operator order at most one"] = str(ladder.delta1 <= 1)
+    if ladder.delta2 is not None:
+        order_line("weight-two operator has order at most three", ladder.delta2,
+                   ladder.delta2 <= 3)
 
     stem = os.path.splitext(os.path.basename(structure_path))[0]
     meta = {"generator": "geometry-%s" % kind, "structure": stem}

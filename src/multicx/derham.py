@@ -455,11 +455,10 @@ def _order(sym: dict) -> int:
 
 @dataclass
 class OrderLadder:
-    d_at_most_0: bool
-    d_at_most_1: bool
-    delta1_at_most_1: bool
-    delta1_at_most_2: bool
-    delta2_at_most_3: bool | None
+    """Orders as `_order` gives them, -1 for the zero operator."""
+    d: int
+    delta1: int
+    delta2: int | None
 
 
 def structure_order_ladder(w: PolyVector, e: PolyVector | None = None) -> OrderLadder:
@@ -472,13 +471,8 @@ def structure_order_ladder(w: PolyVector, e: PolyVector | None = None) -> OrderL
         raise ShapeMismatch("the ladder needs a bivector and a homogeneous field")
     d = _d_symbol(w.dim)
     iw = _contraction_symbol(w)
-    o_d, o_1 = _order(d), _order(_symbol_commutator(iw, d))
-    l3 = None
-    if e is not None:
-        l3 = _order(_symbol_compose(_contraction_symbol(e), iw)) <= 3
-    return OrderLadder(d_at_most_0=o_d <= 0, d_at_most_1=o_d <= 1,
-                       delta1_at_most_1=o_1 <= 1, delta1_at_most_2=o_1 <= 2,
-                       delta2_at_most_3=l3)
+    delta2 = None if e is None else _order(_symbol_compose(_contraction_symbol(e), iw))
+    return OrderLadder(d=_order(d), delta1=_order(_symbol_commutator(iw, d)), delta2=delta2)
 
 
 @dataclass

@@ -342,11 +342,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return solve(self.basis, other.basis) is not None
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeMismatch("subspace sum in different ambients")
-        return Subspace.spanned_by(self.ambient_dim, self.basis.hstack(other.basis))
-
 
 def kernel_image(m: Matrix):
     """Kernel and image (column space) of m, with canonical bases.

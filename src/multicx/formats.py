@@ -251,6 +251,8 @@ def _coefficient(value):
 def polyvector_from_terms(terms, dim: int, degree=None) -> PolyVector:
     """The polyvector of a term list; with `degree`, every term must carry
     exactly that many indices."""
+    if not isinstance(terms, list):
+        raise ParseError("a polyvector is a list of terms, got %r" % (terms,))
     pairs = []
     for t in terms:
         try:
@@ -279,7 +281,8 @@ def print_structure(dim: int, bivector: PolyVector, vector=None) -> str:
 
 
 def parse_structure(text: str, dim=None):
-    """Returns (dim, bivector, vector-or-None)."""
+    """Returns (dim, bivector, vector-or-None); a present 'vector' list, even
+    an empty one, is a vector field, and `[]` is the zero field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -296,6 +299,6 @@ def parse_structure(text: str, dim=None):
         raise ParseError("structure dim %d conflicts with requested %d" % (file_dim, dim))
     bivector = polyvector_from_terms(doc["bivector"], file_dim, 2)
     vector = None
-    if doc.get("vector"):
+    if doc.get("vector") is not None:
         vector = polyvector_from_terms(doc["vector"], file_dim, 1)
     return file_dim, bivector, vector

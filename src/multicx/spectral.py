@@ -4,10 +4,14 @@ the resulting spectral sequence.
 Per total degree n the total complex collects slots (n, q) carrying the
 space in degree n - 2q; the boundary sends slot q to slot q - r through the
 weight-r operator, and the decreasing filtration at level s keeps the rows
-with q <= -s.  A bounded grading makes every slot list finite, and shifting
-q by one identifies total degree n with total degree n + 2, so materialising
-a window of total degrees around the support sees every differential that
-can ever be nonzero.
+with q <= -s.  Shifting q by one identifies total degree n and level s with
+total degree n + 2 and level s - 1, slot for slot, so the whole filtered
+complex is the fold `_fold(n, s) = (n % 2, s + n // 2)` of its two parities.
+`TotalComplex` keeps the slot lists and boundaries of total degrees 0 and 1
+only; degree n reads the slot list of its parity shifted by n // 2 and the
+same boundary matrix.  Cycles, page entries and page differentials are
+computed once per class; `lo` and `hi` only mark the window of total
+degrees that a page prints, which spans both parities around the support.
 
 Pages follow the standard filtered-complex construction
     E^r_s = Z^r_s / (Z^{r-1}_{s+1} + boundary Z^{r-1}_{s-r+1}),
@@ -17,17 +21,16 @@ total degree) coordinates.
 
 Degeneration at page one is decided from ranks alone.  Slot q of total
 degree n carries A_{n-2q} with the weight-zero differential, so
-E^1_s(n) = H(A, d)_{n+2s}.  The filtration of each total degree is finite,
-so the sequence converges: E^infinity_s(n) = gr_s H_n(Tot).  Each page is
-the homology of the one before, so its total dimension at n is the previous
-one minus the ranks of the d^r leaving and entering degree n; page
-dimensions never increase.  Hence every differential on every page vanishes
-exactly when sum_s dim E^1_s(n) = dim H_n(Tot) for every n, and both sides
-come from ranks of the d-blocks and of the total boundaries.  Shifting q by
-one identifies total degree n with n + 2, so it suffices that `page_window`
-covers both parities of n with complete slot lists and both boundaries; it
-spans at least three degrees.  Pages are built only to name the first
-nonzero differential when the rank test fails.
+E^1_s(n) = H(A, d)_{n+2s}, and sum_s dim E^1_s(n) is the dimension of
+H(A, d) in the degrees of the parity of n.  The filtration of each total
+degree is finite, so the sequence converges: E^infinity_s(n) =
+gr_s H_n(Tot).  Each page is the homology of the one before, so its total
+dimension at n is the previous one minus the ranks of the d^r leaving and
+entering degree n; page dimensions never increase.  Hence every
+differential on every page vanishes exactly when, for both parities,
+dim H(A, d) in that parity equals dim H_n(Tot) = dim Tot_n minus the ranks
+of the two boundaries.  Pages are built only to name the first nonzero
+differential when the rank test fails.
 """
 
 from __future__ import annotations
@@ -40,8 +43,14 @@ from .exactla import Matrix, Subspace, kernel_image, induced_subquotient_map, ra
 from .graded import GradedVectorSpace, homology
 
 
+def _fold(n, s):
+    """The class of (total degree, level) under (n, s) ~ (n + 2, s - 1)."""
+    return n % 2, s + n // 2
+
+
 class TotalComplex:
-    """Slot layout and boundary matrices for a window of total degrees."""
+    """Slot lists and boundary matrices of total degrees 0 and 1; total
+    degree n is the one of its parity shifted by n // 2."""
 
     def __init__(self, source: Multicomplex):
         rep = validate_multicomplex(source)
@@ -49,71 +58,61 @@ class TotalComplex:
             raise InvalidMulticomplex(rep.describe(), rep)
         self.source = source
         space = source.space
-        if space.is_zero:
-            self.lo, self.hi = 0, -1
-            self.slots = {}
-            self.boundaries = {}
-            self._zcache = {}
-            return
-        self.lo = space.min_degree - 2
-        self.hi = space.max_degree + 2
-        self.slots = {}
-        for n in range(self.lo, self.hi + 1):
-            qs = []
-            for q in range((n - space.max_degree + 1) // 2 - 1,
-                           (n - space.min_degree) // 2 + 2):
-                if space.dim(n - 2 * q):
-                    qs.append(q)
-            qs.sort(reverse=True)  # ascending filtration level s = -q
-            self.slots[n] = qs
-        self.boundaries = {}
-        for n in range(self.lo + 1, self.hi + 1):
-            self.boundaries[n] = self._boundary_matrix(n)
+        # slot q of parity p carries degree p - 2q; ascending degrees give
+        # descending q, that is ascending filtration level s = -q
+        self._slots = [[(p - k) // 2 for k in space.degrees if (p - k) % 2 == 0]
+                       for p in (0, 1)]
+        self._boundaries = [self._boundary_matrix(p) for p in (0, 1)]
         self._zcache = {}
+        # lo and hi only mark the window of total degrees a page prints
+        self.lo, self.hi = ((0, -1) if space.is_zero
+                            else (space.min_degree - 2, space.max_degree + 2))
+
+    def slots(self, n):
+        return [q + n // 2 for q in self._slots[n % 2]]
+
+    def boundary(self, n) -> Matrix:
+        """The boundary from total degree n to n - 1."""
+        return self._boundaries[n % 2]
 
     def slot_dims(self, n):
         space = self.source.space
-        return [space.dim(n - 2 * q) for q in self.slots.get(n, [])]
+        return [space.dim(n - 2 * q) for q in self.slots(n)]
 
     def total_dim(self, n) -> int:
         return sum(self.slot_dims(n))
 
     def offset(self, n, q) -> int:
         off = 0
-        for q2, d in zip(self.slots[n], self.slot_dims(n)):
+        for q2, d in zip(self.slots(n), self.slot_dims(n)):
             if q2 == q:
                 return off
             off += d
         raise KeyError("slot %r absent at total degree %d" % (q, n))
 
     def _boundary_matrix(self, n) -> Matrix:
-        space = self.source.space
         m = self.source
-        rows = self.total_dim(n - 1)
-        cols = self.total_dim(n)
+        targets = self.slots(n - 1)
         ent = []
-        for q_src in self.slots.get(n, []):
-            deg_src = n - 2 * q_src
+        for q_src in self.slots(n):
             col_off = self.offset(n, q_src)
             for r in range(m.order + 1):
-                q_tgt = q_src - r
-                if q_tgt not in self.slots.get(n - 1, []):
+                if q_src - r not in targets:
                     continue
-                row_off = self.offset(n - 1, q_tgt)
-                block = m.delta(r).block(deg_src)
-                for (i, j), v in block.entries.items():
+                row_off = self.offset(n - 1, q_src - r)
+                for (i, j), v in m.delta(r).block(n - 2 * q_src).entries.items():
                     ent.append((row_off + i, col_off + j, v))
-        return Matrix(rows, cols, ent)
+        return Matrix(self.total_dim(n - 1), self.total_dim(n), ent)
 
     def levels(self, n):
         """Occupied filtration levels at total degree n, ascending."""
-        return [-q for q in self.slots.get(n, [])]
+        return [-q for q in self.slots(n)]
 
     def filtration_indices(self, n, s):
         """Coordinate indices of F_s inside the total degree n block."""
         idx = []
         off = 0
-        for q, d in zip(self.slots.get(n, []), self.slot_dims(n)):
+        for q, d in zip(self.slots(n), self.slot_dims(n)):
             if q <= -s:
                 idx.extend(range(off, off + d))
             off += d
@@ -129,18 +128,15 @@ class TotalComplex:
         r < 0 is clamped to the filtration itself."""
         if r < 0:
             return self.filtration(n, s)
-        key = (n, s, r)
+        key = _fold(n, s) + (r,)
         cached = self._zcache.get(key)
         if cached is not None:
             return cached
         dim = self.total_dim(n)
         cols = self.filtration_indices(n, s)
-        if n <= self.lo or n > self.hi:
-            raise KeyError("total degree %d lies outside the materialised window" % n)
         keep = set(self.filtration_indices(n - 1, s + r))
         rows = [i for i in range(self.total_dim(n - 1)) if i not in keep]
-        sub = self.boundaries[n].select_rows(rows).select_columns(cols)
-        ker, _ = kernel_image(sub)
+        ker, _ = kernel_image(self.boundary(n).select_rows(rows).select_columns(cols))
         embed = Matrix(dim, ker.dim)
         for (i, j), v in ker.basis.entries.items():
             embed.entries[(cols[i], j)] = v
@@ -149,19 +145,14 @@ class TotalComplex:
         return out
 
     def page_window(self):
-        if not self.slots:
-            return range(0)
         return range(self.lo + 1, self.hi)
 
     def source_window(self):
-        if not self.slots:
-            return range(0)
         return range(self.lo + 2, self.hi)
 
     def stabilization_bound(self) -> int:
-        if not self.slots:
-            return 0
-        return max((len(self.slots[n]) for n in self.source_window()), default=0) + 1
+        longest = max(map(len, self._slots))
+        return longest + 1 if longest else 0
 
 
 @dataclass
@@ -201,9 +192,7 @@ class SpectralPage:
 def _page_entry(t: TotalComplex, n, s, r) -> PageEntry:
     num = t.cycles(n, s, r)
     den_a = t.cycles(n, s + 1, r - 1)
-    db = t.boundaries.get(n + 1)
-    if db is None:
-        raise KeyError("total degree %d has no incoming boundary" % (n + 1))
+    db = t.boundary(n + 1)
     pre = t.cycles(n + 1, s - r + 1, r - 1)
     # one elimination: a boundary column dependent on earlier boundaries is no
     # pivot of the joint RREF either, so the basis is that of den_a + im(db pre)
@@ -212,27 +201,37 @@ def _page_entry(t: TotalComplex, n, s, r) -> PageEntry:
 
 
 def page(t: TotalComplex, r: int) -> SpectralPage:
-    """Page r with its differentials d^r: (s, n) -> (s + r, n - 1)."""
+    """Page r with its differentials d^r: (s, n) -> (s + r, n - 1), each
+    entry and differential computed once per class of `_fold` and printed at
+    every (s, n) of the window in its class."""
     if r < 0:
         raise InvalidMulticomplex("page index must be nonnegative")
     out = SpectralPage(r=r)
+    entries, maps = {}, {}
+
+    def entry(n, s):
+        c = _fold(n, s)
+        if c not in entries:
+            entries[c] = _page_entry(t, n, s, r)
+        out.entries[(s, n)] = entries[c]
+        return entries[c]
+
     for n in t.page_window():
         for s in t.levels(n):
-            out.entries[(s, n)] = _page_entry(t, n, s, r)
+            entry(n, s)
     for n in t.source_window():
         for s in t.levels(n):
             src = out.entries[(s, n)]
             if src.dim == 0:
                 continue
-            tgt = out.entries.get((s + r, n - 1))
-            if tgt is None:
-                tgt = _page_entry(t, n - 1, s + r, r)
-                out.entries[(s + r, n - 1)] = tgt
-            mat = induced_subquotient_map(
-                t.boundaries[n],
-                (src.numerator, src.denominator),
-                (tgt.numerator, tgt.denominator))
-            out.differentials[(s, n)] = mat
+            tgt = entry(n - 1, s + r)
+            c = _fold(n, s)
+            if c not in maps:
+                maps[c] = induced_subquotient_map(
+                    t.boundary(n),
+                    (src.numerator, src.denominator),
+                    (tgt.numerator, tgt.denominator))
+            out.differentials[(s, n)] = maps[c]
     return out
 
 
@@ -266,11 +265,9 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     rank test of the module docstring; when it fails, pages 1, 2, ... are
     built up to the first nonzero differential, which is the witness."""
     h = homology(t.source.delta(0))
-    e1 = {}
-    for (_, n), dim in page_one_dims(t, h).items():
-        e1[n] = e1.get(n, 0) + dim
-    b = {n: rank(m) for n, m in t.boundaries.items()}
-    if all(e1.get(n, 0) == t.total_dim(n) - b[n] - b[n + 1] for n in t.page_window()):
+    b = rank(t.boundary(0)) + rank(t.boundary(1))
+    e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
+    if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
         return DegenerationResult(ok=True, witness=None, homology=h)
     pages = []
     for r in range(1, t.stabilization_bound() + 1):

@@ -297,12 +297,12 @@ def test_criterion_09_jacobi_pipeline():
 def test_criterion_10_order_ladder():
     started = time.time()
     ladder = structure_order_ladder(SO3)
-    ok = ladder.d_at_most_1 and not ladder.d_at_most_0
-    ok = ok and ladder.delta1_at_most_2 and not ladder.delta1_at_most_1
+    ok = ladder.d == 1
+    ok = ok and ladder.delta1 == 2
     jac = structure_order_ladder(CONTACT_W, CONTACT_E)
-    ok = ok and jac.d_at_most_1 and not jac.d_at_most_0
-    ok = ok and jac.delta1_at_most_2
-    ok = ok and jac.delta2_at_most_3
+    ok = ok and jac.d == 1
+    ok = ok and jac.delta1 <= 2
+    ok = ok and jac.delta2 <= 3
     conclude(10, "order ladder: differential exactly one, weight one at most "
                  "two (and genuinely two), weight two at most three", ok, started)
 

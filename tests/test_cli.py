@@ -378,9 +378,43 @@ def test_geometry_jacobi_and_basic(tmp_path, monkeypatch):
 def test_geometry_jacobi_requires_vector(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
     path = write(tmp_path, "so3.json", print_structure(3, SO3))
-    code = main(["geometry", "--kind", "jacobi", "--dim", "3",
-                 "--trunc", "3", "--structure", path])
-    assert code == 2
+    for kind in ("jacobi", "basic"):
+        code = main(["geometry", "--kind", kind, "--dim", "3",
+                     "--trunc", "3", "--structure", path])
+        assert code == 2
+        assert "needs a 'vector' term list" in capsys.readouterr().err
+
+
+SO3_SUM = PolyVector(6, [(((alpha + (0,) * 3), J), c) for (alpha, J), c in SO3.terms.items()]
+                     + [((((0,) * 3 + alpha), tuple(j + 3 for j in J)), c)
+                        for (alpha, J), c in SO3.terms.items()])
+
+
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_empty_vector_is_the_zero_field(trunc, tmp_path, monkeypatch, capsys):
+    # (w, 0) with w Poisson is a Jacobi pair
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(6, SO3_SUM))
+    doc["vector"] = []
+    path = write(tmp_path, "so3sum.json", json.dumps(doc))
+    args = ["geometry", "--dim", "6", "--trunc", str(trunc), "--structure", path]
+    assert main(args + ["--kind", "jacobi", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tables"]["homology"] == {"0": 1}
+    if trunc == 1:
+        # the polynomial window of --kind poisson still breaks delta_1^2 = 0 here
+        assert main(args + ["--kind", "poisson"]) == 1
+
+
+def test_order_line_names_the_order_found(tmp_path, monkeypatch, capsys):
+    # on a point d is the zero operator, of order -1
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    path = write(tmp_path, "point.json", print_structure(0, PolyVector.zero(0)))
+    code = main(["geometry", "--kind", "poisson", "--dim", "0",
+                 "--trunc", "1", "--structure", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  FAIL differential has order exactly one (witness: order -1)\n" in out
+    assert out.count("  FAIL ") == 1 and "PASS induced operator has order at most two" in out
 
 
 def test_generate_cli_round_trip(capsys):
@@ -451,6 +485,20 @@ def test_structure_field_shape_is_an_input_error(kind, dim, edit, tmp_path, monk
     edit(doc)
     path = write(tmp_path, "shape.json", json.dumps(doc))
     code = main(["geometry", "--kind", kind, "--dim", dim,
+                 "--trunc", "2", "--structure", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vector", 0), ("vector", False), ("vector", ""), ("vector", {}), ("bivector", 5)])
+def test_term_list_that_is_no_list_is_an_input_error(field, value, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    doc = json.loads(print_structure(3, CONTACT_W, CONTACT_E))
+    doc[field] = value
+    path = write(tmp_path, "terms.json", json.dumps(doc))
+    code = main(["geometry", "--kind", "jacobi", "--dim", "3",
                  "--trunc", "2", "--structure", path])
     assert code == 2
     assert capsys.readouterr().err.startswith("input error:")

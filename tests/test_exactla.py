@@ -196,12 +196,10 @@ def test_induced_map_with_stable_denominator_commutes():
             assert reduced == out.select_columns([j])
 
 
-def test_subspace_equality_and_sum():
+def test_subspace_equality():
     a = Subspace(3, Matrix.column([1, 0, 0]))
     b = Subspace(3, Matrix.column([2, 0, 0]))
     assert a == b
-    s = a.sum(Subspace(3, Matrix.column([0, 1, 0])))
-    assert s.dim == 2
 
 
 # ---- property tests against dense and greedy references ----

@@ -5,7 +5,7 @@ import pytest
 from multicx import spectral
 from multicx.complexes import Multicomplex
 from multicx.errors import InvalidMulticomplex, NotWellDefined
-from multicx.exactla import Subspace, kernel_image
+from multicx.exactla import Matrix, Subspace, kernel_image
 from multicx.generators import (
     corpus,
     generate,
@@ -39,7 +39,7 @@ def obstructed_mixed():
 
 def test_zero_space_total_complex():
     t = total_complex(Multicomplex.zero(GradedVectorSpace({})))
-    assert t.slots == {}
+    assert t.slots(0) == t.slots(1) == [] and not t.page_window()
     res = degenerates_at_one(t)
     assert res.ok and res.pages_checked == 0
 
@@ -49,7 +49,7 @@ def test_slot_enumeration_two_line():
     # n - 2q in {0, 1}, the parity of n deciding which line appears
     t = total_complex(two_line_mixed())
     for n in range(t.lo, t.hi + 1):
-        qs = t.slots[n]
+        qs = t.slots(n)
         assert len(qs) == 1
         assert t.source.space.dim(n - 2 * qs[0]) == 1
 
@@ -69,7 +69,89 @@ def test_boundary_squares_to_zero_random():
         m = generate(prof, seed)
         t = total_complex(m)
         for n in range(t.lo + 2, t.hi + 1):
-            assert t.boundaries[n - 1].mul(t.boundaries[n]).is_zero()
+            assert t.boundary(n - 1).mul(t.boundary(n)).is_zero()
+
+
+def definition_boundary(m, n):
+    """The boundary from total degree n to n - 1 straight from the
+    definition: slot q carries degree n - 2q, slots run by descending q, and
+    slot q goes to slot q - r through the weight-r operator."""
+    space = m.space
+
+    def slots(k):
+        return [q for q in range((k - space.min_degree) // 2, (k - space.max_degree) // 2 - 1, -1)
+                if space.dim(k - 2 * q)]
+
+    def offsets(k):
+        out, off = {}, 0
+        for q in slots(k):
+            out[q] = off
+            off += space.dim(k - 2 * q)
+        return out, off
+
+    cols, n_cols = offsets(n)
+    rows, n_rows = offsets(n - 1)
+    out = Matrix(n_rows, n_cols)
+    for q, col in cols.items():
+        for r in range(m.order + 1):
+            if q - r in rows:
+                for (i, j), v in m.delta(r).block(n - 2 * q).entries.items():
+                    out.entries[(rows[q - r] + i, col + j)] = v
+    return out
+
+
+FOLD_INSTANCES = [staircase4()] + [
+    generate(prof, seed)
+    for prof, seed in [("a", 60), ("a", 61), ("b", 17), ("b", 60), ("c", 2), ("c", 9)]]
+
+
+@pytest.mark.parametrize("m", FOLD_INSTANCES)
+def test_folded_boundaries_match_the_definition(m):
+    t = total_complex(m)
+    for n in range(t.lo, t.hi + 1):
+        assert t.boundary(n) == definition_boundary(m, n), n
+    assert t.boundary(0).mul(t.boundary(1)).is_zero()
+    assert t.boundary(1).mul(t.boundary(0)).is_zero()
+    # two matrices, whatever the width of the grading
+    assert {id(t.boundary(n)) for n in range(t.lo, t.hi + 1)} == \
+        {id(t.boundary(0)), id(t.boundary(1))}
+    for n in t.page_window():
+        for s in t.levels(n):
+            assert t.cycles(n, s, 1) is t.cycles(n + 2, s - 1, 1)
+
+
+def test_fold_builds_each_class_once(monkeypatch):
+    calls = {"rank": 0, "_page_entry": [], "induced_subquotient_map": 0}
+
+    def rank(m, _fn=spectral.rank):
+        calls["rank"] += 1
+        return _fn(m)
+
+    def page_entry(t, n, s, r, _fn=spectral._page_entry):
+        calls["_page_entry"].append(spectral._fold(n, s))
+        return _fn(t, n, s, r)
+
+    def induced(*args, _fn=spectral.induced_subquotient_map):
+        calls["induced_subquotient_map"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(spectral, "rank", rank)
+    monkeypatch.setattr(spectral, "_page_entry", page_entry)
+    monkeypatch.setattr(spectral, "induced_subquotient_map", induced)
+    relabelled = 0
+    for m in FOLD_INSTANCES:
+        t = total_complex(m)
+        calls["rank"] = 0
+        degenerates_at_one(t)
+        assert calls["rank"] <= 2
+        for r in range(t.stabilization_bound() + 1):
+            calls.update(_page_entry=[], induced_subquotient_map=0)
+            pg = page(t, r)
+            assert len(calls["_page_entry"]) == len(set(calls["_page_entry"]))
+            assert set(calls["_page_entry"]) == {spectral._fold(n, s) for s, n in pg.entries}
+            sources = {spectral._fold(n, s) for s, n in pg.differentials}
+            assert calls["induced_subquotient_map"] == len(sources)
+            relabelled += len(pg.entries) - len(calls["_page_entry"])
+    assert relabelled
 
 
 def test_page_one_dims_are_homology_dims():
@@ -98,7 +180,7 @@ def test_page_one_total_dim_random_multicomplexes():
         pg = page(t, 1)
         for n in t.page_window():
             total = sum(pg.dim(s, n) for s in t.levels(n))
-            expected = sum(h.dim(n - 2 * q) for q in t.slots[n])
+            expected = sum(h.dim(n - 2 * q) for q in t.slots(n))
             assert total == expected
 
 
@@ -188,9 +270,11 @@ def test_page_denominator_matches_the_two_step_sum():
                     den_a = t.cycles(n, s + 1, r - 1)
                     pre = t.cycles(n + 1, s - r + 1, r - 1)
                     den_b = Subspace.spanned_by(t.total_dim(n),
-                                                t.boundaries[n + 1].mul(pre.basis))
+                                                t.boundary(n + 1).mul(pre.basis))
                     den = spectral._page_entry(t, n, s, r).denominator
-                    assert den.basis == den_a.sum(den_b).basis, (r, s, n)
+                    two_step = Subspace.spanned_by(t.total_dim(n),
+                                                   den_a.basis.hstack(den_b.basis))
+                    assert den.basis == two_step.basis, (r, s, n)
                     mixed += bool(den_a.dim and den_b.dim)
     assert mixed
 
