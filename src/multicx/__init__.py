@@ -28,8 +28,6 @@ from .derham import (
     koszul_delta,
     schouten,
     structure_order_ladder,
-    verify_jacobi,
-    verify_poisson,
 )
 from .exactla import Matrix, Subspace, complement, induced_subquotient_map, kernel_image
 from .gauge import (
@@ -39,7 +37,6 @@ from .gauge import (
     conjugate_differential,
     find_gauge,
     gauge_construct,
-    mixed_complex_gauge,
     series_exp,
     series_log,
     series_mul,

@@ -229,11 +229,16 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
 
 
 def _write_output(name: str, text: str) -> str:
+    """Write `name` under MULTICX_OUTDIR; a directory that cannot be made or
+    written is an input error, as an unreadable input file is."""
     outdir = os.environ.get("MULTICX_OUTDIR", ".")
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc))
     return path
 
 

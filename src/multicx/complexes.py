@@ -113,10 +113,6 @@ class InfinityMorphism:
     def identity(m: Multicomplex) -> "InfinityMorphism":
         return InfinityMorphism(m, m, [GradedMap.identity(m.space)])
 
-    @staticmethod
-    def strict(source: Multicomplex, target: Multicomplex, f0: GradedMap) -> "InfinityMorphism":
-        return InfinityMorphism(source, target, [f0])
-
     def comp(self, n: int) -> GradedMap:
         if 0 <= n < len(self.comps):
             return self.comps[n]
@@ -246,15 +242,6 @@ def invert_infinity(f: InfinityMorphism) -> InfinityMorphism:
     return InfinityMorphism(f.target, f.source, comps)
 
 
-@dataclass
-class ProductData:
-    multicomplex: Multicomplex
-    inj1: InfinityMorphism
-    inj2: InfinityMorphism
-    proj1: InfinityMorphism
-    proj2: InfinityMorphism
-
-
 def _sum_space(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedVectorSpace:
     dims = dict(a.dims)
     for k, d in b.dims.items():
@@ -287,12 +274,8 @@ def stack_maps(f: GradedMap, g: GradedMap, sum_space: GradedVectorSpace,
     return GradedMap(f.source, sum_space, f.degree, blocks)
 
 
-def product(m1: Multicomplex, m2: Multicomplex) -> ProductData:
-    """Degreewise direct sum with blockwise-diagonal operators.
-
-    This realises the product in the category of multicomplexes with
-    infinity-morphisms; injections and projections are strict.
-    """
+def product(m1: Multicomplex, m2: Multicomplex) -> Multicomplex:
+    """Degreewise direct sum with blockwise-diagonal operators, m1 first."""
     space = _sum_space(m1.space, m2.space)
     deltas = []
     for n in range(max(m1.order, m2.order) + 1):
@@ -307,26 +290,4 @@ def product(m1: Multicomplex, m2: Multicomplex) -> ProductData:
             if ent:
                 blocks[k] = Matrix(rows, cols, ent)
         deltas.append(GradedMap(space, space, deg, blocks))
-    total = Multicomplex(space, deltas)
-
-    def emb(sub: GradedVectorSpace, offset_of) -> GradedMap:
-        blocks = {}
-        for k, dsub in sub.dims.items():
-            off = offset_of(k)
-            ent = [(off + r, r, 1) for r in range(dsub)]
-            blocks[k] = Matrix(space.dim(k), dsub, ent)
-        return GradedMap(sub, space, 0, blocks)
-
-    i1 = emb(m1.space, lambda k: 0)
-    i2 = emb(m2.space, lambda k: m1.space.dim(k))
-    p1 = GradedMap(space, m1.space, 0,
-                   {k: i1.block(k).transpose() for k in m1.space.degrees})
-    p2 = GradedMap(space, m2.space, 0,
-                   {k: i2.block(k).transpose() for k in m2.space.degrees})
-    return ProductData(
-        multicomplex=total,
-        inj1=InfinityMorphism.strict(m1, total, i1),
-        inj2=InfinityMorphism.strict(m2, total, i2),
-        proj1=InfinityMorphism.strict(total, m1, p1),
-        proj2=InfinityMorphism.strict(total, m2, p2),
-    )
+    return Multicomplex(space, deltas)

@@ -185,21 +185,11 @@ def schouten(p: PolyVector, q: PolyVector) -> PolyVector:
     return acc
 
 
-def verify_poisson(w: PolyVector) -> bool:
-    """True iff [w, w] = 0 for the bivector w."""
-    return schouten(w, w).is_zero
-
-
 def jacobi_defects(w: PolyVector, e: PolyVector):
     """The two structure equations of a Jacobi pair, as exact defects."""
     first = schouten(w, w).sub(e.wedge(w).scale(2))
     second = schouten(e, w)
     return first, second
-
-
-def verify_jacobi(w: PolyVector, e: PolyVector) -> bool:
-    first, second = jacobi_defects(w, e)
-    return first.is_zero and second.is_zero
 
 
 def _check_structure(w: PolyVector, e: PolyVector):

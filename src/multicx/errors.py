@@ -50,10 +50,6 @@ class BadConstantTerm(MulticxError):
     pass
 
 
-class HodgeDataFails(MulticxError):
-    pass
-
-
 class NotJacobi(MulticxError):
     """A pair that fails the structure equations; `defects` holds the two
     exact defects (first, second) of `derham.jacobi_defects`."""

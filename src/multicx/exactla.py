@@ -106,18 +106,6 @@ class Matrix:
         return Matrix(n, n, [(i, i, ONE) for i in range(n)])
 
     @staticmethod
-    def from_rows(data) -> "Matrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        ent = []
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ShapeMismatch("ragged rows")
-            for j, v in enumerate(row):
-                ent.append((i, j, rat(v)))
-        return Matrix(rows, cols, ent)
-
-    @staticmethod
     def column(values) -> "Matrix":
         return Matrix(len(values), 1, [(i, 0, rat(v)) for i, v in enumerate(values)])
 
@@ -335,9 +323,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
-
-    def contains_vector(self, v: Matrix) -> bool:
-        return solve(self.basis, v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         return solve(self.basis, other.basis) is not None

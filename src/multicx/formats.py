@@ -4,7 +4,8 @@ polyvector structures.
 The line formats are versioned, whitespace-separated, and canonical: degrees
 ascend, operator indices ascend, entries sort by (source degree, row,
 column), rationals print in lowest terms as p or p/q.  A parse of a printed
-document reproduces the object exactly.
+multicomplex or structure document reproduces the object exactly; the series
+format is output only, the gauge note of an `analyze` report.
 """
 
 from __future__ import annotations
@@ -196,28 +197,6 @@ def print_series(s: OperatorSeries) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_series(text: str) -> OperatorSeries:
-    lines = _Lines(text)
-    no, header = lines.next()
-    if header != SERIES_HEADER:
-        raise ParseError("not a series document (header %r)" % header, no)
-    lines.expect("space")
-    space = GradedVectorSpace(_parse_degrees(lines, {"coefficient", "end"}))
-    coeffs = {}
-    while True:
-        no, line = lines.next()
-        if line == "end":
-            break
-        parts = line.split()
-        if parts[0] != "coefficient" or len(parts) != 4 or parts[2] != "degree":
-            raise ParseError("expected a coefficient section, found %r" % line, no)
-        n = _parse_int(parts[1], no, "power")
-        degree = _parse_int(parts[3], no, "degree")
-        entries = _parse_entries(lines, {"coefficient", "end"})
-        coeffs[n] = GradedMap.from_entries(space, space, degree, entries)
-    return OperatorSeries(space, coeffs)
-
-
 def polyvector_to_terms(p: PolyVector):
     """JSON-ready term list; indices are 1-based in the file format."""
     out = []
@@ -273,9 +252,11 @@ def polyvector_from_terms(terms, dim: int, degree=None) -> PolyVector:
 
 
 def print_structure(dim: int, bivector: PolyVector, vector=None) -> str:
+    """The structure document; a vector field, the zero one included, is
+    written as its term list, and None writes no 'vector' key."""
     doc = {"format": STRUCTURE_FORMAT, "dim": dim,
            "bivector": polyvector_to_terms(bivector)}
-    if vector is not None and not vector.is_zero:
+    if vector is not None:
         doc["vector"] = polyvector_to_terms(vector)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

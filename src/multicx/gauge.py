@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import InfinityMorphism, Multicomplex, validate_multicomplex
+from .complexes import Multicomplex, validate_multicomplex
 from .errors import BadConstantTerm, NotSquareZero, SpaceMismatch
-from .graded import GradedMap, GradedVectorSpace, compose, lincomb
-from .transfer import HodgeData, MinimalModel, check_hodge_data, nonzero_weights
+from .graded import GradedMap, GradedVectorSpace, compose
+from .transfer import HodgeData, MinimalModel, nonzero_weights
 
 
 def power_cap(space: GradedVectorSpace) -> int:
@@ -106,9 +106,6 @@ class OperatorSeries:
 
     def sub(self, other: "OperatorSeries") -> "OperatorSeries":
         return self.add(other.neg())
-
-    def shift(self, by: int) -> "OperatorSeries":
-        return OperatorSeries(self.space, {n + by: f for n, f in self.coeffs.items()})
 
 
 def series_mul(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
@@ -233,25 +230,6 @@ def conjugate_multicomplex(r: OperatorSeries, m: Multicomplex) -> Multicomplex:
     return Multicomplex(m.space, deltas)
 
 
-def isotopy_to_series(f: InfinityMorphism) -> OperatorSeries:
-    """An infinity-isotopy of complexes on one space, viewed as the series
-    sum f_n z^n with f_0 = id."""
-    if f.source.space != f.target.space:
-        raise SpaceMismatch("only endomorphism isotopies convert to series")
-    if not f.is_isotopy:
-        raise BadConstantTerm("component 0 must be the identity")
-    return OperatorSeries(f.source.space,
-                          {n: f.comp(n) for n in range(f.order + 1)})
-
-
-def series_to_isotopy(s: OperatorSeries, source: Multicomplex,
-                      target: Multicomplex) -> InfinityMorphism:
-    if s.constant_term != GradedMap.identity(s.space):
-        raise BadConstantTerm("component 0 must be the identity")
-    comps = [s.coefficient(n, 2 * n) for n in range(max(s.max_power, 0) + 1)]
-    return InfinityMorphism(source, target, comps)
-
-
 @dataclass
 class NoGauge:
     """Returned when no gauge series exists; the witness is the least weight
@@ -267,7 +245,7 @@ def find_gauge(model: MinimalModel):
 
     When every transferred operator on homology vanishes, psi_n = frame o
     iso_n is an infinity-isotopy from the input to (A, d): the frame inverts
-    iso_0 and is a chain map out of the product, whose higher operators
+    iso_0 and is a chain map out of the direct sum, whose higher operators
     vanish.  The logarithm of psi^{-1} is a gauge, and log(psi^{-1}) =
     -log(psi) exactly in the nilpotent series ring, so no inverse is built.
     Otherwise no gauge can exist, and the least obstructing weight is cited.
@@ -282,56 +260,3 @@ def find_gauge(model: MinimalModel):
                          {n: compose(model.frame, iso.comp(n)) for n in range(iso.order + 1)})
     return series_log(psi).neg()
 
-
-def mixed_complex_gauge(retract, delta: GradedMap) -> OperatorSeries:
-    """Gauge series for a mixed complex carried by a deformation retract.
-
-    Built from -log(1 - h delta z + sum_n incl proj (delta h)^n z^n); the
-    retract must witness the vanishing of the transferred operators, and the
-    output is asserted to conjugate d onto d + delta z.
-    """
-    from .errors import HodgeDataFails
-    space = retract.big
-    if delta.degree != 1 or delta.source != space:
-        raise SpaceMismatch("second operator must be a degree +1 endomorphism")
-    m = Multicomplex(space, [retract.d_big, delta])
-    hodge = check_hodge_data(retract, m)
-    if not hodge.ok:
-        raise HodgeDataFails("transferred operator %d is nonzero" % hodge.witness)
-    h_delta = compose(retract.homotopy, delta)
-    delta_h = compose(delta, retract.homotopy)
-    ip = compose(retract.incl, retract.proj)
-    cap = power_cap(space)
-    inner = OperatorSeries.unit(space).sub(OperatorSeries.single(1, h_delta))
-    power = GradedMap.identity(space)
-    for n in range(1, cap + 1):
-        power = compose(power, delta_h)
-        if power.is_zero:
-            break
-        inner = inner.add(OperatorSeries.single(n, compose(ip, power)))
-    series = series_log(inner).neg()
-    check = check_gauge_hodge(series, m)
-    if not check.ok:
-        raise HodgeDataFails("mixed gauge fails at power %r" % (check.witness,))
-    return series
-
-
-def mixed_gauge_coefficient(retract, delta: GradedMap, n: int) -> GradedMap:
-    """Closed form for the weight-n coefficient of the mixed gauge series:
-    (h delta)^n / n - sum_{l=1}^{n} (h delta)^{l-1} incl proj (delta h)^{n-l+1} / l."""
-    space = retract.big
-    h_delta = compose(retract.homotopy, delta)
-    delta_h = compose(delta, retract.homotopy)
-    ip = compose(retract.incl, retract.proj)
-
-    def pow_map(f, k):
-        out = GradedMap.identity(space)
-        for _ in range(k):
-            out = compose(out, f)
-        return out
-
-    terms = [(Fraction(1, n), pow_map(h_delta, n))]
-    for l in range(1, n + 1):
-        piece = compose(pow_map(h_delta, l - 1), compose(ip, pow_map(delta_h, n - l + 1)))
-        terms.append((Fraction(-1, l), piece))
-    return lincomb(terms, degree=2 * n, source=space, target=space)

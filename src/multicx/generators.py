@@ -219,44 +219,3 @@ def corpus(count: int, base_seed=0):
         out.append((profile, base_seed + s, generate(profile, base_seed + s)))
     return out
 
-
-def mixed_commutator_instance(rng: Random, max_width=6, max_dim=3, trials=400):
-    """A mixed complex with vanishing transferred operators whose second
-    operator is a commutator [s, d]; rejection-sampled so that the square of
-    the commutator vanishes.  Richer than the single-degree gauge orbit: the
-    homotopy words (delta h)^n survive to higher weights."""
-    from .transfer import build_retract, check_hodge_data
-
-    for _ in range(trials):
-        space = rand_space(rng, max_width, max_dim)
-        d = rand_square_zero(rng, space, -1)
-        s = rand_graded_map(rng, space, space, 2, density=0.5)
-        delta = compose(s, d).sub(compose(d, s))
-        if delta.is_zero or not compose(delta, delta).is_zero:
-            continue
-        m = Multicomplex(space, [d, delta])
-        retract, _ = build_retract(space, d)
-        if check_hodge_data(retract, m).ok:
-            return m
-    raise RuntimeError("no commutator-type mixed complex found in %d trials" % trials)
-
-
-def mixed_gauge_instance(rng: Random, max_width=5, max_dim=3):
-    """A mixed complex satisfying the gauge condition by construction: the
-    gauge has a single weight-1 coefficient supported at one source degree,
-    so the conjugation series stops at weight 1."""
-    space = rand_space(rng, max_width, max_dim)
-    d = rand_square_zero(rng, space, -1)
-    ks = [k for k in space.degrees if space.dim(k + 2)]
-    if not ks:
-        return Multicomplex.trivial(space, d), OperatorSeries.zero(space)
-    k = rng.choice(ks)
-    ent = [(k, r, c, rand_entry(rng))
-           for r in range(space.dim(k + 2)) for c in range(space.dim(k))
-           if rng.random() < 0.6]
-    r1 = GradedMap.from_entries(space, space, 2, ent)
-    series = OperatorSeries.single(1, r1)
-    m = gauge_construct(d, series)
-    if not m.is_mixed:
-        raise RuntimeError("single-degree gauge unexpectedly produced higher operators")
-    return m, series

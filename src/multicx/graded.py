@@ -52,12 +52,6 @@ class GradedVectorSpace:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (k % 2) * d for k, d in self.dims.items())
-
-    def shift(self, s: int) -> "GradedVectorSpace":
-        return GradedVectorSpace({k + s: d for k, d in self.dims.items()})
-
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
 

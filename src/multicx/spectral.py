@@ -282,33 +282,3 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
 def total_complex(m: Multicomplex) -> TotalComplex:
     return TotalComplex(m)
 
-
-def homology_subquotient(m: Multicomplex, k: int):
-    """(ker d, im d) at degree k, the canonical subquotient presenting the
-    homology class coordinates shared with the transfer module."""
-    d = m.delta(0)
-    ker, _ = kernel_image(d.block(k))
-    _, img = kernel_image(d.block(k + 1))
-    return ker, img
-
-
-def identify_with_homology(t: TotalComplex, pg: SpectralPage, s: int, n: int) -> Matrix:
-    """Matrix of the leading-slot identification E^r_s(n) -> H(A, d) in
-    degree n + 2s.
-
-    Projecting a class onto its slot of level s lands in cycles and kills
-    the denominator, so the induced map on subquotients is well-defined; on
-    page one it is the canonical isomorphism.
-    """
-    entry = pg.entries[(s, n)]
-    space = t.source.space
-    deg = n + 2 * s
-    proj = Matrix(space.dim(deg), t.total_dim(n))
-    off = t.offset(n, -s)
-    for i in range(space.dim(deg)):
-        proj.entries[(i, off + i)] = 1
-    ker, img = homology_subquotient(t.source, deg)
-    return induced_subquotient_map(
-        proj,
-        (entry.numerator, entry.denominator),
-        (ker, img))

@@ -12,8 +12,10 @@ the lower rows of the inverse of the frame [H | B | C].
 the sum-over-compositions formulas: the transferred operator of weight n is
 the sum over all compositions (i_1, ..., i_k) of n of
 p delta_{i_1} h delta_{i_2} h ... h delta_{i_k} i, and similarly for the
-morphism components extending incl and proj.  It returns only the
-transferred structure and those two infinity-morphisms.
+morphism components extending proj.  It returns the transferred structure
+and that infinity-morphism, which is what the minimal model reads.  The
+extension of incl, i_n = h S_n over the chain sums S_n that end in incl, is
+not built: nothing on the pipeline reads it.
 
 `minimal_model` reads K off the splitting: d and h keep K (d C lies in B,
 h lands in C), so d_K = q_0 d and s = q_0 h restricted to K are products
@@ -205,42 +207,34 @@ def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap, nmax: int):
 @dataclass
 class TransferOutput:
     transferred: Multicomplex
-    i_inf: InfinityMorphism
     p_inf: InfinityMorphism
 
 
-def _transferred(r: DeformationRetract, m: Multicomplex, nmax: int = 0):
-    """The transferred multicomplex and the chain sums S_1 .. S_N over the
-    inclusion, N the larger of nmax and one past the grading bound.  The
-    operator at that weight is recomputed once and asserted zero rather than
-    assumed."""
+def _transferred(r: DeformationRetract, m: Multicomplex) -> Multicomplex:
+    """The transferred multicomplex, from the chain sums over the inclusion
+    up to one past the grading bound.  The operator at that weight is
+    recomputed once and asserted zero rather than assumed."""
     if m.space != r.big:
         raise SpaceMismatch("multicomplex lives on a different space than the retract")
     if m.delta(0) != r.d_big:
         raise SpaceMismatch("retract differential disagrees with delta_0")
     n_delta = max(max_component_index(r.small, r.small, 2, -1), 0)
-    s_chain = _chain_sums(m, r.homotopy, r.incl, max(nmax, n_delta + 1))
+    s_chain = _chain_sums(m, r.homotopy, r.incl, n_delta + 1)
     deltas = [r.d_small] + [compose(r.proj, s_chain[n]) for n in range(1, n_delta + 1)]
     if not compose(r.proj, s_chain[n_delta + 1]).is_zero:
         raise NotSquareZero("transferred operator beyond the grading bound is nonzero")
-    return Multicomplex(r.small, deltas), s_chain
+    return Multicomplex(r.small, deltas)
 
 
 def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
-    """Transferred multicomplex on the small space plus the extending
-    infinity-quasi-isomorphisms."""
-    small, big = r.small, r.big
-    n_i = max(max_component_index(small, big, 2, 0), 0)
-    n_p = max(max_component_index(big, small, 2, 0), 0)
-    transferred, s_chain = _transferred(r, m, n_i)
+    """Transferred multicomplex on the small space plus the infinity-quasi-
+    isomorphism extending the projection onto it."""
+    transferred = _transferred(r, m)
+    n_p = max(max_component_index(r.big, r.small, 2, 0), 0)
     u_chain = _chain_sums(m, r.homotopy, r.homotopy, n_p)
-    i_comps = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
     p_comps = [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
-    return TransferOutput(
-        transferred=transferred,
-        i_inf=InfinityMorphism(transferred, m, i_comps),
-        p_inf=InfinityMorphism(m, transferred, p_comps),
-    )
+    return TransferOutput(transferred=transferred,
+                          p_inf=InfinityMorphism(m, transferred, p_comps))
 
 
 @dataclass
@@ -262,8 +256,7 @@ def nonzero_weights(m: Multicomplex) -> list:
 
 def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
     """True iff every transferred operator of weight >= 1 vanishes."""
-    transferred, _ = _transferred(r, m)
-    weights = nonzero_weights(transferred)
+    weights = nonzero_weights(_transferred(r, m))
     return HodgeData(ok=not weights, witness=weights[0] if weights else None)
 
 
@@ -307,15 +300,15 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
         defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
         q_comps.append(compose(s_k, defect).neg())
     trivial = Multicomplex(kspace, [d_k])
-    prod = product(minimal, trivial)
+    total = product(minimal, trivial)
     nmax = max(out.p_inf.order, len(q_comps) - 1)
     comps = []
     for n in range(nmax + 1):
         pn = out.p_inf.comp(n)
         qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
-        comps.append(stack_maps(pn, qn, prod.multicomplex.space, minimal.space))
-    iso = InfinityMorphism(m, prod.multicomplex, comps)
-    frame = GradedMap(prod.multicomplex.space, big, 0,
+        comps.append(stack_maps(pn, qn, total.space, minimal.space))
+    iso = InfinityMorphism(m, total, comps)
+    frame = GradedMap(total.space, big, 0,
                       {k: retract.incl.block(k).hstack(kbasis[k]) for k in big.degrees})
     return MinimalModel(minimal=minimal, trivial=trivial, iso=iso,
                         frame=frame, retract=retract)

@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from multicx.generators import corpus, mixed_commutator_instance, mixed_gauge_instance
+from multicx.generators import corpus
+from oracles import mixed_commutator_instance, mixed_gauge_instance
 
 
 @pytest.fixture(scope="session")

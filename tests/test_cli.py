@@ -442,6 +442,19 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def test_unwritable_output_directory_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # an output directory below a regular file can be neither made nor written
+    blocker = write(tmp_path, "blocker", "")
+    monkeypatch.setenv("MULTICX_OUTDIR", os.path.join(blocker, "out"))
+    path = write(tmp_path, "so3.json", print_structure(3, SO3))
+    code = main(["geometry", "--kind", "poisson", "--dim", "3",
+                 "--trunc", "1", "--structure", path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write ")
+    assert "internal error" not in err
+
+
 def test_negative_truncation_is_an_input_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
     path = write(tmp_path, "so3.json", print_structure(3, SO3))

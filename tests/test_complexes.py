@@ -87,7 +87,7 @@ def test_identity_morphism_valid():
 def test_non_chain_map_flagged_at_zero():
     m = Multicomplex.zero(V)
     target = Multicomplex(V, [gmap(V, -1, [(1, 0, 0, 1)])])
-    f = InfinityMorphism.strict(m, target, GradedMap.identity(V))
+    f = InfinityMorphism(m, target, [GradedMap.identity(V)])
     rep = validate_infinity_morphism(f)
     assert not rep.ok and rep.indices() == [0]
 
@@ -104,7 +104,7 @@ def test_compose_strict_morphisms():
     m = Multicomplex.zero(V)
     a = gmap(V, 0, [(k, r, r, 2) for k in V.degrees for r in range(2)])
     b = gmap(V, 0, [(k, r, r, 3) for k in V.degrees for r in range(2)])
-    gf = compose_infinity(InfinityMorphism.strict(m, m, a), InfinityMorphism.strict(m, m, b))
+    gf = compose_infinity(InfinityMorphism(m, m, [a]), InfinityMorphism(m, m, [b]))
     assert gf.order == 0
     assert gf.comps[0] == compose(a, b)
 
@@ -132,8 +132,8 @@ def test_compose_convolution_by_hand():
 def test_compose_endpoint_mismatch():
     a = Multicomplex.zero(V)
     b = Multicomplex.zero(GradedVectorSpace({0: 1}))
-    f = InfinityMorphism.strict(a, a, GradedMap.identity(V))
-    g = InfinityMorphism.strict(b, b, GradedMap.identity(b.space))
+    f = InfinityMorphism(a, a, [GradedMap.identity(V)])
+    g = InfinityMorphism(b, b, [GradedMap.identity(b.space)])
     with pytest.raises(SourceTargetMismatch):
         compose_infinity(g, f)
 
@@ -142,7 +142,7 @@ def test_invert_identity_and_scalar():
     m = Multicomplex.zero(V)
     ident = InfinityMorphism.identity(m)
     assert invert_infinity(ident) == ident
-    two = InfinityMorphism.strict(m, m, GradedMap.identity(V).scale(2))
+    two = InfinityMorphism(m, m, [GradedMap.identity(V).scale(2)])
     half = invert_infinity(two)
     assert half.comps[0] == GradedMap.identity(V).scale("1/2")
 
@@ -151,7 +151,7 @@ def test_invert_singular_raises():
     m = Multicomplex.zero(V)
     f0 = gmap(V, 0, [(0, 0, 0, 1)])  # rank 1 in a 2-dim degree
     with pytest.raises(NotInvertible):
-        invert_infinity(InfinityMorphism.strict(m, m, f0))
+        invert_infinity(InfinityMorphism(m, m, [f0]))
 
 
 def test_invert_isotopy_round_trip_random():
@@ -186,25 +186,36 @@ def test_compose_associative_random():
             compose_infinity(h, compose_infinity(g, f))
 
 
+def summand_maps(space, total, offset):
+    """The inclusion of a summand into a direct sum and the projection back,
+    the summand's coordinates sitting `offset(k)` rows down in degree k."""
+    incl = GradedMap.from_entries(space, total, 0, [(k, offset(k) + r, r, 1)
+                                                    for k in space.degrees
+                                                    for r in range(space.dim(k))])
+    proj = GradedMap(total, space, 0, {k: incl.block(k).transpose() for k in space.degrees})
+    return incl, proj
+
+
 def test_product_dims_and_validity():
     m1 = staircase4()
     m2 = Multicomplex.zero(GradedVectorSpace({0: 1, 1: 2}))
-    data = product(m1, m2)
-    total = data.multicomplex
+    total = product(m1, m2)
     for k in total.space.degrees:
         assert total.space.dim(k) == m1.space.dim(k) + m2.space.dim(k)
     assert validate_multicomplex(total).ok
-    assert validate_infinity_morphism(data.inj1).ok
-    assert validate_infinity_morphism(data.inj2).ok
-    assert validate_infinity_morphism(data.proj1).ok
-    assert validate_infinity_morphism(data.proj2).ok
-    # proj after inj is the identity on each factor
-    assert compose_infinity(data.proj1, data.inj1) == InfinityMorphism.identity(m1)
-    assert compose_infinity(data.proj2, data.inj2) == InfinityMorphism.identity(m2)
+    # the operators are blockwise diagonal: each summand's inclusion and
+    # projection are strict morphisms, and projection after inclusion is
+    # the identity on the summand
+    for m, offset in ((m1, lambda k: 0), (m2, m1.space.dim)):
+        incl, proj = summand_maps(m.space, total.space, offset)
+        inj = InfinityMorphism(m, total, [incl])
+        back = InfinityMorphism(total, m, [proj])
+        assert validate_infinity_morphism(inj).ok
+        assert validate_infinity_morphism(back).ok
+        assert compose_infinity(back, inj) == InfinityMorphism.identity(m)
 
 
 def test_product_with_zero_complex():
     m = staircase4()
     z = Multicomplex.zero(GradedVectorSpace({}))
-    data = product(m, z)
-    assert data.multicomplex == m
+    assert product(m, z) == m

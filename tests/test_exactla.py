@@ -18,6 +18,7 @@ from multicx.exactla import (
     solve,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, lincomb
+from oracles import from_rows
 
 # property tests stay deterministic: the same examples on every run
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -35,7 +36,7 @@ def rand_matrix(rng, rows, cols, density=0.5):
 
 
 def test_matrix_basics():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     assert m.get(1, 0) == 3
     assert m.mul(Matrix.identity(2)) == m
     assert m.add(m.neg()).is_zero()
@@ -61,10 +62,10 @@ def test_kernel_image_identity():
 
 def test_kernel_image_rank_one():
     # hand row reduction: [[1,2],[2,4]] ~ [[1,2],[0,0]]; kernel line (2,-1)
-    m = Matrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     ker, img = kernel_image(m)
     assert ker.dim == 1 and img.dim == 1
-    assert ker.contains_vector(Matrix.column([2, -1]))
+    assert solve(ker.basis, Matrix.column([2, -1])) is not None
     assert m.mul(ker.basis).is_zero()
 
 
@@ -80,7 +81,7 @@ def test_kernel_image_dims_and_exactness_random():
 
 
 def test_solve_exact_and_unsolvable():
-    a = Matrix.from_rows([[1, 0], [0, 0]])
+    a = from_rows([[1, 0], [0, 0]])
     assert solve(a, Matrix.column([0, 1])) is None
     x = solve(a, Matrix.column([Fraction(5, 3), 0]))
     assert a.mul(x) == Matrix.column([Fraction(5, 3), 0])
@@ -90,7 +91,7 @@ def test_complement_coordinate_cases():
     e1 = Subspace(2, Matrix.column([1, 0]))
     full = Subspace.full(2)
     c = complement(e1, full)
-    assert c.dim == 1 and c.contains_vector(Matrix.column([0, 1]))
+    assert c.dim == 1 and solve(c.basis, Matrix.column([0, 1])) is not None
     assert complement(full, full).dim == 0
 
 
@@ -128,10 +129,10 @@ def test_induced_map_zero_map():
 
 
 def test_induced_map_zero_denominators_is_restriction():
-    m = Matrix.from_rows([[2, 0], [0, 3]])
+    m = from_rows([[2, 0], [0, 3]])
     sub = Subspace(2, Matrix.column([1, 0]))
     out = induced_subquotient_map(m, (sub, Subspace.zero(2)), (sub, Subspace.zero(2)))
-    assert out == Matrix.from_rows([[2]])
+    assert out == from_rows([[2]])
 
 
 def test_induced_map_coset_oracle():
@@ -139,16 +140,16 @@ def test_induced_map_coset_oracle():
     # class of e1 dies, so the induced map is zero; against span{e2} the class
     # of e1 is the quotient basis vector and the induced map is [1].  Both
     # expected values computed by solving the coset linear system by hand.
-    m = Matrix.from_rows([[0, 1], [0, 0]])
+    m = from_rows([[0, 1], [0, 0]])
     src = (Subspace.full(2), Subspace(2, Matrix.column([1, 0])))
     dst_e1 = (Subspace.full(2), Subspace(2, Matrix.column([1, 0])))
     dst_e2 = (Subspace.full(2), Subspace(2, Matrix.column([0, 1])))
     assert induced_subquotient_map(m, src, dst_e1).is_zero()
-    assert induced_subquotient_map(m, src, dst_e2) == Matrix.from_rows([[1]])
+    assert induced_subquotient_map(m, src, dst_e2) == from_rows([[1]])
 
 
 def test_induced_map_detects_disrespected_quotient():
-    m = Matrix.from_rows([[0, 0], [1, 0]])  # e1 -> e2
+    m = from_rows([[0, 0], [1, 0]])  # e1 -> e2
     src = (Subspace.full(2), Subspace(2, Matrix.column([1, 0])))
     dst = (Subspace.full(2), Subspace(2, Matrix.column([1, 0])))
     with pytest.raises(NotWellDefined):
@@ -433,9 +434,9 @@ def test_indexed_rref_matches_scanning_rref(m):
 
 def test_caller_supplied_dependent_basis_is_rejected():
     with pytest.raises(ShapeMismatch):
-        Subspace(2, Matrix.from_rows([[1, 2], [2, 4]]))
+        Subspace(2, from_rows([[1, 2], [2, 4]]))
     with pytest.raises(ShapeMismatch):
-        Subspace(3, Matrix.from_rows([[1, 0], [0, 1]]))
+        Subspace(3, from_rows([[1, 0], [0, 1]]))
 
 
 @PROPERTY

@@ -1,5 +1,5 @@
+import json
 from fractions import Fraction
-from random import Random
 
 import pytest
 
@@ -9,16 +9,13 @@ from multicx.errors import ParseError
 from multicx.formats import (
     format_rational,
     parse_multicomplex,
-    parse_series,
     parse_structure,
     polyvector_from_terms,
     polyvector_to_terms,
     print_multicomplex,
-    print_series,
     print_structure,
 )
-from multicx.gauge import OperatorSeries
-from multicx.generators import generate, rand_series, rand_space, rand_square_zero, staircase4
+from multicx.generators import generate, staircase4
 from multicx.graded import GradedMap, GradedVectorSpace
 
 
@@ -81,16 +78,6 @@ def test_multicomplex_parse_builds_no_trailing_zero_operators(monkeypatch):
     assert m.order == 0
 
 
-def test_series_round_trip():
-    rng = Random(3)
-    for _ in range(10):
-        space = rand_space(rng)
-        s = rand_series(rng, space)
-        assert parse_series(print_series(s)) == s
-    assert parse_series(print_series(OperatorSeries.zero(space))) == \
-        OperatorSeries.zero(space)
-
-
 def test_polyvector_terms_round_trip():
     p = PolyVector(3, {((0, 1, 0), (1, 2)): Fraction(-1, 2),
                        ((0, 0, 0), (0,)): 3})
@@ -113,3 +100,15 @@ def test_structure_round_trip_and_validation():
         parse_structure("{broken json")
     with pytest.raises(ParseError):
         parse_structure("{\"dim\": 2}")
+
+
+def test_structure_round_trip_keeps_a_zero_vector_field():
+    # (w, 0) is a Jacobi pair; its file must carry the zero field, which
+    # `--kind jacobi` and `basic` need, and None must still write no key
+    w = PolyVector(3, {((0, 0, 0), (0, 1)): 1})
+    text = print_structure(3, w, PolyVector.zero(3))
+    assert json.loads(text)["vector"] == []
+    assert parse_structure(text) == (3, w, PolyVector.zero(3))
+    text = print_structure(3, w)
+    assert "vector" not in json.loads(text)
+    assert parse_structure(text) == (3, w, None)

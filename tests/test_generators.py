@@ -6,8 +6,6 @@ from multicx.generators import (
     corpus,
     generate,
     hand_library,
-    mixed_commutator_instance,
-    mixed_gauge_instance,
     rand_automorphism,
     rand_space,
     rand_square_zero,
@@ -15,6 +13,7 @@ from multicx.generators import (
 )
 from multicx.graded import GradedMap, compose
 from multicx.transfer import minimal_model
+from oracles import mixed_commutator_instance, mixed_gauge_instance
 
 
 def test_rand_square_zero_really_squares_to_zero():

@@ -118,10 +118,8 @@ PROPERTY = dict(derandomize=True, deadline=None,
 
 
 def run_geometry(tmp_path, capsys, kind, w, e, trunc):
-    doc = json.loads(print_structure(w.dim, w, e))
-    doc.setdefault("vector", [])
     path = tmp_path / "structure.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(print_structure(w.dim, w, e), encoding="utf-8")
     code = main(["geometry", "--kind", kind, "--dim", str(w.dim), "--trunc", str(trunc),
                  "--structure", str(path), "--json"])
     return code, json.loads(capsys.readouterr().out)

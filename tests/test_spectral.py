@@ -10,19 +10,18 @@ from multicx.generators import (
     corpus,
     generate,
     hand_library,
-    mixed_gauge_instance,
     staircase4,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, homology
 from multicx.spectral import (
     SpectralPage,
     degenerates_at_one,
-    identify_with_homology,
     page,
     page_one_dims,
     total_complex,
 )
 from multicx.transfer import build_retract, check_hodge_data, transfer_structure
+from oracles import identify_with_homology, mixed_gauge_instance
 
 
 def two_line_mixed():
