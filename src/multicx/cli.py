@@ -13,7 +13,8 @@ The relations come from the one validation `TotalComplex` runs (its error
 carries the report); a failing relation stops the command before the
 degeneration check.  `analyze` computes each object once: one minimal model
 gives the homology, the transferred operators with their verdict, and the
-gauge.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0)
+gauge, and `--seed` twists that model's splitting instead of splitting d
+again.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0)
 and calls its builder once; the builders check only the structure
 equations, and the structure line reads its witness from their NotJacobi
 error.  The independent degeneration verdict, in `analyze` and `geometry`
@@ -221,7 +222,7 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
         rng = Random(seed)
         match = True
         for _ in range(2):
-            alt = alternative_retract(m.space, m.delta(0), rng)
+            alt, _ = alternative_retract(model.splitting, rng)
             if check_hodge_data(alt, m).ok != hodge_ok:
                 match = False
         report.add("randomized retracts agree", match, seed=seed)

@@ -66,22 +66,6 @@ class Multicomplex:
         """Largest n with delta_n stored (possibly 0 for a plain complex)."""
         return len(self.deltas) - 1
 
-    @property
-    def differential(self) -> GradedMap:
-        return self.deltas[0]
-
-    @property
-    def is_mixed(self) -> bool:
-        return self.order <= 1
-
-    @property
-    def is_minimal(self) -> bool:
-        return self.differential.is_zero
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 0
-
     def __eq__(self, other):
         return (isinstance(other, Multicomplex) and self.space == other.space
                 and self.deltas == other.deltas)
@@ -121,11 +105,6 @@ class InfinityMorphism:
     @property
     def order(self) -> int:
         return len(self.comps) - 1
-
-    @property
-    def is_isotopy(self) -> bool:
-        return (self.source.space == self.target.space
-                and self.comps[0] == GradedMap.identity(self.source.space))
 
     def __eq__(self, other):
         return (isinstance(other, InfinityMorphism)

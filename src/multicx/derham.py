@@ -30,7 +30,7 @@ from itertools import chain, combinations
 
 from .complexes import Multicomplex
 from .errors import NotContained, NotJacobi, ShapeMismatch
-from .exactla import Matrix, accumulate, kernel_image, rat, solve
+from .exactla import accumulate, kernel_image, rat, solve
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
@@ -92,10 +92,6 @@ class PolyVector:
     def zero(dim: int) -> "PolyVector":
         return PolyVector(dim)
 
-    @staticmethod
-    def coordinate_field(dim: int, j: int) -> "PolyVector":
-        return PolyVector(dim, {((0,) * dim, (j,)): 1})
-
     def __eq__(self, other):
         return (isinstance(other, PolyVector) and self.dim == other.dim
                 and self.terms == other.terms)
@@ -112,9 +108,6 @@ class PolyVector:
 
     def is_homogeneous(self, k: int) -> bool:
         return all(len(J) == k for (_, J) in self.terms)
-
-    def coefficient_degree(self) -> int:
-        return max((sum(a) for (a, _) in self.terms), default=0)
 
     def component(self, k: int) -> "PolyVector":
         return PolyVector(self.dim, {key: c for key, c in self.terms.items()
@@ -251,9 +244,6 @@ class FormAlgebra:
     def space(self) -> GradedVectorSpace:
         return self._space
 
-    def form_degree_dim(self, k: int) -> int:
-        return len(self.basis.get(k, []))
-
     def operator(self, form_shift: int, action) -> GradedMap:
         """Assemble the graded map of an operator given termwise on basis
         monomials; action(k, alpha, I) yields ((beta, J), coeff) terms of
@@ -272,13 +262,6 @@ class FormAlgebra:
                     entries.append((-k, pos_out[(beta, J)], col, coeff))
         return GradedMap.from_entries(self._space, self._space,
                                       -form_shift, entries)
-
-    def vector_of_form_terms(self, terms, k: int) -> Matrix:
-        """Column vector of a form of pure degree k given as term dict."""
-        col = Matrix(self.form_degree_dim(k), 1)
-        for (alpha, I), c in terms.items():
-            col.entries[(self.position[k][(alpha, I)], 0)] = rat(c)
-        return col
 
 
 def d_de_rham(a: FormAlgebra) -> GradedMap:

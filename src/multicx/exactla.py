@@ -20,6 +20,8 @@ check through the private `Subspace._independent`:
     column spans;
   - `complement` keeps pivot columns of an independent ambient basis;
   - `Subspace.zero` and `Subspace.full` have no columns and identity columns;
+  - the image basis B = d C of `transfer.build_retract` is d applied to a
+    complement C of ker d, on which d is injective;
   - the spectral filtration F_s takes identity columns, and the cycles Z^r_s
     re-index a kernel basis injectively into the total degree, which keeps
     it independent.
@@ -105,10 +107,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [(i, i, ONE) for i in range(n)])
 
-    @staticmethod
-    def column(values) -> "Matrix":
-        return Matrix(len(values), 1, [(i, 0, rat(v)) for i, v in enumerate(values)])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -165,11 +163,6 @@ class Matrix:
             for a, hits in terms:
                 accumulate(row, hits, a)
             m.entries.update(((i, k), v) for k, v in row.items())
-        return m
-
-    def transpose(self) -> "Matrix":
-        m = Matrix(self.cols, self.rows)
-        m.entries.update({(c, r): v for (r, c), v in self.entries.items()})
         return m
 
     def hstack(self, other: "Matrix") -> "Matrix":

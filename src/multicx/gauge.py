@@ -255,8 +255,8 @@ def find_gauge(model: MinimalModel):
     weights = nonzero_weights(model.minimal)
     if weights:
         return NoGauge(witness=weights[0])
-    iso = model.iso
+    iso, frame = model.iso, model.frame
     psi = OperatorSeries(iso.source.space,
-                         {n: compose(model.frame, iso.comp(n)) for n in range(iso.order + 1)})
+                         {n: compose(frame, iso.comp(n)) for n in range(iso.order + 1)})
     return series_log(psi).neg()
 

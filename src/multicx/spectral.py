@@ -178,9 +178,6 @@ class SpectralPage:
     def dims_table(self):
         return {key: e.dim for key, e in sorted(self.entries.items()) if e.dim}
 
-    def differential_is_zero(self) -> bool:
-        return self.first_nonzero_differential() is None
-
     def first_nonzero_differential(self):
         """Least (s, n) whose differential d^r is nonzero, or None."""
         for key in sorted(self.differentials):
@@ -251,10 +248,6 @@ class DegenerationResult:
     witness: object  # (r, s, n) of the first nonzero differential, or None
     homology: GradedVectorSpace  # H(A, d), which gives page one
     pages: list = field(default_factory=list)  # pages built to find the witness
-
-    @property
-    def pages_checked(self) -> int:
-        return len(self.pages)
 
     def __bool__(self):
         return self.ok

@@ -1,12 +1,18 @@
 """Deformation retracts onto homology and homotopy transfer.
 
-`build_retract` splits each degree as A = H (+) B (+) C with B = im d and
-Z = ker d = H (+) B, then sets the contracting homotopy to -(d|_C)^{-1} on B
-and zero elsewhere.  That sign makes incl o proj - id = d h + h d hold on the
-nose, and the splitting gives the side conditions h i = 0, p h = 0, h h = 0
-for free.  The same splitting hands back the acyclic complement K = B (+) C
-of the homology representatives: its basis [B | C] and its coordinates q_0,
-the lower rows of the inverse of the frame [H | B | C].
+A retract is read from one splitting A_k = H_k (+) B_k (+) C_k: the frame
+F_k = [H | B | C] and the rows (p, b, c) of F_k^{-1}.  `build_retract`
+eliminates once per degree, for Z_k = ker d_k; C_k complements Z_k,
+B_k = d C_{k+1} is im d, and H_k complements B_k in Z_k.  As d maps C_{k+1}
+onto B_k column for column, the homotopy -(d|_C)^{-1} on B is the product
+-C_{k+1} b_k, with no solve; that sign makes incl o proj - id = d h + h d
+hold on the nose, and the splitting gives h i = 0, p h = 0, h h = 0 for
+free.  incl is H, proj is p, and the acyclic complement K = B (+) C of the
+homology representatives has basis [B | C] and coordinates q_0 = [b; c].
+
+Every other retract is a change of frame of this one, since ker d and im d
+are unique: `alternative_retract` twists F to F T with T unipotent and
+reads the retract from F T and T^{-1} F^{-1} by products alone.
 
 `transfer_structure` pushes a multicomplex structure across a retract using
 the sum-over-compositions formulas: the transferred operator of weight n is
@@ -72,113 +78,106 @@ class DeformationRetract:
             "side_h_h": compose(self.homotopy, self.homotopy),
         }
 
-    def is_valid(self) -> bool:
-        return all(v.is_zero for v in self.identity_defects().values())
 
+@dataclass
+class Splitting:
+    """A_k = H_k (+) B_k (+) C_k in every degree of a complex (A, d).
 
-def _assemble_retract(space, d, parts):
-    """Build (retract, (kbasis, kcoords)) from a per-degree splitting.
-
-    parts maps degree k to (h_basis, b_sub, c_basis): independent columns
-    spanning a complement of im d in ker d, the image subspace, and a
-    complement of ker d in A_k.  kbasis[k] = [B | C] spans the complement K
-    and kcoords[k] holds the matching rows of the frame inverse, so that
-    kcoords[k] kbasis[k] = id and kcoords[k] incl = 0.
+    bases[k] = (H, B, C) are the columns of the frame F_k = [H | B | C] and
+    coords[k] = (p, b, c) the matching rows of F_k^{-1}.  H (+) B is ker d_k
+    and B_k = d C_{k+1}, so d maps C_{k+1} onto B_k column for column.
     """
-    proj_blocks, incl_blocks, h_blocks = {}, {}, {}
-    small_dims = {}
-    kbasis, kcoords = {}, {}
-    for k in space.degrees:
-        h_b, b_sub, c_b = parts[k]
-        small_dims[k] = h_b.cols
-        frame = h_b.hstack(b_sub.basis).hstack(c_b)
-        inv = solve(frame, Matrix.identity(space.dim(k)))
-        if inv is None:
-            raise NotSquareZero("splitting failed to span a degree, found no frame inverse")
-        if h_b.cols:
-            incl_blocks[k] = h_b
-            proj_blocks[k] = inv.select_rows(range(h_b.cols))
-        kbasis[k] = b_sub.basis.hstack(c_b)
-        kcoords[k] = inv.select_rows(range(h_b.cols, space.dim(k)))
-    for k in space.degrees:
-        h_b, b_sub, c_b = parts[k]
-        if not b_sub.dim:
-            continue
-        c_above = parts.get(k + 1)
-        if c_above is None or not c_above[2].cols:
-            raise NotSquareZero("image in degree %d has no preimage complement" % k)
-        dm = d.block(k + 1).mul(c_above[2])
-        coords = solve(dm, b_sub.basis)
-        if coords is None:
-            raise NotSquareZero("homotopy solve failed in degree %d" % k)
-        lift = c_above[2].mul(coords).neg()
-        b_rows = kcoords[k].select_rows(range(b_sub.dim))
-        h_blocks[k] = lift.mul(b_rows)
-    small = GradedVectorSpace(small_dims)
-    retract = DeformationRetract(
+    d: GradedMap
+    bases: dict
+    coords: dict
+
+    @property
+    def frame(self) -> GradedMap:
+        """F = [H | B | C] in every degree, a degree-0 map A -> A."""
+        space = self.d.source
+        return GradedMap(space, space, 0, {k: h.hstack(b).hstack(c)
+                                           for k, (h, b, c) in self.bases.items()})
+
+    def complement(self):
+        """The inclusion [B | C] of K = B (+) C and its coordinates q_0 = [b; c]."""
+        space = self.d.source
+        kspace = GradedVectorSpace({k: b.cols + c.cols for k, (_, b, c) in self.bases.items()})
+        return (GradedMap(kspace, space, 0, {k: b.hstack(c) for k, (_, b, c) in self.bases.items()}),
+                GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in self.coords.items()}))
+
+
+def _retract(s: Splitting) -> DeformationRetract:
+    """The retract read off a splitting by products alone: incl is H, proj
+    is p, and since d C_{k+1} = B_k the homotopy on A_k is -C_{k+1} b_k."""
+    space = s.d.source
+    proj, incl, homotopy = {}, {}, {}
+    for k, (h, b, _) in s.bases.items():
+        p, b_rows, _ = s.coords[k]
+        if h.cols:
+            incl[k], proj[k] = h, p
+        if b.cols:
+            homotopy[k] = s.bases[k + 1][2].mul(b_rows).neg()
+    small = GradedVectorSpace({k: h.cols for k, (h, _, _) in s.bases.items()})
+    return DeformationRetract(
         big=space,
         small=small,
-        proj=GradedMap(space, small, 0, proj_blocks),
-        incl=GradedMap(small, space, 0, incl_blocks),
-        homotopy=GradedMap(space, space, 1, h_blocks),
-        d_big=d,
+        proj=GradedMap(space, small, 0, proj),
+        incl=GradedMap(small, space, 0, incl),
+        homotopy=GradedMap(space, space, 1, homotopy),
+        d_big=s.d,
         d_small=GradedMap.zero(small, small, -1),
     )
-    return retract, (kbasis, kcoords)
-
-
-def _splitting(space, d, twist=None):
-    """Per-degree splitting data; `twist` perturbs the complement choices."""
-    kernels, images = {}, {}
-    for k in space.degrees:
-        kernels[k], images[k - 1] = kernel_image(d.block(k))
-    parts = {}
-    for k in space.degrees:
-        z = kernels[k]
-        b = images.get(k) or Subspace.zero(space.dim(k))
-        h_sub = complement(b, z)
-        c_sub = complement(z, Subspace.full(space.dim(k)))
-        h_b, c_b = h_sub.basis, c_sub.basis
-        if twist is not None:
-            phi, psi = twist(k, b.dim, h_b.cols, z.dim, c_b.cols)
-            if h_b.cols and b.dim:
-                h_b = h_b.add(b.basis.mul(phi))
-            if c_b.cols and z.dim:
-                c_b = c_b.add(z.basis.mul(psi))
-        parts[k] = (h_b, b, c_b)
-    return parts
 
 
 def build_retract(space: GradedVectorSpace, d: GradedMap):
     """Deterministic deformation retract of (space, d) onto its homology.
 
-    Returns (retract, (kbasis, kcoords)) where kbasis[k] spans the
-    complement K = im d (+) C of the homology representatives in degree k
-    and kcoords[k] maps A_k onto coordinates in that basis.
+    Returns (retract, splitting).  Each degree is eliminated once, for
+    ker d_k; C_k is the greedy complement of ker d_k, B_k = d C_{k+1}, H_k
+    the greedy complement of B_k in ker d_k, and one solve inverts the frame.
     """
     if d.degree != -1:
         raise NotSquareZero("differential must have degree -1")
     if not compose(d, d).is_zero:
         raise NotSquareZero("d squared is nonzero")
-    return _assemble_retract(space, d, _splitting(space, d))
+    kernels, c = {}, {}
+    for k in space.degrees:
+        kernels[k] = kernel_image(d.block(k))[0]
+        c[k] = complement(kernels[k], Subspace.full(space.dim(k))).basis
+    bases, coords = {}, {}
+    for k, n in space.dims.items():
+        b = d.block(k + 1).mul(c[k + 1]) if k + 1 in c else Matrix(n, 0)
+        h = complement(Subspace._independent(n, b), kernels[k]).basis
+        inverse = solve(h.hstack(b).hstack(c[k]), Matrix.identity(n))
+        z = h.cols + b.cols
+        bases[k] = (h, b, c[k])
+        coords[k] = tuple(inverse.select_rows(r) for r in (range(h.cols), range(h.cols, z), range(z, n)))
+    split = Splitting(d, bases, coords)
+    return _retract(split), split
 
 
-def alternative_retract(space: GradedVectorSpace, d: GradedMap, rng):
-    """A randomized deformation retract: the complements H of im d in ker d
-    and C of ker d are perturbed by random graphs, then the homotopy is
-    rebuilt, so all side conditions are re-derived rather than assumed."""
-    if not compose(d, d).is_zero:
-        raise NotSquareZero("d squared is nonzero")
+def _random_matrix(rng, rows, cols):
+    return Matrix(rows, cols, [(r, c, rng.randint(-2, 2))
+                               for r in range(rows) for c in range(cols)])
 
-    def twist(k, bdim, hdim, zdim, cdim):
-        phi = Matrix(bdim, hdim, [(r, c, rng.randint(-2, 2))
-                                  for r in range(bdim) for c in range(hdim)])
-        psi = Matrix(zdim, cdim, [(r, c, rng.randint(-2, 2))
-                                  for r in range(zdim) for c in range(cdim)])
-        return phi, psi
 
-    retract, _ = _assemble_retract(space, d, _splitting(space, d, twist))
-    return retract
+def alternative_retract(split: Splitting, rng):
+    """A randomized deformation retract and its splitting: the frame twisted
+    to F T, with T unipotent, H' = H + B phi and C' = C + H psi_H + B psi_B
+    for random integers in [-2, 2].  Every complement of B in ker d and of
+    ker d in A arises so.  The inverse T^{-1} F^{-1} is a product:
+    p' = p - psi_H c, b' = b - phi p' - psi_B c and c' = c."""
+    bases, coords = {}, {}
+    for k, (h, b, c) in split.bases.items():
+        p, b_rows, c_rows = split.coords[k]
+        phi = _random_matrix(rng, b.cols, h.cols)
+        psi_h = _random_matrix(rng, h.cols, c.cols)
+        psi_b = _random_matrix(rng, b.cols, c.cols)
+        p_twisted = p.sub(psi_h.mul(c_rows))
+        bases[k] = (h.add(b.mul(phi)), b, c.add(h.mul(psi_h)).add(b.mul(psi_b)))
+        coords[k] = (p_twisted, b_rows.sub(phi.mul(p_twisted)).sub(psi_b.mul(c_rows)), c_rows)
+    twisted = Splitting(split.d, bases, coords)
+    return _retract(twisted), twisted
 
 
 def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap, nmax: int):
@@ -265,8 +264,14 @@ class MinimalModel:
     minimal: Multicomplex
     trivial: Multicomplex
     iso: InfinityMorphism  # from the input to minimal (+) trivial
-    frame: GradedMap       # minimal (+) trivial -> input, the inverse of iso.comp(0)
     retract: DeformationRetract
+    splitting: Splitting
+
+    @property
+    def frame(self) -> GradedMap:
+        """minimal (+) trivial -> input: the splitting's frame [H | B | C],
+        the inverse of iso.comp(0)."""
+        return self.splitting.frame
 
 
 def minimal_model(m: Multicomplex) -> MinimalModel:
@@ -275,17 +280,16 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
 
     The isomorphism stacks the transferred projection components with the
     recursive extension of the complement projection.  Its degree-0 part
-    [proj; q_0] is the inverse of the retract's frame [incl | B | C], which
+    [proj; q_0] is the inverse of the splitting's frame [H | B | C], which
     the model keeps as `frame`; `invert_infinity(model.iso)` gives the whole
     inverse when a caller needs it.
     """
-    retract, (kbasis, kcoords) = build_retract(m.space, m.delta(0))
+    retract, split = build_retract(m.space, m.delta(0))
     out = transfer_structure(retract, m)
     minimal = out.transferred
     big = m.space
-    kspace = GradedVectorSpace({k: b.cols for k, b in kbasis.items()})
-    q0 = GradedMap(big, kspace, 0, kcoords)
-    i_k = GradedMap(kspace, big, 0, kbasis)
+    i_k, q0 = split.complement()
+    kspace = i_k.source
     d_k = compose(q0, compose(retract.d_big, i_k))
     s_k = compose(q0, compose(retract.homotopy, i_k))
     if not lincomb([(1, compose(d_k, s_k)), (1, compose(s_k, d_k)),
@@ -308,7 +312,5 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
         qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
         comps.append(stack_maps(pn, qn, total.space, minimal.space))
     iso = InfinityMorphism(m, total, comps)
-    frame = GradedMap(total.space, big, 0,
-                      {k: retract.incl.block(k).hstack(kbasis[k]) for k in big.degrees})
     return MinimalModel(minimal=minimal, trivial=trivial, iso=iso,
-                        frame=frame, retract=retract)
+                        retract=retract, splitting=split)

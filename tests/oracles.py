@@ -3,8 +3,9 @@
 None of these is on a path the CLI runs.  Each is either an independent
 second construction of something the package computes (the inclusion's
 infinity-extension, the paper's explicit gauge for mixed complexes, the
-leading-slot identification of a page with homology) or a generator of
-test instances.
+leading-slot identification of a page with homology), a generator of
+test instances, or a small constructor that only tests need (matrices from
+rows or a column, the transpose, coordinate fields, form vectors).
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from random import Random
 
 from multicx import transfer
 from multicx.complexes import InfinityMorphism, Multicomplex
+from multicx.derham import PolyVector
 from multicx.exactla import Matrix, induced_subquotient_map, kernel_image, rat
 from multicx.gauge import (
     OperatorSeries,
@@ -30,6 +32,34 @@ def from_rows(data) -> Matrix:
     assert all(len(row) == cols for row in data), "ragged rows"
     return Matrix(len(data), cols,
                   [(i, j, rat(v)) for i, row in enumerate(data) for j, v in enumerate(row)])
+
+
+def column(values) -> Matrix:
+    """The column vector of the given rationals."""
+    return Matrix(len(values), 1, [(i, 0, rat(v)) for i, v in enumerate(values)])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def coordinate_field(dim: int, j: int) -> PolyVector:
+    """The constant vector field d/dx_j."""
+    return PolyVector(dim, {((0,) * dim, (j,)): 1})
+
+
+def coefficient_degree(v: PolyVector) -> int:
+    """The largest total degree of a coefficient of v, 0 for v = 0."""
+    return max((sum(a) for (a, _) in v.terms), default=0)
+
+
+def form_vector(a, terms, k: int) -> Matrix:
+    """The column vector, in the basis of the form algebra a, of a form of
+    pure degree k given as {(alpha, I): coefficient}."""
+    col = Matrix(len(a.basis[k]), 1)
+    for (alpha, I), c in terms.items():
+        col.entries[(a.position[k][(alpha, I)], 0)] = rat(c)
+    return col
 
 
 # ---- homotopy transfer ----
@@ -159,5 +189,5 @@ def mixed_gauge_instance(rng: Random, max_width=5, max_dim=3):
            if rng.random() < 0.6]
     series = OperatorSeries.single(1, GradedMap.from_entries(space, space, 2, ent))
     m = gauge_construct(d, series)
-    assert m.is_mixed, "single-degree gauge produced higher operators"
+    assert m.order <= 1, "single-degree gauge produced higher operators"
     return m, series

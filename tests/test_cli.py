@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from multicx import cli, complexes, derham, gauge, graded, spectral, transfer
+from multicx import cli, complexes, derham, exactla, gauge, graded, spectral, transfer
 from multicx.cli import cmd_analyze, cmd_generate, cmd_geometry, main
 from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
@@ -135,6 +135,24 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
     assert not cmd_analyze(stair).ok
     assert counts["invert_infinity"] == counts["compose_infinity"] == 0
+    # --seed twists the model's splitting: one retract is still built, and
+    # the two randomized retracts eliminate nothing
+    eliminations = count_calls(monkeypatch, exactla.kernel_image, exactla.complement,
+                               exactla.solve)
+    inside = []
+
+    def twisted(split, rng, _fn=transfer.alternative_retract):
+        before = dict(eliminations)
+        out = _fn(split, rng)
+        inside.append({name: n - before[name] for name, n in eliminations.items()})
+        return out
+    monkeypatch.setattr(cli, "alternative_retract", twisted)
+    for name in counts:
+        counts[name] = 0
+    report = cmd_analyze(path, seed=5)
+    assert report.ok and report.checks[-1].name == "randomized retracts agree"
+    assert counts["build_retract"] == counts["minimal_model"] == 1
+    assert inside == [{"kernel_image": 0, "complement": 0, "solve": 0}] * 2
 
 
 def structure_file(tmp_path, kind):

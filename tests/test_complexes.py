@@ -13,6 +13,7 @@ from multicx.complexes import (
 )
 from multicx.errors import NotInvertible, SourceTargetMismatch
 from multicx.graded import GradedMap, GradedVectorSpace, compose
+from oracles import transpose
 
 
 V = GradedVectorSpace({0: 2, 1: 2, 2: 2, 3: 2})
@@ -40,7 +41,7 @@ def staircase4():
 def test_zero_multicomplex_valid():
     m = Multicomplex.zero(V)
     assert validate_multicomplex(m).ok
-    assert m.is_mixed and m.is_trivial and m.is_minimal
+    assert m.order == 0 and m.delta(0).is_zero
 
 
 def test_validate_catches_bad_differential():
@@ -64,7 +65,7 @@ def test_validate_catches_broken_anticommute():
 
 def test_staircase_is_valid_mixed():
     m = staircase4()
-    assert m.is_mixed
+    assert m.order <= 1
     assert validate_multicomplex(m).ok
 
 
@@ -81,7 +82,7 @@ def test_truncation_soundness_zero_padding():
 def test_identity_morphism_valid():
     ident = InfinityMorphism.identity(staircase4())
     assert validate_infinity_morphism(ident).ok
-    assert ident.is_isotopy
+    assert ident.comps == [GradedMap.identity(ident.source.space)]
 
 
 def test_non_chain_map_flagged_at_zero():
@@ -161,7 +162,7 @@ def test_invert_isotopy_round_trip_random():
         k = rng.choice([0, 1])
         f = single_block_isotopy(m, k, [(0, 0, rng.randint(-2, 2))])
         g = invert_infinity(f)
-        assert g.is_isotopy
+        assert g.comp(0) == GradedMap.identity(m.space)
         assert compose_infinity(g, f) == InfinityMorphism.identity(m)
         assert compose_infinity(f, g) == InfinityMorphism.identity(m)
         assert invert_infinity(g) == f
@@ -192,7 +193,7 @@ def summand_maps(space, total, offset):
     incl = GradedMap.from_entries(space, total, 0, [(k, offset(k) + r, r, 1)
                                                     for k in space.degrees
                                                     for r in range(space.dim(k))])
-    proj = GradedMap(total, space, 0, {k: incl.block(k).transpose() for k in space.degrees})
+    proj = GradedMap(total, space, 0, {k: transpose(incl.block(k)) for k in space.degrees})
     return incl, proj
 
 

@@ -2,6 +2,8 @@ from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.complexes import (
     InfinityMorphism,
@@ -13,7 +15,7 @@ from multicx.complexes import (
 )
 from multicx import transfer
 from multicx.errors import NotSquareZero, SpaceMismatch
-from multicx.exactla import Subspace, kernel_image
+from multicx.exactla import Matrix, Subspace, kernel_image
 from multicx.generators import (
     corpus,
     generate,
@@ -66,16 +68,22 @@ def identity_retract(m):
         d_big=m.delta(0), d_small=m.delta(0))
 
 
+def defects_vanish(r):
+    return all(v.is_zero for v in r.identity_defects().values())
+
+
 def test_build_retract_zero_differential():
     space = GradedVectorSpace({0: 2, 1: 1})
-    r, (kbasis, kcoords) = build_retract(space, GradedMap.zero(space, space, -1))
+    r, split = build_retract(space, GradedMap.zero(space, space, -1))
     assert r.small == space
     assert r.proj == GradedMap.identity(space)
     assert r.incl == GradedMap.identity(space)
     assert r.homotopy.is_zero
-    assert all(b.cols == 0 for b in kbasis.values())
-    assert all(q.rows == 0 for q in kcoords.values())
-    assert r.is_valid()
+    assert {k: (h.cols, b.cols, c.cols) for k, (h, b, c) in split.bases.items()} == \
+        {0: (2, 0, 0), 1: (1, 0, 0)}
+    i_k, q0 = split.complement()
+    assert i_k.source.is_zero and q0.is_zero
+    assert defects_vanish(r)
 
 
 def test_build_retract_acyclic_two_term():
@@ -85,7 +93,7 @@ def test_build_retract_acyclic_two_term():
     assert r.small.is_zero
     # the retract identity ip - id = dh + hd forces h = -(d|_C)^{-1}
     assert r.homotopy.block(0) == from_rows([[-1]])
-    assert r.is_valid()
+    assert defects_vanish(r)
 
 
 def test_build_retract_mixed_ranks():
@@ -110,11 +118,12 @@ def test_build_retract_valid_on_random_instances():
     for _ in range(30):
         space = rand_space(rng)
         d = rand_square_zero(rng, space, -1)
-        r, (kbasis, _) = build_retract(space, d)
-        assert r.is_valid()
+        r, split = build_retract(space, d)
+        assert defects_vanish(r)
         assert r.small == homology(d)
+        i_k, _ = split.complement()
         for k in space.degrees:
-            assert r.small.dim(k) + kbasis[k].cols == space.dim(k)
+            assert r.small.dim(k) + i_k.source.dim(k) == space.dim(k)
 
 
 def test_alternative_retracts_valid():
@@ -122,9 +131,39 @@ def test_alternative_retracts_valid():
     for _ in range(15):
         space = rand_space(rng)
         d = rand_square_zero(rng, space, -1)
-        r = alternative_retract(space, d, rng)
-        assert r.is_valid()
+        _, split = build_retract(space, d)
+        r, _ = alternative_retract(split, rng)
+        assert defects_vanish(r)
         assert r.small == homology(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 10 ** 9))
+def test_splitting_and_its_twists(seed):
+    rng = Random(seed)
+    space = rand_space(rng)
+    d = rand_square_zero(rng, space, -1, force_nonzero=rng.random() < 0.5)
+    _, split = build_retract(space, d)
+    r, twisted = alternative_retract(split, rng)
+    for s in (split, twisted):
+        for k, (h, b, c) in s.bases.items():
+            # F F^{-1} = id, and d C_{k+1} = B_k: the invariant that makes
+            # the homotopy a product
+            assert s.frame.block(k).mul(reduce(Matrix.vstack, s.coords[k])) == \
+                Matrix.identity(space.dim(k))
+            c_above = s.bases[k + 1][2] if k + 1 in s.bases else Matrix(0, 0)
+            assert d.block(k + 1).mul(c_above) == b
+    assert defects_vanish(r)
+    assert r.small == homology(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from("ab"), st.integers(0, 10 ** 4), st.integers(0, 10 ** 9))
+def test_twisted_retracts_give_the_canonical_verdict(profile, gseed, seed):
+    m = generate(profile, gseed)
+    canonical, split = build_retract(m.space, m.delta(0))
+    twisted, _ = alternative_retract(split, Random(seed))
+    assert check_hodge_data(twisted, m) == check_hodge_data(canonical, m)
 
 
 def test_transfer_trivial_higher_structure():
@@ -133,7 +172,7 @@ def test_transfer_trivial_higher_structure():
     r, _ = build_retract(space, d)
     m = Multicomplex.trivial(space, d)
     out = transfer_structure(r, m)
-    assert out.transferred.is_trivial
+    assert out.transferred.order == 0
     assert inclusion_extension(r, m, out.transferred).comps == [r.incl]
     assert out.p_inf.comps == [r.proj]
 
@@ -174,7 +213,7 @@ def test_transfer_mixed_second_operator_is_single_word():
     rng = Random(43)
     for _ in range(10):
         m, _ = mixed_gauge_instance(rng)
-        r = alternative_retract(m.space, m.delta(0), rng)
+        r, _ = alternative_retract(build_retract(m.space, m.delta(0))[1], rng)
         out = transfer_structure(r, m)
         word = reduce(compose, [r.proj, m.delta(1), r.homotopy, m.delta(1), r.incl])
         assert out.transferred.delta(2) == word
@@ -259,10 +298,10 @@ def test_hodge_data_gauge_orbit_any_retract():
     rng = Random(47)
     for seed in range(5):
         m = generate("a", 300 + seed)
-        canonical, _ = build_retract(m.space, m.delta(0))
+        canonical, split = build_retract(m.space, m.delta(0))
         assert check_hodge_data(canonical, m).ok
         for _ in range(20):
-            r = alternative_retract(m.space, m.delta(0), rng)
+            r, _ = alternative_retract(split, rng)
             assert check_hodge_data(r, m).ok
 
 
@@ -314,10 +353,9 @@ def test_minimal_model_random_instances():
 
 def complement_data(m):
     """The retract with K, q_0, iota_K, d_K and s built by products alone."""
-    r, (kbasis, kcoords) = build_retract(m.space, m.delta(0))
-    kspace = GradedVectorSpace({k: b.cols for k, b in kbasis.items()})
-    q0 = GradedMap(m.space, kspace, 0, kcoords)
-    i_k = GradedMap(kspace, m.space, 0, kbasis)
+    r, split = build_retract(m.space, m.delta(0))
+    i_k, q0 = split.complement()
+    kspace = i_k.source
     d_k = reduce(compose, [q0, m.delta(0), i_k])
     s = reduce(compose, [q0, r.homotopy, i_k])
     return r, kspace, q0, i_k, d_k, s
@@ -352,16 +390,22 @@ def count_in_transfer(monkeypatch, name):
 
 
 def test_minimal_model_eliminates_only_for_the_splitting(monkeypatch):
+    # per degree one kernel, two complements and the frame inverse; the
+    # model, the verdict and every twisted retract eliminate nothing more
     kernels = count_in_transfer(monkeypatch, "kernel_image")
+    complements = count_in_transfer(monkeypatch, "complement")
     solves = count_in_transfer(monkeypatch, "solve")
+    rng = Random(53)
     for m in [generate("a", 5), generate("b", 5), staircase4()]:
-        r, _ = build_retract(m.space, m.delta(0))
-        assert len(kernels) == len(m.space.degrees)
-        retract_solves = len(solves)
-        del kernels[:], solves[:]
+        degrees = len(m.space.degrees)
+        r, split = build_retract(m.space, m.delta(0))
+        assert (len(kernels), len(complements), len(solves)) == (degrees, 2 * degrees, degrees)
+        del kernels[:], complements[:], solves[:]
         minimal_model(m)
-        assert len(kernels) == len(m.space.degrees)
-        assert len(solves) == retract_solves
-        del kernels[:], solves[:]
+        assert (len(kernels), len(complements), len(solves)) == (degrees, 2 * degrees, degrees)
+        del kernels[:], complements[:], solves[:]
         check_hodge_data(r, m)
-        assert not kernels and not solves
+        for _ in range(3):
+            alt, _ = alternative_retract(split, rng)
+            check_hodge_data(alt, m)
+        assert not kernels and not complements and not solves
