@@ -19,10 +19,11 @@ and calls its builder once; the builders check only the structure
 equations, and the structure line reads its witness from their NotJacobi
 error.  The independent degeneration verdict, in `analyze` and `geometry`
 alike, comes from ranks: page one against the homology of the total
-complex.  Pages are built only to find the witness of a failed verdict,
-and `analyze` builds the later pages its table shows only then; when the
-verdict holds every page equals page one.  `--pages R` (R >= 1) truncates
-only the printed table.
+complex.  No page is built: when the verdict holds every page equals page
+one, and when it fails the witness (the first nonzero differential) and
+the page table of `analyze` are read off ranks of corner blocks of the
+two boundaries, one elimination per filtration class.  `--pages R`
+(R >= 1) truncates only the printed table.
 
 Exit codes: 0 every check passed, 1 a mathematical check failed (the report
 carries the witness), 2 input error, 3 internal error (a fault of the
@@ -53,7 +54,7 @@ from .errors import InvalidMulticomplex, MulticxError, NotContained, NotJacobi, 
 from .gauge import NoGauge, check_gauge_hodge, find_gauge
 from .generators import generate
 from .graded import compose, lincomb
-from .spectral import degenerates_at_one, page, page_one_dims, total_complex
+from .spectral import degenerates_at_one, page_dims, page_one_dims, total_complex
 from .transfer import alternative_retract, check_hodge_data, minimal_model, nonzero_weights
 from random import Random
 
@@ -189,16 +190,15 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
                "" if hodge_ok else "weight %d" % weights[0])
 
     # the verdict comes from ranks; when it holds every page equals page
-    # one, and when it fails the pages built to find the witness fill the
-    # table before any later page is built
+    # one, and when it fails the table is read off the corner ranks that
+    # found the witness
     degen = degenerates_at_one(t)
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
     if degen.ok:
         rows = [page_one_dims(t, degen.homology)] * shown
     else:
-        rows = [pg.dims_table() for pg in degen.pages[:shown]]
-        rows += [page(t, r).dims_table() for r in range(len(rows) + 1, shown + 1)]
+        rows = [page_dims(t, r) for r in range(1, shown + 1)]
     report.tables["page dimensions"] = {
         "page %d" % r: {str(k): v for k, v in dims.items()}
         for r, dims in enumerate(rows, 1)}

@@ -29,17 +29,33 @@ dimension at n is the previous one minus the ranks of the d^r leaving and
 entering degree n; page dimensions never increase.  Hence every
 differential on every page vanishes exactly when, for both parities,
 dim H(A, d) in that parity equals dim H_n(Tot) = dim Tot_n minus the ranks
-of the two boundaries.  Pages are built only to name the first nonzero
-differential when the rank test fails.
+of the two boundaries.
+
+Every page dimension and every differential's rank is fixed by ranks of
+corner blocks of the boundary, the rank invariants of persistence
+(Edelsbrunner, Letscher and Zomorodian 2002; Basu and Parida 2017).  Let
+rho_n(s, t) be the rank of boundary(n) on the columns of F_s(n) and the rows
+of Tot_{n-1} below level t.  Then
+    dim E^r_s(n) = dim gr_s(n) - rho_n(s, s+r) + rho_n(s+1, s+r)
+                   + rho_{n+1}(s-r+1, s) - rho_{n+1}(s-r+1, s+1),
+    rank d^r_s(n) = rho_n(s, s+r+1) - rho_n(s, s+r)
+                    - rho_n(s+1, s+r+1) + rho_n(s+1, s+r).
+The rows of a boundary are in ascending level, so the rows below level t
+are a prefix, and the pivots of one RREF of the transposed F_s column block
+(its row-rank profile) give rho_n(s, t) for every t: one elimination per
+occupied class of `_fold`.  When the rank test fails, the witness and the
+page table are read off these ranks; `page` builds the subquotients
+themselves and is the oracle they are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
-from .exactla import Matrix, Subspace, kernel_image, induced_subquotient_map, rank
+from .exactla import Matrix, Subspace, _rref, kernel_image, induced_subquotient_map, rank
 from .graded import GradedVectorSpace, homology
 
 
@@ -62,8 +78,14 @@ class TotalComplex:
         # descending q, that is ascending filtration level s = -q
         self._slots = [[(p - k) // 2 for k in space.degrees if (p - k) % 2 == 0]
                        for p in (0, 1)]
+        # the offset of each slot of parity p, then the total dimension
+        self._starts = [[0] for p in (0, 1)]
+        for p in (0, 1):
+            for d in self.slot_dims(p):
+                self._starts[p].append(self._starts[p][-1] + d)
         self._boundaries = [self._boundary_matrix(p) for p in (0, 1)]
         self._zcache = {}
+        self._profiles = {}
         # lo and hi only mark the window of total degrees a page prints
         self.lo, self.hi = ((0, -1) if space.is_zero
                             else (space.min_degree - 2, space.max_degree + 2))
@@ -80,7 +102,7 @@ class TotalComplex:
         return [space.dim(n - 2 * q) for q in self.slots(n)]
 
     def total_dim(self, n) -> int:
-        return sum(self.slot_dims(n))
+        return self._starts[n % 2][-1]
 
     def offset(self, n, q) -> int:
         off = 0
@@ -108,15 +130,16 @@ class TotalComplex:
         """Occupied filtration levels at total degree n, ascending."""
         return [-q for q in self.slots(n)]
 
+    def _filtration_start(self, n, s) -> int:
+        """The first coordinate of F_s in the total degree n block.  Slots
+        run by ascending level, so F_s is every coordinate from there on and
+        the rows below level s are the ones before it."""
+        p, level = _fold(n, s)
+        return self._starts[p][bisect_left([-q for q in self._slots[p]], level)]
+
     def filtration_indices(self, n, s):
         """Coordinate indices of F_s inside the total degree n block."""
-        idx = []
-        off = 0
-        for q, d in zip(self.slots(n), self.slot_dims(n)):
-            if q <= -s:
-                idx.extend(range(off, off + d))
-            off += d
-        return idx
+        return list(range(self._filtration_start(n, s), self.total_dim(n)))
 
     def filtration(self, n, s) -> Subspace:
         dim = self.total_dim(n)
@@ -134,8 +157,7 @@ class TotalComplex:
             return cached
         dim = self.total_dim(n)
         cols = self.filtration_indices(n, s)
-        keep = set(self.filtration_indices(n - 1, s + r))
-        rows = [i for i in range(self.total_dim(n - 1)) if i not in keep]
+        rows = range(self._filtration_start(n - 1, s + r))
         ker, _ = kernel_image(self.boundary(n).select_rows(rows).select_columns(cols))
         embed = Matrix(dim, ker.dim)
         for (i, j), v in ker.basis.entries.items():
@@ -143,6 +165,22 @@ class TotalComplex:
         out = Subspace._independent(dim, embed)
         self._zcache[key] = out
         return out
+
+    def corner_rank(self, n, s, t) -> int:
+        """rho_n(s, t): the rank of boundary(n) on the columns of F_s(n) and
+        the rows of Tot_{n-1} below level t, from the row-rank profile of the
+        F_s column block, eliminated once per occupied class of `_fold`."""
+        start, b = self._filtration_start(n, s), self.boundary(n)
+        if start == b.cols:
+            return 0
+        pivots = self._profiles.get((n % 2, start))
+        if pivots is None:
+            block = Matrix(b.cols - start, b.rows)
+            block.entries.update(((c - start, r), v) for (r, c), v in b.entries.items()
+                                 if c >= start)
+            pivots, _ = _rref(block)
+            self._profiles[(n % 2, start)] = pivots
+        return bisect_left(pivots, self._filtration_start(n - 1, t))
 
     def page_window(self):
         return range(self.lo + 1, self.hi)
@@ -177,13 +215,6 @@ class SpectralPage:
 
     def dims_table(self):
         return {key: e.dim for key, e in sorted(self.entries.items()) if e.dim}
-
-    def first_nonzero_differential(self):
-        """Least (s, n) whose differential d^r is nonzero, or None."""
-        for key in sorted(self.differentials):
-            if not self.differentials[key].is_zero():
-                return key
-        return None
 
 
 def _page_entry(t: TotalComplex, n, s, r) -> PageEntry:
@@ -242,12 +273,33 @@ def page_one_dims(t: TotalComplex, h=None):
                        for s in t.levels(n) if h.dim(n + 2 * s)))
 
 
+def page_dims(t: TotalComplex, r: int):
+    """Nonzero entries of page r, {(s, n): dim}, as `page(t, r).dims_table()`
+    gives them, read off corner ranks (module docstring)."""
+    rho = t.corner_rank
+    space = t.source.space
+    dims = {}
+    for n in t.page_window():
+        for s in t.levels(n):
+            dim = (space.dim(n + 2 * s) - rho(n, s, s + r) + rho(n, s + 1, s + r)
+                   + rho(n + 1, s - r + 1, s) - rho(n + 1, s - r + 1, s + 1))
+            if dim:
+                dims[(s, n)] = dim
+    return dict(sorted(dims.items()))
+
+
+def differential_rank(t: TotalComplex, r: int, s: int, n: int) -> int:
+    """The rank of d^r: E^r_s(n) -> E^r_{s+r}(n-1), read off corner ranks."""
+    rho = t.corner_rank
+    return (rho(n, s, s + r + 1) - rho(n, s, s + r)
+            - rho(n, s + 1, s + r + 1) + rho(n, s + 1, s + r))
+
+
 @dataclass
 class DegenerationResult:
     ok: bool
     witness: object  # (r, s, n) of the first nonzero differential, or None
     homology: GradedVectorSpace  # H(A, d), which gives page one
-    pages: list = field(default_factory=list)  # pages built to find the witness
 
     def __bool__(self):
         return self.ok
@@ -255,21 +307,22 @@ class DegenerationResult:
 
 def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     """True iff every differential on every page vanishes, decided by the
-    rank test of the module docstring; when it fails, pages 1, 2, ... are
-    built up to the first nonzero differential, which is the witness."""
+    rank test of the module docstring; when it fails, the witness is the
+    first nonzero differential, by least page r and then least (s, n),
+    found from corner ranks."""
     h = homology(t.source.delta(0))
     b = rank(t.boundary(0)) + rank(t.boundary(1))
     e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
     if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
         return DegenerationResult(ok=True, witness=None, homology=h)
-    pages = []
-    for r in range(1, t.stabilization_bound() + 1):
-        pages.append(page(t, r))
-        key = pages[-1].first_nonzero_differential()
-        if key is not None:
-            return DegenerationResult(ok=False, witness=(r,) + key, homology=h, pages=pages)
+    bound = t.stabilization_bound()
+    sources = sorted((s, n) for n in t.source_window() for s in t.levels(n))
+    for r in range(1, bound + 1):
+        for s, n in sources:
+            if differential_rank(t, r, s, n):
+                return DegenerationResult(ok=False, witness=(r, s, n), homology=h)
     raise NotWellDefined("page one does not account for the total homology, "
-                         "yet no page up to %d has a nonzero differential" % len(pages))
+                         "yet no page up to %d has a nonzero differential" % bound)
 
 
 def total_complex(m: Multicomplex) -> TotalComplex:

@@ -62,22 +62,6 @@ class DeformationRetract:
     d_big: GradedMap
     d_small: GradedMap
 
-    def identity_defects(self):
-        """Exact defects of every retract identity; all zero iff valid."""
-        ip = compose(self.incl, self.proj)
-        ident = GradedMap.identity(self.big)
-        dh = compose(self.d_big, self.homotopy)
-        hd = compose(self.homotopy, self.d_big)
-        return {
-            "proj_chain": compose(self.d_small, self.proj).sub(compose(self.proj, self.d_big)),
-            "incl_chain": compose(self.d_big, self.incl).sub(compose(self.incl, self.d_small)),
-            "retract_identity": ip.sub(ident).sub(dh).sub(hd),
-            "projection": compose(self.proj, self.incl).sub(GradedMap.identity(self.small)),
-            "side_h_incl": compose(self.homotopy, self.incl),
-            "side_proj_h": compose(self.proj, self.homotopy),
-            "side_h_h": compose(self.homotopy, self.homotopy),
-        }
-
 
 @dataclass
 class Splitting:

@@ -4,8 +4,10 @@ None of these is on a path the CLI runs.  Each is either an independent
 second construction of something the package computes (the inclusion's
 infinity-extension, the paper's explicit gauge for mixed complexes, the
 leading-slot identification of a page with homology), a generator of
-test instances, or a small constructor that only tests need (matrices from
-rows or a column, the transpose, coordinate fields, form vectors).
+test instances, a check that only tests make (the defects of the retract
+identities, the first nonzero differential of a built page), or a small
+constructor that only tests need (matrices from rows or a column, the
+transpose, coordinate fields, form vectors).
 """
 
 from fractions import Fraction
@@ -63,6 +65,23 @@ def form_vector(a, terms, k: int) -> Matrix:
 
 
 # ---- homotopy transfer ----
+
+def identity_defects(r):
+    """Exact defects of every identity of the deformation retract r; all
+    zero iff r is valid."""
+    ip = compose(r.incl, r.proj)
+    dh = compose(r.d_big, r.homotopy)
+    hd = compose(r.homotopy, r.d_big)
+    return {
+        "proj_chain": compose(r.d_small, r.proj).sub(compose(r.proj, r.d_big)),
+        "incl_chain": compose(r.d_big, r.incl).sub(compose(r.incl, r.d_small)),
+        "retract_identity": ip.sub(GradedMap.identity(r.big)).sub(dh).sub(hd),
+        "projection": compose(r.proj, r.incl).sub(GradedMap.identity(r.small)),
+        "side_h_incl": compose(r.homotopy, r.incl),
+        "side_proj_h": compose(r.proj, r.homotopy),
+        "side_h_h": compose(r.homotopy, r.homotopy),
+    }
+
 
 def inclusion_extension(r, m: Multicomplex, transferred: Multicomplex) -> InfinityMorphism:
     """The infinity-morphism from the transferred structure to m extending
@@ -132,6 +151,14 @@ def mixed_gauge_coefficient(retract, delta: GradedMap, n: int) -> GradedMap:
 
 
 # ---- spectral sequence ----
+
+def first_nonzero_differential(pg):
+    """Least (s, n) whose differential d^r on the page pg is nonzero, or None."""
+    for key in sorted(pg.differentials):
+        if not pg.differentials[key].is_zero():
+            return key
+    return None
+
 
 def identify_with_homology(t, pg, s: int, n: int) -> Matrix:
     """Matrix of the leading-slot identification E^r_s(n) -> H(A, d) in

@@ -115,11 +115,6 @@ def count_calls(monkeypatch, *functions):
     return counts
 
 
-def stabilization_bound(path):
-    m, _ = parse_multicomplex(open(path, encoding="utf-8").read())
-    return total_complex(m).stabilization_bound()
-
-
 def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
     counts = count_calls(monkeypatch, spectral.page, transfer.minimal_model,
@@ -296,34 +291,46 @@ def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatc
 
 
 def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):
-    path = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
-    bound = stabilization_bound(path)
+    # the obstructed staircase and a degenerate orbit: the table shows the
+    # pages up to the bound or R, equal to the built pages, and neither
+    # verdict builds a page
     counts = count_calls(monkeypatch, spectral.page)
-    witness = "page 2 at (level, total degree) = (-2, 4)"
-    for pages, shown, built in [(None, bound, bound), (1, 1, 2), (bound + 5, bound, bound)]:
-        counts["page"] = 0
-        report = cmd_analyze(path, pages=pages)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["degenerates at page one"].witness == witness
-        assert list(report.tables["page dimensions"]) == \
-            ["page %d" % r for r in range(1, shown + 1)]
-        assert counts["page"] == built
+    for name, text, witness in [
+            ("stair.mcx", print_multicomplex(staircase4()),
+             "page 2 at (level, total degree) = (-2, 4)"),
+            ("orbit.mcx", cmd_generate("a", 2), "")]:
+        path = write(tmp_path, name, text)
+        t = total_complex(parse_multicomplex(text)[0])
+        bound = t.stabilization_bound()
+        for pages, shown in [(None, bound), (1, 1), (bound + 5, bound)]:
+            counts["page"] = 0
+            report = cmd_analyze(path, pages=pages)
+            by_name = {c.name: c for c in report.checks}
+            assert by_name["degenerates at page one"].witness == witness
+            table = report.tables["page dimensions"]
+            assert list(table) == ["page %d" % r for r in range(1, shown + 1)]
+            assert counts["page"] == 0
+            for r in range(1, shown + 1):
+                direct = spectral.page(t, r).dims_table()
+                assert table["page %d" % r] == {str(k): v for k, v in direct.items()}
 
-    # a degenerate instance: every row is page one, and no page is built
-    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
-    m, _ = parse_multicomplex(open(path, encoding="utf-8").read())
-    t = total_complex(m)
-    bound = t.stabilization_bound()
-    for pages, shown in [(None, bound), (1, 1), (bound + 5, bound)]:
-        counts["page"] = 0
-        report = cmd_analyze(path, pages=pages)
-        assert report.ok
-        table = report.tables["page dimensions"]
-        assert list(table) == ["page %d" % r for r in range(1, shown + 1)]
-        assert counts["page"] == 0
-        for r in range(1, shown + 1):
-            direct = spectral.page(t, r).dims_table()
-            assert table["page %d" % r] == {str(k): v for k, v in direct.items()}
+
+def test_failed_verdict_reads_pages_off_corner_ranks(tmp_path, monkeypatch):
+    # the witness and the page table of a failed verdict come from at most
+    # one elimination per filtration class beyond the rank test's two, and
+    # no page or subquotient map is built
+    counts = count_calls(monkeypatch, spectral.page, exactla.induced_subquotient_map,
+                         exactla.rank, exactla._rref)
+    for name, text in [("stair.mcx", print_multicomplex(staircase4())),
+                       ("obstructed17.mcx", cmd_generate("b", 17))]:
+        path = write(tmp_path, name, text)
+        t = total_complex(parse_multicomplex(text)[0])
+        for key in counts:
+            counts[key] = 0
+        assert not cmd_analyze(path).ok
+        assert counts["page"] == counts["induced_subquotient_map"] == 0
+        assert counts["rank"] == 2
+        assert 0 < counts["_rref"] <= len(t.levels(0)) + len(t.levels(1)), counts
 
 
 def test_analyze_rejects_pages_below_one(tmp_path, capsys):

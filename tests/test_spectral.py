@@ -1,27 +1,35 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx import spectral
-from multicx.complexes import Multicomplex
+from multicx.complexes import Multicomplex, product
+from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_multicomplex
 from multicx.errors import InvalidMulticomplex, NotWellDefined
-from multicx.exactla import Matrix, Subspace, kernel_image
+from multicx.exactla import Matrix, Subspace, kernel_image, rank
+from multicx.gauge import conjugate_multicomplex
 from multicx.generators import (
     corpus,
     generate,
     hand_library,
+    profile_a,
+    profile_b,
+    rand_series,
     staircase4,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, homology
 from multicx.spectral import (
-    SpectralPage,
     degenerates_at_one,
+    differential_rank,
     page,
+    page_dims,
     page_one_dims,
     total_complex,
 )
 from multicx.transfer import build_retract, check_hodge_data, transfer_structure
-from oracles import identify_with_homology, mixed_gauge_instance
+from oracles import first_nonzero_differential, identify_with_homology, mixed_gauge_instance
 
 
 def two_line_mixed():
@@ -40,7 +48,7 @@ def test_zero_space_total_complex():
     t = total_complex(Multicomplex.zero(GradedVectorSpace({})))
     assert t.slots(0) == t.slots(1) == [] and not t.page_window()
     res = degenerates_at_one(t)
-    assert res.ok and not res.pages
+    assert res.ok and res.witness is None
 
 
 def test_slot_enumeration_two_line():
@@ -187,7 +195,7 @@ def test_obstructed_has_nonzero_page_one_differential():
     m = obstructed_mixed()
     t = total_complex(m)
     pg = page(t, 1)
-    assert pg.first_nonzero_differential() is not None
+    assert first_nonzero_differential(pg) is not None
     res = degenerates_at_one(t)
     assert not res.ok and res.witness[0] == 1
     # with d = 0 page 2 drops in dimension somewhere
@@ -212,47 +220,95 @@ def test_degeneration_matches_hodge_data_both_ways():
 
 
 def test_staircase_witness_page_two():
-    res = degenerates_at_one(total_complex(staircase4()))
+    t = total_complex(staircase4())
+    res = degenerates_at_one(t)
     assert not res.ok
-    assert res.witness[0] == 2
-    assert [pg.r for pg in res.pages] == [1, 2]
+    assert res.witness == (2, -2, 4)
+    # the built pages agree: nothing moves on page one, the witness moves on page two
+    assert first_nonzero_differential(page(t, 1)) is None
+    assert first_nonzero_differential(page(t, 2)) == (-2, 4)
 
 
-def page_walk(t):
-    """The page-by-page verdict: pages 1..bound up to the first nonzero
-    differential, returned with the witness (None when every one vanishes)."""
-    pages = []
+def check_ranks_against_pages(t):
+    """Compare every page r <= the stabilization bound that corner ranks give
+    with the page `page` builds: the dimension at every (s, n) and the rank
+    of every differential.  Returns the page walk's witness, the least r and
+    then the least (s, n) with a nonzero differential, or None."""
+    witness = None
     for r in range(1, t.stabilization_bound() + 1):
-        pages.append(page(t, r))
-        key = pages[-1].first_nonzero_differential()
-        if key is not None:
-            return (r,) + key, pages
-    return None, pages
+        pg = page(t, r)
+        assert page_dims(t, r) == pg.dims_table(), r
+        for n in t.source_window():
+            for s in t.levels(n):
+                mat = pg.differentials.get((s, n))
+                assert differential_rank(t, r, s, n) == (rank(mat) if mat else 0), (r, s, n)
+        key = first_nonzero_differential(pg)
+        if witness is None and key is not None:
+            witness = (r,) + key
+    return witness
+
+
+def check_verdict(m):
+    t = total_complex(m)
+    witness = check_ranks_against_pages(t)
+    res = degenerates_at_one(t)
+    assert res.ok == (witness is None)
+    assert res.witness == witness
+    assert page_one_dims(t) == page(t, 1).dims_table()
+    if res.ok:
+        # every page is page one, the table analyze prints for a degenerate input
+        for r in range(1, t.stabilization_bound() + 1):
+            assert page_dims(t, r) == page_one_dims(t)
+    return res
 
 
 def test_rank_verdict_agrees_with_page_walk():
     instances = [m for _, _, m in corpus(60)] + hand_library()
     seen = {True: 0, False: 0}
     for m in instances:
-        t = total_complex(m)
-        witness, pages = page_walk(t)
-        res = degenerates_at_one(t)
-        assert res.ok == (witness is None)
-        assert res.witness == witness
-        seen[res.ok] += 1
-        assert page_one_dims(t) == pages[0].dims_table()
-        if res.ok:
-            assert not res.pages
-            for pg in pages:
-                assert page_one_dims(t) == pg.dims_table()
-        else:
-            assert [pg.dims_table() for pg in res.pages] == \
-                [pg.dims_table() for pg in pages]
+        seen[check_verdict(m).ok] += 1
     assert seen[True] and seen[False]
 
 
+SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1, ((0, 1, 0), (0, 2)): -1})
+CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
+CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
+
+
+@pytest.mark.parametrize("build, w, e, algebra", [
+    (jacobi_multicomplex, SO3, PolyVector.zero(3), FormAlgebra(3, 2)),
+    (jacobi_multicomplex, CONTACT_W, CONTACT_E, FormAlgebra(3, 3, weight=True)),
+    (basic_subcomplex, CONTACT_W, CONTACT_E, FormAlgebra(3, 3, weight=True)),
+], ids=["so3-poisson-2", "contact-jacobi-3", "contact-basic-3"])
+def test_rank_verdict_agrees_with_page_walk_on_geometry(build, w, e, algebra):
+    assert check_verdict(build(w, e, algebra).multicomplex).ok
+
+
+def random_part(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return profile_a(rng, max_width=4, max_dim=2)[0]
+    if kind == 1:
+        return profile_b(rng, max_width=4, max_dim=2)
+    if kind == 2:
+        return staircase4()
+    return rng.choice(hand_library())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32))
+def test_rank_verdict_agrees_with_page_walk_on_conjugated_sums(seed):
+    # a direct sum of two instances, conjugated by a random series of
+    # weights one and two, mixes the pages on which differentials first move
+    rng = Random(seed)
+    base = product(random_part(rng), random_part(rng))
+    check_verdict(conjugate_multicomplex(rand_series(rng, base.space, density=0.2), base))
+
+
 def test_rank_failure_without_witness_is_a_logic_error(monkeypatch):
-    monkeypatch.setattr(spectral, "page", lambda t, r: SpectralPage(r=r))
+    # corner ranks that never see a boundary give no nonzero differential,
+    # while the rank test still fails
+    monkeypatch.setattr(spectral.TotalComplex, "corner_rank", lambda t, n, s, u: 0)
     with pytest.raises(NotWellDefined):
         degenerates_at_one(total_complex(staircase4()))
 
@@ -334,7 +390,7 @@ def test_staircase_page_two_differential_is_transferred_weight_two():
     m = staircase4()
     t = total_complex(m)
     p1 = page(t, 1)
-    assert p1.first_nonzero_differential() is None
+    assert first_nonzero_differential(p1) is None
     retract, _ = build_retract(m.space, m.delta(0))
     out = transfer_structure(retract, m)
     d2_op = out.transferred.delta(2)
