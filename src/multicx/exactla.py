@@ -2,9 +2,16 @@
 
 Everything downstream (graded maps, spectral pages, gauge series) reduces to
 ranks, kernels, images, complements and induced maps on subquotients computed
-here.  All arithmetic uses `fractions.Fraction`; there is no floating point
-anywhere in the package.  Basis selection follows a leftmost-pivot convention,
-so every output is reproducible byte for byte.
+here.  Entries are exact rationals: a Python `int` when the value is
+integral and a `fractions.Fraction` otherwise; there is no floating point
+anywhere in the package.  `rat` is the one place where a value is put in
+that form, so the de Rham operators of an integer structure hold only ints
+and a Fraction appears only where a denominator does.  Arithmetic may still
+produce an integral Fraction; it compares and hashes equal to its int, so
+matrix equality and printed values do not depend on which of the two is
+held.  The only inversion in the package is the pivot inverse of `_rref`.
+Basis selection follows a leftmost-pivot convention, so every output is
+reproducible byte for byte.
 
 Every elimination goes through one kernel, `_rref`.  It keeps a column index
 (column -> ids of the rows holding a nonzero there), so it reads pivot
@@ -33,18 +40,22 @@ from fractions import Fraction
 
 from .errors import NotContained, NotWellDefined, ShapeMismatch
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
+def rat(x):
+    """The exact rational x: an `int` when it is integral, else a `Fraction`.
 
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/7', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+    Ints (a bool becomes its int), strings like '3/7' and Fractions are
+    accepted; a Fraction or string whose denominator is 1 becomes its
+    numerator.  Anything else, a float included, is a TypeError.
+    """
+    if type(x) is int:
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("not an exact rational: %r" % (x,))
 
 
@@ -53,8 +64,9 @@ def accumulate(acc: dict, items, a=1) -> dict:
 
     This is the package's one sparse-sum loop: a key whose sum cancels is
     dropped, so a sparse dict never stores an explicit zero.  Values are
-    Fractions.  With a = 1 they are added as they are, without a
-    multiplication, and a new key takes its value without an addition.
+    exact rationals (module docstring).  With a = 1 they are added as they
+    are, without a multiplication, and a new key takes its value without an
+    addition.
     """
     unit = a == 1
     for key, v in items:
@@ -76,7 +88,8 @@ def accumulate(acc: dict, items, a=1) -> dict:
 class Matrix:
     """Sparse rational matrix; immutable by convention after construction.
 
-    Entries are stored as {(row, col): Fraction} with no explicit zeros.
+    Entries are stored as {(row, col): value} with no explicit zeros, each
+    value an exact rational as `rat` gives it; a missing entry is 0.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -93,7 +106,7 @@ class Matrix:
             accumulate(self.entries, self._checked(items))
 
     def _checked(self, items):
-        """The ((row, col), Fraction) items, each checked against the shape."""
+        """The ((row, col), rational) items, each checked against the shape."""
         for (r, c), v in items:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ShapeMismatch("entry (%d,%d) outside %dx%d" % (r, c, self.rows, self.cols))
@@ -105,7 +118,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [(i, i, ONE) for i in range(n)])
+        return Matrix(n, n, [(i, i, 1) for i in range(n)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -120,8 +133,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), ZERO)
+    def get(self, r: int, c: int):
+        return self.entries.get((r, c), 0)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -240,8 +253,9 @@ def _rref(m: Matrix):
         i = min(cand, key=lambda i: (len(rows[i]), i))
         used.add(i)
         piv = rows[i]
-        if piv[col] != 1:
-            inv = ONE / piv[col]
+        p = piv[col]
+        if p != 1:
+            inv = Fraction(p.denominator, p.numerator)
             rows[i] = piv = {c: v * inv for c, v in piv.items()}
         where[col] = {i}
         keys = [c for c in piv if c != col]
@@ -333,7 +347,7 @@ def kernel_image(m: Matrix):
     free = [c for c in range(m.cols) if c not in pivot_set]
     ker = Matrix(m.cols, len(free))
     for k, fc in enumerate(free):
-        ker.entries[(fc, k)] = ONE
+        ker.entries[(fc, k)] = 1
         for prow, pcol in enumerate(pivots):
             v = rows[prow].get(fc)
             if v:

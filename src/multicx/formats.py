@@ -11,7 +11,6 @@ format is output only, the gauge note of an `analyze` report.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .complexes import Multicomplex
 from .derham import PolyVector
@@ -25,9 +24,9 @@ SERIES_HEADER = "multicx series v1"
 STRUCTURE_FORMAT = "multicx structure v1"
 
 
-def format_rational(x: Fraction) -> str:
-    x = rat(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+def format_rational(x) -> str:
+    """p or p/q in lowest terms, the same for an int and an equal Fraction."""
+    return str(rat(x))
 
 
 def _degree_lines(space: GradedVectorSpace, out):
@@ -76,7 +75,7 @@ def _parse_int(token, no, what):
 
 def _parse_rational(token, no):
     try:
-        return Fraction(token)
+        return rat(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad rational %r" % token, no)
 

@@ -62,8 +62,8 @@ def rand_invertible(rng: Random, n: int) -> Matrix:
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        elem = Matrix.identity(n)
-        elem.entries[(i, j)] = Fraction(rng.choice([-2, -1, 1, 2]))
+        elem = Matrix(n, n, [(k, k, 1) for k in range(n)]
+                      + [(i, j, rng.choice([-2, -1, 1, 2]))])
         m = elem.mul(m)
     return m
 

@@ -43,9 +43,11 @@ of Tot_{n-1} below level t.  Then
 The rows of a boundary are in ascending level, so the rows below level t
 are a prefix, and the pivots of one RREF of the transposed F_s column block
 (its row-rank profile) give rho_n(s, t) for every t: one elimination per
-occupied class of `_fold`.  When the rank test fails, the witness and the
-page table are read off these ranks; `page` builds the subquotients
-themselves and is the oracle they are checked against.
+occupied class of `_fold`.  The rank test reads the rank of each boundary
+off the profile of its lowest class, whose F_s is the whole total degree.
+When the rank test fails, the witness and the page table are read off
+these ranks; `page` builds the subquotients themselves and is the oracle
+they are checked against.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
-from .exactla import Matrix, Subspace, _rref, kernel_image, induced_subquotient_map, rank
+from .exactla import Matrix, Subspace, _rref, kernel_image, induced_subquotient_map
 from .graded import GradedVectorSpace, homology
 
 
@@ -166,13 +168,13 @@ class TotalComplex:
         self._zcache[key] = out
         return out
 
-    def corner_rank(self, n, s, t) -> int:
-        """rho_n(s, t): the rank of boundary(n) on the columns of F_s(n) and
-        the rows of Tot_{n-1} below level t, from the row-rank profile of the
-        F_s column block, eliminated once per occupied class of `_fold`."""
-        start, b = self._filtration_start(n, s), self.boundary(n)
+    def _profile(self, n, start):
+        """The row-rank profile (pivot rows, ascending) of boundary(n) on its
+        columns from `start` on, eliminated once per occupied class of
+        `_fold` and cached."""
+        b = self.boundary(n)
         if start == b.cols:
-            return 0
+            return []
         pivots = self._profiles.get((n % 2, start))
         if pivots is None:
             block = Matrix(b.cols - start, b.rows)
@@ -180,6 +182,18 @@ class TotalComplex:
                                  if c >= start)
             pivots, _ = _rref(block)
             self._profiles[(n % 2, start)] = pivots
+        return pivots
+
+    def boundary_rank(self, n) -> int:
+        """The rank of boundary(n): the profile of its lowest class, whose
+        filtration F_s is the whole of total degree n."""
+        return len(self._profile(n, 0))
+
+    def corner_rank(self, n, s, t) -> int:
+        """rho_n(s, t): the rank of boundary(n) on the columns of F_s(n) and
+        the rows of Tot_{n-1} below level t, from the row-rank profile of the
+        F_s column block."""
+        pivots = self._profile(n, self._filtration_start(n, s))
         return bisect_left(pivots, self._filtration_start(n - 1, t))
 
     def page_window(self):
@@ -311,7 +325,7 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     first nonzero differential, by least page r and then least (s, n),
     found from corner ranks."""
     h = homology(t.source.delta(0))
-    b = rank(t.boundary(0)) + rank(t.boundary(1))
+    b = t.boundary_rank(0) + t.boundary_rank(1)
     e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
     if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
         return DegenerationResult(ok=True, witness=None, homology=h)

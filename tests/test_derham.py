@@ -45,6 +45,18 @@ CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
 CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
 
 
+def test_integer_structures_give_int_operators():
+    # d, [i(w), d], i(e) i(w) and the gauge i(w) of an integer structure have
+    # integer coefficients, and each is held as an int, not as a Fraction
+    a = FormAlgebra(3, 4, weight=True)
+    for w, e in [(SO3, PolyVector.zero(3)), (CONTACT_W, CONTACT_E)]:
+        geo = jacobi_multicomplex(w, e, a)
+        m = geo.multicomplex
+        maps = [m.delta(n) for n in range(m.order + 1)] + [geo.gauge.coefficient(1, 2)]
+        values = [v for f in maps for *_, v in f.entries()]
+        assert values and all(type(v) is int for v in values)
+
+
 def rand_polyvector(rng, dim, k, cdeg=1, density=0.4):
     terms = {}
     for J in combinations(range(dim), k):

@@ -1,10 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multicx
 from multicx.errors import NotContained, NotWellDefined, ShapeMismatch
 from multicx.exactla import (
     Matrix,
@@ -15,6 +18,7 @@ from multicx.exactla import (
     induced_subquotient_map,
     kernel_image,
     rank,
+    rat,
     solve,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, lincomb
@@ -427,6 +431,90 @@ def test_indexed_rref_matches_scanning_rref(m):
     # from the rows is byte-identical too
     assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
 
+
+
+# ---- integral entries are ints, and every result is the all-Fraction one ----
+
+def test_rat_keeps_integral_values_as_ints():
+    for x, want in [(3, 3), (True, 1), (False, 0), (Fraction(6, 3), 2), ("-6/3", -2),
+                    ("4", 4), (Fraction(1, 2), Fraction(1, 2)), ("3/6", Fraction(1, 2))]:
+        got = rat(x)
+        assert got == want and type(got) is type(want), x
+    for bad in (0.5, 2.0, None, [1]):
+        with pytest.raises(TypeError):
+            rat(bad)
+    m = Matrix(2, 2, [(0, 0, Fraction(4, 2)), (1, 1, True)])
+    assert [type(v) for v in m.entries.values()] == [int, int]
+    assert m.get(0, 1) == 0 and type(m.get(0, 1)) is int
+
+
+def test_no_true_division_in_the_package():
+    # an int / int is a float; a quotient is made as a Fraction instead
+    found = []
+    for path in sorted(Path(multicx.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
+HALVES = [-2, -1, 1, 2, Fraction(6, 2), Fraction(1, 2), Fraction(-3, 2)]
+
+
+def sparse_halves(draw, rows, cols):
+    """rows x cols, sparse, with integer and half-integer entries."""
+    ent = [(r, c, draw(st.sampled_from(HALVES))) for r in range(rows) for c in range(cols)
+           if draw(st.integers(0, 99)) < 45]
+    return Matrix(rows, cols, ent)
+
+
+def as_fractions(m):
+    """m with every entry held as a Fraction; the constructor would normalise
+    the integral ones back to ints, so the entries are set directly."""
+    out = Matrix(m.rows, m.cols)
+    out.entries.update((k, Fraction(v)) for k, v in m.entries.items())
+    return out
+
+
+def exact_entries(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+@PROPERTY
+@given(st.data())
+def test_int_entries_give_the_all_fraction_results(data):
+    rows, inner, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = sparse_halves(data.draw, rows, inner), sparse_halves(data.draw, rows, inner)
+    c = sparse_halves(data.draw, inner, cols)
+    # the constructor keeps a Fraction only for the half-integers
+    assert all(type(v) is int or v.denominator == 2
+               for m in (a, b, c) for v in m.entries.values())
+    fa, fb, fc = as_fractions(a), as_fractions(b), as_fractions(c)
+    scalar = data.draw(st.sampled_from(HALVES + [0, Fraction(4, 2)]))
+    pairs = [(a.mul(c), fa.mul(fc)), (a.add(b), fa.add(fb)),
+             (a.scale(scalar), fa.scale(scalar))]
+    ker, img = kernel_image(a)
+    fker, fimg = kernel_image(fa)
+    pairs += [(ker.basis, fker.basis), (img.basis, fimg.basis)]
+    rhs = a.mul(c).hstack(b.select_columns([0]))
+    x = solve(a, rhs)
+    fx = solve(fa, as_fractions(rhs))
+    assert (x is None) == (fx is None)
+    if x is not None:
+        pairs.append((x, fx))
+    # a complement of the image of a inside the span of [a | b]
+    ambient = Subspace.spanned_by(rows, a.hstack(b))
+    fambient = Subspace.spanned_by(rows, fa.hstack(fb))
+    pairs.append((complement(img, ambient).basis, complement(fimg, fambient).basis))
+    for got, want in pairs:
+        assert got == want
+        assert exact_entries(got.entries.values())
+    assert rank(a) == rank(fa) == img.dim
+    pivots, echelon = _rref(a)
+    want_pivots, want_rows = scanning_rref(fa)
+    assert pivots == want_pivots
+    assert [list(r.items()) for r in echelon] == [list(r.items()) for r in want_rows]
+    assert all(exact_entries(r.values()) for r in echelon)
 
 
 # ---- the trusted constructor: independence by construction ----

@@ -20,8 +20,8 @@ from multicx.graded import GradedMap, GradedVectorSpace
 
 
 def test_rational_formatting():
-    assert format_rational(Fraction(3, 1)) == "3"
-    assert format_rational(Fraction(-4, 6)) == "-2/3"
+    assert format_rational(Fraction(3, 1)) == format_rational(3) == "3"
+    assert format_rational(Fraction(-4, 6)) == format_rational("-2/3") == "-2/3"
 
 
 def test_multicomplex_round_trip_staircase():

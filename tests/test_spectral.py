@@ -128,10 +128,10 @@ def test_folded_boundaries_match_the_definition(m):
 
 
 def test_fold_builds_each_class_once(monkeypatch):
-    calls = {"rank": 0, "_page_entry": [], "induced_subquotient_map": 0}
+    calls = {"_rref": 0, "_page_entry": [], "induced_subquotient_map": 0}
 
-    def rank(m, _fn=spectral.rank):
-        calls["rank"] += 1
+    def rref(m, _fn=spectral._rref):
+        calls["_rref"] += 1
         return _fn(m)
 
     def page_entry(t, n, s, r, _fn=spectral._page_entry):
@@ -141,15 +141,17 @@ def test_fold_builds_each_class_once(monkeypatch):
     def induced(*args, _fn=spectral.induced_subquotient_map):
         calls["induced_subquotient_map"] += 1
         return _fn(*args)
-    monkeypatch.setattr(spectral, "rank", rank)
+    monkeypatch.setattr(spectral, "_rref", rref)
     monkeypatch.setattr(spectral, "_page_entry", page_entry)
     monkeypatch.setattr(spectral, "induced_subquotient_map", induced)
     relabelled = 0
     for m in FOLD_INSTANCES:
         t = total_complex(m)
-        calls["rank"] = 0
-        degenerates_at_one(t)
-        assert calls["rank"] <= 2
+        calls["_rref"] = 0
+        res = degenerates_at_one(t)
+        # the rank test reads both boundary ranks off the profiles of the two
+        # lowest classes; a witness adds at most one per other class
+        assert calls["_rref"] <= (2 if res.ok else len(t.levels(0)) + len(t.levels(1)))
         for r in range(t.stabilization_bound() + 1):
             calls.update(_page_entry=[], induced_subquotient_map=0)
             pg = page(t, r)
