@@ -14,16 +14,21 @@ carries the report); a failing relation stops the command before the
 degeneration check.  `analyze` computes each object once: one minimal model
 gives the homology, the transferred operators with their verdict, and the
 gauge, and `--seed` twists that model's splitting instead of splitting d
-again.  `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0)
-and calls its builder once; the builders check only the structure
-equations, and the structure line reads its witness from their NotJacobi
-error.  The independent degeneration verdict, in `analyze` and `geometry`
+again.  The model's isomorphism is built only when a gauge can exist, so an
+obstructed analysis pays only for its verdicts, witnesses and page table.
+`geometry` builds a Poisson bivector w as the Jacobi pair (w, 0) and calls
+its builder once; the builders check only the structure equations, and the
+structure line reads its witness from their NotJacobi error.  The independent degeneration verdict, in `analyze` and `geometry`
 alike, comes from ranks: page one against the homology of the total
 complex.  No page is built: when the verdict holds every page equals page
 one, and when it fails the witness (the first nonzero differential) and
 the page table of `analyze` are read off ranks of corner blocks of the
 two boundaries, one elimination per filtration class.  `--pages R`
 (R >= 1) truncates only the printed table.
+
+The argument parser is built once per process, on the first `main` call;
+a console-script run builds exactly one, and in-process callers (tests,
+scripts, the benchmark) reuse it.
 
 Exit codes: 0 every check passed, 1 a mathematical check failed (the report
 carries the witness), 2 input error, 3 internal error (a fault of the
@@ -35,6 +40,7 @@ multicomplex file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,7 +339,10 @@ def cmd_generate(profile: str, seed: int) -> str:
     return formats.print_multicomplex(m, meta)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process and
+    reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="multicx",
         description="exact homotopy theory of multicomplexes and polynomial "
@@ -360,8 +369,11 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("generate", help="emit a generated instance")
     p_gen.add_argument("--profile", required=True, choices=["a", "b", "c"])
     p_gen.add_argument("--seed", required=True, type=int)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             report = cmd_validate(args.file)

@@ -36,24 +36,36 @@ check through the private `Subspace._independent`:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import NotContained, NotWellDefined, ShapeMismatch
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(x):
     """The exact rational x: an `int` when it is integral, else a `Fraction`.
 
-    Ints (a bool becomes its int), strings like '3/7' and Fractions are
+    Ints (a bool becomes its int), strings p or p/q and Fractions are
     accepted; a Fraction or string whose denominator is 1 becomes its
-    numerator.  Anything else, a float included, is a TypeError.
+    numerator.  A string must be p or p/q in ASCII digits, with an optional
+    sign on p: any other string (a decimal, an exponent, an underscore, a
+    space, a non-ASCII digit) is a ValueError naming it, as is a part past
+    Python's integer digit limit, and q = 0 is a ZeroDivisionError.
+    Anything else, a float included, is a TypeError.
     """
     if type(x) is int:
         return x
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
-        x = Fraction(x)
+        match = _RATIONAL.fullmatch(x)
+        if match is None:
+            raise ValueError("not a rational p or p/q: %r" % (x,))
+        p, q = match.groups()
+        x = Fraction(int(p), int(q or 1))
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError("not an exact rational: %r" % (x,))
@@ -345,12 +357,16 @@ def kernel_image(m: Matrix):
     pivots, rows = _rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
+    # free column -> its kernel vector; each RREF row is walked once, so the
+    # cost is the RREF's nonzeros, not free columns times pivots
+    slot = {fc: k for k, fc in enumerate(free)}
     ker = Matrix(m.cols, len(free))
     for k, fc in enumerate(free):
         ker.entries[(fc, k)] = 1
-        for prow, pcol in enumerate(pivots):
-            v = rows[prow].get(fc)
-            if v:
+    for pcol, row in zip(pivots, rows):
+        for c, v in row.items():
+            k = slot.get(c)
+            if k is not None and v:
                 ker.entries[(pcol, k)] = -v
     image = m.select_columns(pivots)
     return Subspace._independent(m.cols, ker), Subspace._independent(m.rows, image)

@@ -5,12 +5,17 @@ The line formats are versioned, whitespace-separated, and canonical: degrees
 ascend, operator indices ascend, entries sort by (source degree, row,
 column), rationals print in lowest terms as p or p/q.  A parse of a printed
 multicomplex or structure document reproduces the object exactly; the series
-format is output only, the gauge note of an `analyze` report.
+format is output only, the gauge note of an `analyze` report.  Parsing is
+strict: an integer token is ASCII digits with an optional sign, a rational
+token (a `.mcx` entry or a structure coefficient string) is p or p/q of
+such digits with q nonzero, and any other token, a decimal, an exponent or
+an integer past Python's digit limit included, is a ParseError naming it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .complexes import Multicomplex
 from .derham import PolyVector
@@ -66,11 +71,18 @@ class _Lines:
             raise ParseError("expected %r, found %r" % (want, line), no)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int(token, no, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError("bad %s %r" % (what, token), no)
+    """An integer token: ASCII digits with an optional sign, as `rat` reads
+    the numerator of a rational."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past Python's integer digit limit
+            pass
+    raise ParseError("bad %s %r" % (what, token), no)
 
 
 def _parse_rational(token, no):
@@ -265,7 +277,7 @@ def parse_structure(text: str, dim=None):
     an empty one, is a vector field, and `[]` is the zero field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError("structure file is not valid JSON: %s" % exc)
     if not isinstance(doc, dict) or "bivector" not in doc:
         raise ParseError("structure file needs a 'bivector' term list")

@@ -7,11 +7,13 @@ weight-r operator, and the decreasing filtration at level s keeps the rows
 with q <= -s.  Shifting q by one identifies total degree n and level s with
 total degree n + 2 and level s - 1, slot for slot, so the whole filtered
 complex is the fold `_fold(n, s) = (n % 2, s + n // 2)` of its two parities.
-`TotalComplex` keeps the slot lists and boundaries of total degrees 0 and 1
-only; degree n reads the slot list of its parity shifted by n // 2 and the
-same boundary matrix.  Cycles, page entries and page differentials are
-computed once per class; `lo` and `hi` only mark the window of total
-degrees that a page prints, which spans both parities around the support.
+`TotalComplex` keeps the ascending level lists and boundaries of total
+degrees 0 and 1 only; degree n reads the level list of its parity shifted
+by n // 2 and the same boundary matrix, and the start of F_s is one bisect
+of that list.  Cycles, page entries, page differentials and the page
+dimensions of `page_dims` are computed once per class; `lo` and `hi` only
+mark the window of total degrees that a page prints, which spans both
+parities around the support.
 
 Pages follow the standard filtered-complex construction
     E^r_s = Z^r_s / (Z^{r-1}_{s+1} + boundary Z^{r-1}_{s-r+1}),
@@ -46,8 +48,11 @@ are a prefix, and the pivots of one RREF of the transposed F_s column block
 occupied class of `_fold`.  The rank test reads the rank of each boundary
 off the profile of its lowest class, whose F_s is the whole total degree.
 When the rank test fails, the witness and the page table are read off
-these ranks; `page` builds the subquotients themselves and is the oracle
-they are checked against.
+these ranks.  Both sides of each formula are invariant under the fold, so
+`page_dims` evaluates the dimension once per class of `_fold`, four corner
+ranks each, whatever the width of the printed window, and the witness
+search tests one source per class.  `page` builds the
+subquotients themselves and is the oracle these ranks are checked against.
 """
 
 from __future__ import annotations
@@ -76,10 +81,10 @@ class TotalComplex:
             raise InvalidMulticomplex(rep.describe(), rep)
         self.source = source
         space = source.space
-        # slot q of parity p carries degree p - 2q; ascending degrees give
-        # descending q, that is ascending filtration level s = -q
-        self._slots = [[(p - k) // 2 for k in space.degrees if (p - k) % 2 == 0]
-                       for p in (0, 1)]
+        # slot q of parity p carries degree p - 2q, that is level s = -q
+        # carries p + 2s; ascending degrees give the ascending level list
+        self._levels = [[(k - p) // 2 for k in space.degrees if (k - p) % 2 == 0]
+                        for p in (0, 1)]
         # the offset of each slot of parity p, then the total dimension
         self._starts = [[0] for p in (0, 1)]
         for p in (0, 1):
@@ -93,7 +98,7 @@ class TotalComplex:
                             else (space.min_degree - 2, space.max_degree + 2))
 
     def slots(self, n):
-        return [q + n // 2 for q in self._slots[n % 2]]
+        return [n // 2 - s for s in self._levels[n % 2]]
 
     def boundary(self, n) -> Matrix:
         """The boundary from total degree n to n - 1."""
@@ -130,14 +135,14 @@ class TotalComplex:
 
     def levels(self, n):
         """Occupied filtration levels at total degree n, ascending."""
-        return [-q for q in self.slots(n)]
+        return [s - n // 2 for s in self._levels[n % 2]]
 
     def _filtration_start(self, n, s) -> int:
         """The first coordinate of F_s in the total degree n block.  Slots
         run by ascending level, so F_s is every coordinate from there on and
         the rows below level s are the ones before it."""
         p, level = _fold(n, s)
-        return self._starts[p][bisect_left([-q for q in self._slots[p]], level)]
+        return self._starts[p][bisect_left(self._levels[p], level)]
 
     def filtration_indices(self, n, s):
         """Coordinate indices of F_s inside the total degree n block."""
@@ -203,7 +208,7 @@ class TotalComplex:
         return range(self.lo + 2, self.hi)
 
     def stabilization_bound(self) -> int:
-        longest = max(map(len, self._slots))
+        longest = max(map(len, self._levels))
         return longest + 1 if longest else 0
 
 
@@ -289,14 +294,20 @@ def page_one_dims(t: TotalComplex, h=None):
 
 def page_dims(t: TotalComplex, r: int):
     """Nonzero entries of page r, {(s, n): dim}, as `page(t, r).dims_table()`
-    gives them, read off corner ranks (module docstring)."""
+    gives them, read off corner ranks (module docstring).  The formula is
+    evaluated once per class of `_fold`, four corner ranks each, and its
+    value printed at every (s, n) of the window in that class."""
     rho = t.corner_rank
     space = t.source.space
-    dims = {}
+    by_class, dims = {}, {}
     for n in t.page_window():
         for s in t.levels(n):
-            dim = (space.dim(n + 2 * s) - rho(n, s, s + r) + rho(n, s + 1, s + r)
-                   + rho(n + 1, s - r + 1, s) - rho(n + 1, s - r + 1, s + 1))
+            c = _fold(n, s)
+            dim = by_class.get(c)
+            if dim is None:
+                dim = by_class[c] = (space.dim(n + 2 * s) - rho(n, s, s + r)
+                                     + rho(n, s + 1, s + r) + rho(n + 1, s - r + 1, s)
+                                     - rho(n + 1, s - r + 1, s + 1))
             if dim:
                 dims[(s, n)] = dim
     return dict(sorted(dims.items()))
@@ -323,14 +334,18 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     """True iff every differential on every page vanishes, decided by the
     rank test of the module docstring; when it fails, the witness is the
     first nonzero differential, by least page r and then least (s, n),
-    found from corner ranks."""
+    found from corner ranks.  The rank is the same at every (s, n) of a
+    class of `_fold`, so each page tests one source per class, its least."""
     h = homology(t.source.delta(0))
     b = t.boundary_rank(0) + t.boundary_rank(1)
     e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
     if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
         return DegenerationResult(ok=True, witness=None, homology=h)
     bound = t.stabilization_bound()
-    sources = sorted((s, n) for n in t.source_window() for s in t.levels(n))
+    least = {}
+    for s, n in sorted((s, n) for n in t.source_window() for s in t.levels(n)):
+        least.setdefault(_fold(n, s), (s, n))
+    sources = sorted(least.values())
     for r in range(1, bound + 1):
         for s, n in sources:
             if differential_rank(t, r, s, n):

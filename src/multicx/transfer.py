@@ -19,21 +19,30 @@ the sum-over-compositions formulas: the transferred operator of weight n is
 the sum over all compositions (i_1, ..., i_k) of n of
 p delta_{i_1} h delta_{i_2} h ... h delta_{i_k} i, and similarly for the
 morphism components extending proj.  It returns the transferred structure
-and that infinity-morphism, which is what the minimal model reads.  The
-extension of incl, i_n = h S_n over the chain sums S_n that end in incl, is
-not built: nothing on the pipeline reads it.
+and that infinity-morphism; the minimal model builds the two halves apart,
+through the same helpers, so neither is computed twice.  The extension of
+incl, i_n = h S_n over the chain sums S_n that end in incl, is not built:
+nothing on the pipeline reads it.
 
-`minimal_model` reads K off the splitting: d and h keep K (d C lies in B,
-h lands in C), so d_K = q_0 d and s = q_0 h restricted to K are products
-alone, and since incl o proj vanishes on K, d_K s + s d_K = -id (Crainic,
-"On the perturbation lemma, and deformations", 2004).  The frame
-[H | B | C] itself is the inverse of the isomorphism's degree-0 part
-[proj; q_0], so the model keeps it instead of inverting that part again.
+`minimal_model` builds up front only what every verdict reads: the
+retract, its splitting and the transferred multicomplex.  The rest of the
+model is built on first read, once.  The trivial part reads K off the
+splitting: d and h keep K (d C lies in B, h lands in C), so d_K = q_0 d
+and s = q_0 h restricted to K are products alone, and since incl o proj
+vanishes on K, d_K s + s d_K = -id (Crainic, "On the perturbation lemma,
+and deformations", 2004); that identity is checked whenever K is built.
+The isomorphism adds the projection components and the extension of q_0,
+stacked over the product.  Only `gauge.find_gauge` reads it, and only when
+every transferred operator vanishes, so an obstructed analysis never builds
+it.  The frame [H | B | C] itself is the inverse of the isomorphism's
+degree-0 part [proj; q_0], so the model keeps it instead of inverting that
+part again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     InfinityMorphism,
@@ -209,15 +218,20 @@ def _transferred(r: DeformationRetract, m: Multicomplex) -> Multicomplex:
     return Multicomplex(r.small, deltas)
 
 
+def _p_components(r: DeformationRetract, m: Multicomplex) -> list:
+    """The components of the infinity-morphism extending proj: proj, then
+    proj composed with the chain sums over the homotopy."""
+    n_p = max(max_component_index(r.big, r.small, 2, 0), 0)
+    u_chain = _chain_sums(m, r.homotopy, r.homotopy, n_p)
+    return [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
+
+
 def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
     """Transferred multicomplex on the small space plus the infinity-quasi-
     isomorphism extending the projection onto it."""
     transferred = _transferred(r, m)
-    n_p = max(max_component_index(r.big, r.small, 2, 0), 0)
-    u_chain = _chain_sums(m, r.homotopy, r.homotopy, n_p)
-    p_comps = [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
     return TransferOutput(transferred=transferred,
-                          p_inf=InfinityMorphism(m, transferred, p_comps))
+                          p_inf=InfinityMorphism(m, transferred, _p_components(r, m)))
 
 
 @dataclass
@@ -245,9 +259,19 @@ def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
 
 @dataclass
 class MinimalModel:
+    """m split, up to infinity-isomorphism, into a minimal multicomplex on
+    its homology and an acyclic trivial complement.
+
+    Built up front: the retract, its splitting and `minimal`, the
+    transferred multicomplex, which every verdict reads.  Built on first
+    read, once: `trivial` and `iso`.  Reading either builds the complement
+    K with its contraction and runs the acyclicity check; `iso` adds the
+    components extending proj, those extending the complement projection,
+    and stacks them over `product(minimal, trivial)`.  `find_gauge` reads
+    `iso` only when every transferred operator vanishes.
+    """
+    source: Multicomplex
     minimal: Multicomplex
-    trivial: Multicomplex
-    iso: InfinityMorphism  # from the input to minimal (+) trivial
     retract: DeformationRetract
     splitting: Splitting
 
@@ -257,44 +281,55 @@ class MinimalModel:
         the inverse of iso.comp(0)."""
         return self.splitting.frame
 
+    @cached_property
+    def _complement(self):
+        """K = B (+) C: its coordinates q_0, differential d_K and contraction
+        s, checked to satisfy d_K s + s d_K = -id."""
+        i_k, q0 = self.splitting.complement()
+        d_k = compose(q0, compose(self.retract.d_big, i_k))
+        s_k = compose(q0, compose(self.retract.homotopy, i_k))
+        if not lincomb([(1, compose(d_k, s_k)), (1, compose(s_k, d_k)),
+                        (1, GradedMap.identity(i_k.source))]).is_zero:
+            raise NotSquareZero("complement of the homology representatives is not acyclic")
+        return q0, d_k, s_k
+
+    @cached_property
+    def trivial(self) -> Multicomplex:
+        q0, d_k, _ = self._complement
+        return Multicomplex(q0.target, [d_k])
+
+    @cached_property
+    def iso(self) -> InfinityMorphism:
+        """From the input to minimal (+) trivial: the transferred projection
+        components stacked with the recursive extension of q_0."""
+        m, big = self.source, self.source.space
+        q0, _, s_k = self._complement
+        kspace = q0.target
+        # the extension of q solves its intertwining relations weight by
+        # weight: q_n = -s (q delta_n + sum_{0<k<n} q_k delta_{n-k}), using
+        # the contraction s of the acyclic complement
+        q_comps = [q0]
+        for n in range(1, max(max_component_index(big, kspace, 2, 0), 0) + 1):
+            terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
+            defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
+            q_comps.append(compose(s_k, defect).neg())
+        p_inf = InfinityMorphism(m, self.minimal, _p_components(self.retract, m))
+        total = product(self.minimal, self.trivial)
+        comps = []
+        for n in range(max(p_inf.order, len(q_comps) - 1) + 1):
+            qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
+            comps.append(stack_maps(p_inf.comp(n), qn, total.space, self.minimal.space))
+        return InfinityMorphism(m, total, comps)
+
 
 def minimal_model(m: Multicomplex) -> MinimalModel:
-    """Split m, up to infinity-isomorphism, into a minimal multicomplex on
-    its homology and an acyclic trivial complement.
-
-    The isomorphism stacks the transferred projection components with the
-    recursive extension of the complement projection.  Its degree-0 part
-    [proj; q_0] is the inverse of the splitting's frame [H | B | C], which
+    """The minimal model of m (`MinimalModel`): one splitting of d, the
+    retract read off it and the transferred multicomplex; the trivial part
+    and the isomorphism wait for their first read.  The isomorphism's
+    degree-0 part [proj; q_0] is the inverse of the splitting's frame [H | B | C], which
     the model keeps as `frame`; `invert_infinity(model.iso)` gives the whole
     inverse when a caller needs it.
     """
     retract, split = build_retract(m.space, m.delta(0))
-    out = transfer_structure(retract, m)
-    minimal = out.transferred
-    big = m.space
-    i_k, q0 = split.complement()
-    kspace = i_k.source
-    d_k = compose(q0, compose(retract.d_big, i_k))
-    s_k = compose(q0, compose(retract.homotopy, i_k))
-    if not lincomb([(1, compose(d_k, s_k)), (1, compose(s_k, d_k)),
-                    (1, GradedMap.identity(kspace))]).is_zero:
-        raise NotSquareZero("complement of the homology representatives is not acyclic")
-    # the extension of q solves its intertwining relations weight by weight:
-    # q_n = -s (q delta_n + sum_{0<k<n} q_k delta_{n-k}), using the
-    # contraction s of the acyclic complement
-    q_comps = [q0]
-    for n in range(1, max(max_component_index(big, kspace, 2, 0), 0) + 1):
-        terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
-        defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
-        q_comps.append(compose(s_k, defect).neg())
-    trivial = Multicomplex(kspace, [d_k])
-    total = product(minimal, trivial)
-    nmax = max(out.p_inf.order, len(q_comps) - 1)
-    comps = []
-    for n in range(nmax + 1):
-        pn = out.p_inf.comp(n)
-        qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
-        comps.append(stack_maps(pn, qn, total.space, minimal.space))
-    iso = InfinityMorphism(m, total, comps)
-    return MinimalModel(minimal=minimal, trivial=trivial, iso=iso,
+    return MinimalModel(source=m, minimal=_transferred(retract, m),
                         retract=retract, splitting=split)

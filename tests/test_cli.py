@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from random import Random
@@ -120,13 +121,16 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     path = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
     counts = count_calls(monkeypatch, spectral.page, transfer.minimal_model,
                          transfer.build_retract, transfer.transfer_structure,
-                         gauge.check_gauge_hodge, complexes.invert_infinity,
-                         complexes.compose_infinity)
+                         transfer._p_components, gauge.check_gauge_hodge,
+                         complexes.invert_infinity, complexes.compose_infinity)
     report = cmd_analyze(path)
     assert report.ok
+    # the model transfers through the helpers transfer_structure shares: the
+    # projection components once, for the isomorphism the gauge reads
     assert counts == {"page": 0, "minimal_model": 1, "build_retract": 1,
-                      "transfer_structure": 1, "check_gauge_hodge": 1,
-                      "invert_infinity": 0, "compose_infinity": 0}
+                      "transfer_structure": 0, "_p_components": 1,
+                      "check_gauge_hodge": 1, "invert_infinity": 0,
+                      "compose_infinity": 0}
     # the gauge comes from the retract's frame, obstructed or not
     stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
     assert not cmd_analyze(stair).ok
@@ -149,6 +153,60 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     assert report.ok and report.checks[-1].name == "randomized retracts agree"
     assert counts["build_retract"] == counts["minimal_model"] == 1
     assert inside == [{"kernel_image": 0, "complement": 0, "solve": 0}] * 2
+
+
+def test_obstructed_analysis_builds_no_isomorphism(tmp_path, monkeypatch):
+    # find_gauge answers NoGauge from the transferred weights, so the
+    # isomorphism (projection components, product, stacked maps) is never read
+    counts = count_calls(monkeypatch, transfer._p_components, complexes.product,
+                         complexes.stack_maps)
+    stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
+    profile_b = write(tmp_path, "b.mcx", cmd_generate("b", 3))
+    for path in (stair, profile_b):
+        for seed in (None, 7):
+            report = cmd_analyze(path, seed=seed)
+            passed = {c.name: c.passed for c in report.checks}
+            assert not passed["gauge series exists"] and passed["three-way agreement"]
+            assert passed.get("randomized retracts agree", True)
+            assert counts == {"_p_components": 0, "product": 0, "stack_maps": 0}
+    assert cmd_analyze(write(tmp_path, "orbit.mcx", cmd_generate("a", 2))).ok
+    # one stacked map per component of the isomorphism
+    assert counts["_p_components"] == counts["product"] == 1 and counts["stack_maps"] >= 1
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    orbit = write(tmp_path, "orbit.mcx", cmd_generate("a", 2))
+    stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
+    commands = [["analyze", "--pages", "2", stair], ["analyze", orbit],
+                ["geometry", "--kind", "basic", "--dim", "3", "--trunc", "3",
+                 "--structure", structure_file(tmp_path, "basic")],
+                ["analyze", "--no-such-option", orbit],
+                ["generate", "--profile", "b", "--seed", "4"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _ in first] == [1, 0, 0, 2, 0]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in commands] == first
+    # the parser and each subcommand's parser, once
+    assert built.count("multicx") == 1 and len(built) == len(set(built))
 
 
 def structure_file(tmp_path, kind):

@@ -6,6 +6,7 @@ import pytest
 from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
 from multicx.errors import ParseError
+from multicx.exactla import rat
 from multicx.formats import (
     format_rational,
     parse_multicomplex,
@@ -22,6 +23,53 @@ from multicx.graded import GradedMap, GradedVectorSpace
 def test_rational_formatting():
     assert format_rational(Fraction(3, 1)) == format_rational(3) == "3"
     assert format_rational(Fraction(-4, 6)) == format_rational("-2/3") == "-2/3"
+
+
+# rational tokens are p or p/q in ASCII digits; everything else is refused
+ACCEPTED_TOKENS = [("0", 0), ("-3", -3), ("+4", 4), ("007", 7), ("3/7", Fraction(3, 7)),
+                   ("-6/4", Fraction(-3, 2)), ("10/5", 2), ("9" * 4000, int("9" * 4000))]
+REJECTED_TOKENS = ["1e5", "1e5000", "1.5", ".5", "1_0", "\u0663", "1\u0660", "", "/3", "3/",
+                   "3/0", "3/-2", "--1", "0x10", " 1", "1 ", "1" * 5000, "1/" + "1" * 5000]
+
+
+def test_rational_token_table():
+    for token, want in ACCEPTED_TOKENS:
+        got = rat(token)
+        assert got == want and type(got) is type(want), token[:20]
+        doc = "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 0 %s\nend\n" % token
+        m, _ = parse_multicomplex(doc)
+        assert m.delta(0).block(1).get(0, 0) == want
+        w = polyvector_from_terms(
+            [{"coefficient": token, "monomial": [0, 0], "indices": [1, 2]}], 2, 2)
+        assert w.terms.get(((0, 0), (0, 1)), 0) == want
+    for token in REJECTED_TOKENS:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            rat(token)
+        with pytest.raises(ParseError, match="bad coefficient") as exc:
+            polyvector_from_terms(
+                [{"coefficient": token, "monomial": [0, 0], "indices": [1, 2]}], 2, 2)
+        assert repr(token) in str(exc.value)
+        if token and token == token.strip():
+            doc = "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 0 %s\nend\n"
+            with pytest.raises(ParseError, match="line 6: bad rational") as exc:
+                parse_multicomplex(doc % token)
+            assert repr(token) in str(exc.value)
+
+
+def test_integer_tokens_are_ascii_digits():
+    for token in ["1_0", "\u0661", "+-1", "1.0", "1" * 5000]:
+        doc = "multicx multicomplex v1\ndegrees\n0 %s\nend\n" % token
+        with pytest.raises(ParseError, match="bad dimension"):
+            parse_multicomplex(doc)
+        doc = "multicx multicomplex v1\ndegrees\n%s 1\nend\n" % token
+        with pytest.raises(ParseError, match="bad degree"):
+            parse_multicomplex(doc)
+    m, _ = parse_multicomplex("multicx multicomplex v1\ndegrees\n-2 +3\nend\n")
+    assert m.space.dims == {-2: 3}
+    # a JSON integer past the digit limit is an input error, not a fault
+    with pytest.raises(ParseError, match="not valid JSON"):
+        parse_structure('{"dim": 2, "bivector": [{"coefficient": %s, "monomial": [0, 0], '
+                        '"indices": [1, 2]}]}' % ("1" * 5000))
 
 
 def test_multicomplex_round_trip_staircase():

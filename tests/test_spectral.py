@@ -264,6 +264,46 @@ def check_verdict(m):
     return res
 
 
+def width_instance(w, r=1):
+    """Degrees 0..w-1 of dimension 1, d = 0 and delta_r = 1 from each degree
+    k divisible by 2r to k + 2r - 1: obstructed at page r, with a page
+    window about w wide and w / 2 levels per total degree."""
+    space = GradedVectorSpace({k: 1 for k in range(w)})
+    delta = GradedMap.from_entries(space, space, 2 * r - 1,
+                                   [(k, 0, 0, 1) for k in range(0, w - 2 * r + 1, 2 * r)])
+    zeros = [GradedMap.zero(space, space, 2 * n - 1) for n in range(r)]
+    return Multicomplex(space, zeros + [delta])
+
+
+def test_page_table_is_evaluated_once_per_fold_class(monkeypatch):
+    t = total_complex(width_instance(12))
+    assert degenerates_at_one(t).witness[0] == 1
+    classes = {spectral._fold(n, s) for n in t.page_window() for s in t.levels(n)}
+    cells = sum(len(t.levels(n)) for n in t.page_window())
+    assert cells > 2 * len(classes)
+    calls = []
+    corner_rank = spectral.TotalComplex.corner_rank
+
+    def counting(self, *args):
+        calls.append(args)
+        return corner_rank(self, *args)
+    monkeypatch.setattr(spectral.TotalComplex, "corner_rank", counting)
+    for r in range(1, t.stabilization_bound() + 1):
+        del calls[:]
+        dims = page_dims(t, r)
+        assert 0 < len(calls) <= 4 * len(classes), r
+        assert dims == page(t, r).dims_table(), r
+    # the witness search tests one source per class on each page up to its own
+    for late in (1, 3):
+        t = total_complex(width_instance(12, late))
+        sources = {spectral._fold(n, s) for n in t.source_window() for s in t.levels(n)}
+        del calls[:]
+        witness = degenerates_at_one(t).witness
+        cells = sum(len(t.levels(n)) for n in t.source_window())
+        assert len(calls) <= 4 * late * len(sources) < 4 * late * cells
+        assert witness == check_ranks_against_pages(t) and witness[0] == late
+
+
 def test_rank_verdict_agrees_with_page_walk():
     instances = [m for _, _, m in corpus(60)] + hand_library()
     seen = {True: 0, False: 0}
