@@ -13,7 +13,6 @@ from .complexes import (
     Multicomplex,
     compose_infinity,
     invert_infinity,
-    product,
     validate_infinity_morphism,
     validate_multicomplex,
 )

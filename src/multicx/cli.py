@@ -18,13 +18,16 @@ again.  The model's isomorphism is built only when a gauge can exist, so an
 obstructed analysis pays only for its verdicts, witnesses and page table.
 `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0) and calls
 its builder once; the builders check only the structure equations, and the
-structure line reads its witness from their NotJacobi error.  The independent degeneration verdict, in `analyze` and `geometry`
-alike, comes from ranks: page one against the homology of the total
-complex.  No page is built: when the verdict holds every page equals page
-one, and when it fails the witness (the first nonzero differential) and
-the page table of `analyze` are read off ranks of corner blocks of the
-two boundaries, one elimination per filtration class.  `--pages R`
-(R >= 1) truncates only the printed table.
+structure line reads its witness from their NotJacobi error.  The
+degeneration verdict, in `analyze` and `geometry` alike, comes from ranks:
+page one against the homology of the total complex, with H(A, d) handed
+over by the caller: `analyze` reads it off the minimal model's space, so
+this verdict and the Hodge verdict share one elimination of d, and
+`geometry` computes it once.  No page is built: when the verdict holds
+every page equals page one, and when it fails the witness (the first
+nonzero differential) and the page table of `analyze` are read off ranks
+of corner blocks of the two boundaries, one elimination per filtration
+class.  `--pages R` (R >= 1) truncates only the printed table.
 
 The argument parser is built once per process, on the first `main` call;
 a console-script run builds exactly one, and in-process callers (tests,
@@ -59,7 +62,7 @@ from .derham import (
 from .errors import InvalidMulticomplex, MulticxError, NotContained, NotJacobi, ParseError
 from .gauge import NoGauge, check_gauge_hodge, find_gauge
 from .generators import generate
-from .graded import compose, lincomb
+from .graded import compose, homology, lincomb
 from .spectral import degenerates_at_one, page_dims, page_one_dims, total_complex
 from .transfer import alternative_retract, check_hodge_data, minimal_model, nonzero_weights
 from random import Random
@@ -198,11 +201,11 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     # the verdict comes from ranks; when it holds every page equals page
     # one, and when it fails the table is read off the corner ranks that
     # found the witness
-    degen = degenerates_at_one(t)
+    degen = degenerates_at_one(t, model.minimal.space)
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
     if degen.ok:
-        rows = [page_one_dims(t, degen.homology)] * shown
+        rows = [page_one_dims(t, model.minimal.space)] * shown
     else:
         rows = [page_dims(t, r) for r in range(1, shown + 1)]
     report.tables["page dimensions"] = {
@@ -309,8 +312,9 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
     if not rep.ok:
         return _done(report, started)
 
-    degen = degenerates_at_one(t)
-    report.tables["homology"] = dict(degen.homology.dims)
+    h = homology(m.delta(0))
+    degen = degenerates_at_one(t, h)
+    report.tables["homology"] = dict(h.dims)
     report.add("degenerates at page one", degen.ok,
                "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 

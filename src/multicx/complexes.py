@@ -7,6 +7,9 @@ in families f_n of degree 2n intertwining the two operator families.
 
 The grading width forces delta_n = 0 once 2n - 1 exceeds it, so operator
 lists are finite and every "for all n" identity below is a finite check.
+Morphisms are validated, composed and inverted here; no direct sum is
+built, since the minimal model's isomorphism lives on the input's own space
+(`transfer.MinimalModel.iso`).
 """
 
 from __future__ import annotations
@@ -219,54 +222,3 @@ def invert_infinity(f: InfinityMorphism) -> InfinityMorphism:
         acc = lincomb(terms, degree=2 * n, source=f.target.space, target=f.target.space)
         comps.append(compose(g0, acc))
     return InfinityMorphism(f.target, f.source, comps)
-
-
-def _sum_space(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedVectorSpace:
-    dims = dict(a.dims)
-    for k, d in b.dims.items():
-        dims[k] = dims.get(k, 0) + d
-    return GradedVectorSpace(dims)
-
-
-def stack_maps(f: GradedMap, g: GradedMap, sum_space: GradedVectorSpace,
-               top: GradedVectorSpace) -> GradedMap:
-    """Combine f: X -> A and g: X -> B into X -> A (+) B.
-
-    `top` is the first summand A; its dimensions give the row offsets of g's
-    blocks inside the sum.
-    """
-    if f.source != g.source or f.degree != g.degree:
-        raise SpaceMismatch("stacked maps must share source and degree")
-    blocks = {}
-    for k in f.source.degrees:
-        tk = k + f.degree
-        rows = sum_space.dim(tk)
-        cols = f.source.dim(k)
-        off = top.dim(tk)
-        ent = []
-        for (r, c), v in f.block(k).entries.items():
-            ent.append((r, c, v))
-        for (r, c), v in g.block(k).entries.items():
-            ent.append((off + r, c, v))
-        if ent:
-            blocks[k] = Matrix(rows, cols, ent)
-    return GradedMap(f.source, sum_space, f.degree, blocks)
-
-
-def product(m1: Multicomplex, m2: Multicomplex) -> Multicomplex:
-    """Degreewise direct sum with blockwise-diagonal operators, m1 first."""
-    space = _sum_space(m1.space, m2.space)
-    deltas = []
-    for n in range(max(m1.order, m2.order) + 1):
-        d1, d2 = m1.delta(n), m2.delta(n)
-        deg = 2 * n - 1
-        blocks = {}
-        for k in space.degrees:
-            rows, cols = space.dim(k + deg), space.dim(k)
-            roff, coff = m1.space.dim(k + deg), m1.space.dim(k)
-            ent = [(r, c, v) for (r, c), v in d1.block(k).entries.items()]
-            ent += [(roff + r, coff + c, v) for (r, c), v in d2.block(k).entries.items()]
-            if ent:
-                blocks[k] = Matrix(rows, cols, ent)
-        deltas.append(GradedMap(space, space, deg, blocks))
-    return Multicomplex(space, deltas)

@@ -34,12 +34,6 @@ from .exactla import accumulate, kernel_image, rat, solve
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
-# frozen application order of the single contractions inside
-# i(v_1 ^ ... ^ v_k): the listed order, v_1 first; reversing it rescales
-# each i by the sign of the order-reversing permutation and breaks the
-# compatibility identity
-CONTRACTION_REVERSED = False
-
 
 def _merge_sign(left, right):
     """Sign of sorting the concatenation left + right, or 0 on overlap."""
@@ -288,8 +282,7 @@ def contraction(a: FormAlgebra, p: PolyVector) -> GradedMap:
     j = degs[0] if degs else 0
     def action(k, alpha, I):
         for (beta, J), c in p.terms.items():
-            order = tuple(reversed(J)) if CONTRACTION_REVERSED else J
-            sign, rest = _iota_chain(I, order)
+            sign, rest = _iota_chain(I, J)
             if not sign:
                 continue
             gamma = tuple(x + y for x, y in zip(alpha, beta))
@@ -383,13 +376,11 @@ def _d_symbol(dim: int) -> dict:
         _word(_unit(dim), [("dx", i), ("theta", i)]).items() for i in range(dim)))
 
 
-def _contraction_symbol(p: PolyVector, reversed_order: bool = CONTRACTION_REVERSED) -> dict:
-    """i(p), the factors of each term applied in listed order as in `_iota_chain`
-    (or in reversed order, for the negative control of the sign check)."""
+def _contraction_symbol(p: PolyVector) -> dict:
+    """i(p), the factors of each term applied in listed order as in `_iota_chain`."""
     out = {}
     for (beta, J), c in p.terms.items():
-        order = tuple(reversed(J)) if reversed_order else J
-        gens = [("dtheta", j) for j in order] + _powers("x", beta)
+        gens = [("dtheta", j) for j in J] + _powers("x", beta)
         accumulate(out, _word(_unit(p.dim), gens).items(), c)
     return out
 
@@ -403,8 +394,7 @@ def _symbol_commutator(s: dict, t: dict) -> dict:
     return accumulate(_symbol_compose(s, t), _symbol_compose(t, s).items(), -sign)
 
 
-def check_contraction_identity(p: PolyVector, q: PolyVector,
-                               reversed_order: bool = CONTRACTION_REVERSED) -> bool:
+def check_contraction_identity(p: PolyVector, q: PolyVector) -> bool:
     """Compatibility of contraction, bracket, and differential:
     i([p, q]) = -[[i(q), d], i(p)], compared as normal-ordered symbols.
     Symbols are unique, so the verdict holds on the whole polynomial
@@ -414,9 +404,9 @@ def check_contraction_identity(p: PolyVector, q: PolyVector,
         raise ShapeMismatch("polyvectors on different spaces")
     if len(p.vector_degrees()) > 1 or len(q.vector_degrees()) > 1:
         raise ShapeMismatch("contraction needs a homogeneous polyvector")
-    inner = _symbol_commutator(_contraction_symbol(q, reversed_order), _d_symbol(p.dim))
-    outer = _symbol_commutator(inner, _contraction_symbol(p, reversed_order))
-    return not accumulate(outer, _contraction_symbol(schouten(p, q), reversed_order).items())
+    inner = _symbol_commutator(_contraction_symbol(q), _d_symbol(p.dim))
+    outer = _symbol_commutator(inner, _contraction_symbol(p))
+    return not accumulate(outer, _contraction_symbol(schouten(p, q)).items())
 
 
 def _order(sym: dict) -> int:

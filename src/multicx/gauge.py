@@ -8,8 +8,10 @@ degree-forced to zero, and exp/log are finite sums, not approximations.
 The gauge condition for a multicomplex (A, d, delta_1, delta_2, ...) asks for
 a series R(z) with zero constant term conjugating d onto the full family:
 exp(R) d exp(-R) = d + delta_1 z + delta_2 z^2 + ...  Existence is detected
-constructively through the minimal model; the witness of failure is the least
-weight whose transferred operator refuses to vanish.
+constructively through the minimal model: when every transferred operator
+vanishes, R is -log of the model's isomorphism on A, whose degree-0 part is
+the identity.  The witness of failure is the least weight whose transferred
+operator refuses to vanish.
 """
 
 from __future__ import annotations
@@ -243,11 +245,11 @@ class NoGauge:
 def find_gauge(model: MinimalModel):
     """A gauge series for the input of a minimal model, or NoGauge.
 
-    When every transferred operator on homology vanishes, psi_n = frame o
-    iso_n is an infinity-isotopy from the input to (A, d): the frame inverts
-    iso_0 and is a chain map out of the direct sum, whose higher operators
-    vanish.  The logarithm of psi^{-1} is a gauge, and log(psi^{-1}) =
-    -log(psi) exactly in the nilpotent series ring, so no inverse is built.
+    When every transferred operator on homology vanishes, the model's
+    isomorphism psi is an infinity-isotopy from the input to (A, d): psi_0
+    is the identity and the carried minimal operators i mu_n p all vanish.
+    The logarithm of psi^{-1} is a gauge, and log(psi^{-1}) = -log(psi)
+    exactly in the nilpotent series ring, so no inverse is built.
     Otherwise no gauge can exist, and the least obstructing weight is cited.
     The series is returned unchecked; `check_gauge_hodge(series, input)`
     verifies it.
@@ -255,8 +257,5 @@ def find_gauge(model: MinimalModel):
     weights = nonzero_weights(model.minimal)
     if weights:
         return NoGauge(witness=weights[0])
-    iso, frame = model.iso, model.frame
-    psi = OperatorSeries(iso.source.space,
-                         {n: compose(frame, iso.comp(n)) for n in range(iso.order + 1)})
-    return series_log(psi).neg()
-
+    iso = model.iso
+    return series_log(OperatorSeries(iso.source.space, dict(enumerate(iso.comps)))).neg()

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
 from .exactla import Matrix, Subspace, _rref, kernel_image, induced_subquotient_map
-from .graded import GradedVectorSpace, homology
+from .graded import GradedVectorSpace
 
 
 def _fold(n, s):
@@ -282,12 +282,9 @@ def page(t: TotalComplex, r: int) -> SpectralPage:
     return out
 
 
-def page_one_dims(t: TotalComplex, h=None):
+def page_one_dims(t: TotalComplex, h: GradedVectorSpace):
     """Nonzero entries of page one, {(s, n): dim}, as `page(t, 1).dims_table()`
-    gives them: dim E^1_s(n) = dim H(A, d)_{n+2s}.  `h` is H(A, d) when the
-    caller has it already."""
-    if h is None:
-        h = homology(t.source.delta(0))
+    gives them: dim E^1_s(n) = h_{n+2s}, with h = H(A, d) from the caller."""
     return dict(sorted(((s, n), h.dim(n + 2 * s)) for n in t.page_window()
                        for s in t.levels(n) if h.dim(n + 2 * s)))
 
@@ -324,23 +321,22 @@ def differential_rank(t: TotalComplex, r: int, s: int, n: int) -> int:
 class DegenerationResult:
     ok: bool
     witness: object  # (r, s, n) of the first nonzero differential, or None
-    homology: GradedVectorSpace  # H(A, d), which gives page one
 
     def __bool__(self):
         return self.ok
 
 
-def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
+def degenerates_at_one(t: TotalComplex, h: GradedVectorSpace) -> DegenerationResult:
     """True iff every differential on every page vanishes, decided by the
-    rank test of the module docstring; when it fails, the witness is the
+    rank test of the module docstring against h = H(A, d), which the caller
+    computes once per analysis; when it fails, the witness is the
     first nonzero differential, by least page r and then least (s, n),
     found from corner ranks.  The rank is the same at every (s, n) of a
     class of `_fold`, so each page tests one source per class, its least."""
-    h = homology(t.source.delta(0))
     b = t.boundary_rank(0) + t.boundary_rank(1)
     e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
     if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
-        return DegenerationResult(ok=True, witness=None, homology=h)
+        return DegenerationResult(ok=True, witness=None)
     bound = t.stabilization_bound()
     least = {}
     for s, n in sorted((s, n) for n in t.source_window() for s in t.levels(n)):
@@ -349,7 +345,7 @@ def degenerates_at_one(t: TotalComplex) -> DegenerationResult:
     for r in range(1, bound + 1):
         for s, n in sources:
             if differential_rank(t, r, s, n):
-                return DegenerationResult(ok=False, witness=(r, s, n), homology=h)
+                return DegenerationResult(ok=False, witness=(r, s, n))
     raise NotWellDefined("page one does not account for the total homology, "
                          "yet no page up to %d has a nonzero differential" % bound)
 

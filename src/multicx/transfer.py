@@ -7,8 +7,7 @@ B_k = d C_{k+1} is im d, and H_k complements B_k in Z_k.  As d maps C_{k+1}
 onto B_k column for column, the homotopy -(d|_C)^{-1} on B is the product
 -C_{k+1} b_k, with no solve; that sign makes incl o proj - id = d h + h d
 hold on the nose, and the splitting gives h i = 0, p h = 0, h h = 0 for
-free.  incl is H, proj is p, and the acyclic complement K = B (+) C of the
-homology representatives has basis [B | C] and coordinates q_0 = [b; c].
+free.  incl is H and proj is p.
 
 Every other retract is a change of frame of this one, since ker d and im d
 are unique: `alternative_retract` twists F to F T with T unipotent and
@@ -25,18 +24,18 @@ incl, i_n = h S_n over the chain sums S_n that end in incl, is not built:
 nothing on the pipeline reads it.
 
 `minimal_model` builds up front only what every verdict reads: the
-retract, its splitting and the transferred multicomplex.  The rest of the
-model is built on first read, once.  The trivial part reads K off the
-splitting: d and h keep K (d C lies in B, h lands in C), so d_K = q_0 d
-and s = q_0 h restricted to K are products alone, and since incl o proj
-vanishes on K, d_K s + s d_K = -id (Crainic, "On the perturbation lemma,
-and deformations", 2004); that identity is checked whenever K is built.
-The isomorphism adds the projection components and the extension of q_0,
-stacked over the product.  Only `gauge.find_gauge` reads it, and only when
-every transferred operator vanishes, so an obstructed analysis never builds
-it.  The frame [H | B | C] itself is the inverse of the isomorphism's
-degree-0 part [proj; q_0], so the model keeps it instead of inverting that
-part again.
+retract, its splitting and the transferred multicomplex.  The isomorphism
+is built on first read, once, on A itself.  The minimal model mu carried
+onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto it
+extends the identity by the homotopy-perturbation recursion
+psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} (Crainic, "On the
+perturbation lemma, and deformations", 2004).  It is the isomorphism onto
+mu (+) K, K = B (+) C the acyclic complement, read back through the frame
+[H | B | C]: the K half needs no space of its own, since incl o proj - id
+= d h + h d, h i = 0 and p h = 0 turn its recursion into the h term.  The
+homotopy identity is checked whenever the isomorphism is built.  Only
+`gauge.find_gauge` reads it, and only when every transferred operator
+vanishes, so an obstructed analysis never builds it.
 """
 
 from __future__ import annotations
@@ -44,12 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import (
-    InfinityMorphism,
-    Multicomplex,
-    product,
-    stack_maps,
-)
+from .complexes import InfinityMorphism, Multicomplex
 from .errors import NotSquareZero, SpaceMismatch
 from .exactla import Matrix, Subspace, complement, kernel_image, solve
 from .graded import (
@@ -83,20 +77,6 @@ class Splitting:
     d: GradedMap
     bases: dict
     coords: dict
-
-    @property
-    def frame(self) -> GradedMap:
-        """F = [H | B | C] in every degree, a degree-0 map A -> A."""
-        space = self.d.source
-        return GradedMap(space, space, 0, {k: h.hstack(b).hstack(c)
-                                           for k, (h, b, c) in self.bases.items()})
-
-    def complement(self):
-        """The inclusion [B | C] of K = B (+) C and its coordinates q_0 = [b; c]."""
-        space = self.d.source
-        kspace = GradedVectorSpace({k: b.cols + c.cols for k, (_, b, c) in self.bases.items()})
-        return (GradedMap(kspace, space, 0, {k: b.hstack(c) for k, (_, b, c) in self.bases.items()}),
-                GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in self.coords.items()}))
 
 
 def _retract(s: Splitting) -> DeformationRetract:
@@ -260,75 +240,48 @@ def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
 @dataclass
 class MinimalModel:
     """m split, up to infinity-isomorphism, into a minimal multicomplex on
-    its homology and an acyclic trivial complement.
+    its homology and an acyclic remainder.
 
     Built up front: the retract, its splitting and `minimal`, the
     transferred multicomplex, which every verdict reads.  Built on first
-    read, once: `trivial` and `iso`.  Reading either builds the complement
-    K with its contraction and runs the acyclicity check; `iso` adds the
-    components extending proj, those extending the complement projection,
-    and stacks them over `product(minimal, trivial)`.  `find_gauge` reads
-    `iso` only when every transferred operator vanishes.
+    read, once: `iso`, the infinity-isomorphism from m onto the minimal
+    model carried onto A by the retract.  `find_gauge` reads it only when
+    every transferred operator vanishes.
     """
     source: Multicomplex
     minimal: Multicomplex
     retract: DeformationRetract
     splitting: Splitting
 
-    @property
-    def frame(self) -> GradedMap:
-        """minimal (+) trivial -> input: the splitting's frame [H | B | C],
-        the inverse of iso.comp(0)."""
-        return self.splitting.frame
-
-    @cached_property
-    def _complement(self):
-        """K = B (+) C: its coordinates q_0, differential d_K and contraction
-        s, checked to satisfy d_K s + s d_K = -id."""
-        i_k, q0 = self.splitting.complement()
-        d_k = compose(q0, compose(self.retract.d_big, i_k))
-        s_k = compose(q0, compose(self.retract.homotopy, i_k))
-        if not lincomb([(1, compose(d_k, s_k)), (1, compose(s_k, d_k)),
-                        (1, GradedMap.identity(i_k.source))]).is_zero:
-            raise NotSquareZero("complement of the homology representatives is not acyclic")
-        return q0, d_k, s_k
-
-    @cached_property
-    def trivial(self) -> Multicomplex:
-        q0, d_k, _ = self._complement
-        return Multicomplex(q0.target, [d_k])
-
     @cached_property
     def iso(self) -> InfinityMorphism:
-        """From the input to minimal (+) trivial: the transferred projection
-        components stacked with the recursive extension of q_0."""
-        m, big = self.source, self.source.space
-        q0, _, s_k = self._complement
-        kspace = q0.target
-        # the extension of q solves its intertwining relations weight by
-        # weight: q_n = -s (q delta_n + sum_{0<k<n} q_k delta_{n-k}), using
-        # the contraction s of the acyclic complement
-        q_comps = [q0]
-        for n in range(1, max(max_component_index(big, kspace, 2, 0), 0) + 1):
-            terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
-            defect = lincomb(terms, degree=2 * n - 1, source=big, target=kspace)
-            q_comps.append(compose(s_k, defect).neg())
-        p_inf = InfinityMorphism(m, self.minimal, _p_components(self.retract, m))
-        total = product(self.minimal, self.trivial)
-        comps = []
-        for n in range(max(p_inf.order, len(q_comps) - 1) + 1):
-            qn = q_comps[n] if n < len(q_comps) else GradedMap.zero(big, kspace, 2 * n)
-            comps.append(stack_maps(p_inf.comp(n), qn, total.space, self.minimal.space))
-        return InfinityMorphism(m, total, comps)
+        """From m to (A, d, i mu_1 p, i mu_2 p, ...), mu_n the operators of
+        `minimal`: psi_0 = id and psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k},
+        with p_n the components extending proj.  Building it checks the
+        homotopy identity d h + h d = i p - id, which on the complement of
+        the homology representatives says that it is acyclic."""
+        m, r = self.source, self.retract
+        big = m.space
+        ident = GradedMap.identity(big)
+        if not lincomb([(1, compose(r.d_big, r.homotopy)), (1, compose(r.homotopy, r.d_big)),
+                        (-1, compose(r.incl, r.proj)), (1, ident)]).is_zero:
+            raise NotSquareZero("complement of the homology representatives is not acyclic")
+        carried = Multicomplex(big, [r.d_big] + [compose(r.incl, compose(mu, r.proj))
+                                                 for mu in self.minimal.deltas[1:]])
+        p_comps = _p_components(r, m)
+        psi = [ident]
+        for n in range(1, max(max_component_index(big, big, 2, 0), 0) + 1):
+            terms = [(1, compose(psi[k], m.delta(n - k))) for k in range(max(n - m.order, 0), n)]
+            tail = compose(r.homotopy, lincomb(terms, degree=2 * n - 1, source=big, target=big))
+            psi.append(compose(r.incl, p_comps[n]).sub(tail) if n < len(p_comps) else tail.neg())
+        return InfinityMorphism(m, carried, psi)
 
 
 def minimal_model(m: Multicomplex) -> MinimalModel:
     """The minimal model of m (`MinimalModel`): one splitting of d, the
-    retract read off it and the transferred multicomplex; the trivial part
-    and the isomorphism wait for their first read.  The isomorphism's
-    degree-0 part [proj; q_0] is the inverse of the splitting's frame [H | B | C], which
-    the model keeps as `frame`; `invert_infinity(model.iso)` gives the whole
-    inverse when a caller needs it.
+    retract read off it and the transferred multicomplex; the isomorphism
+    waits for its first read.  The model stores no inverse isomorphism;
+    `invert_infinity(model.iso)` gives it when a caller needs it.
     """
     retract, split = build_retract(m.space, m.delta(0))
     return MinimalModel(source=m, minimal=_transferred(retract, m),

@@ -2,21 +2,23 @@
 
 None of these is on a path the CLI runs.  Each is either an independent
 second construction of something the package computes (the inclusion's
-infinity-extension, the paper's explicit gauge for mixed complexes, the
-leading-slot identification of a page with homology), a generator of
-test instances, a check that only tests make (the defects of the retract
-identities, the first nonzero differential of a built page), or a small
-constructor that only tests need (matrices from rows or a column, the
-transpose, coordinate fields, form vectors).
+infinity-extension, the minimal model's isomorphism through the direct sum
+with the acyclic complement, the paper's explicit gauge for mixed
+complexes, the leading-slot identification of a page with homology), a
+generator of test instances, a check that only tests make (the defects of
+the retract identities, the first nonzero differential of a built page),
+or a small constructor that only tests need (matrices from rows or a
+column, the transpose, coordinate fields, form vectors, direct sums, the
+contraction symbol with its factors in reversed order).
 """
 
 from fractions import Fraction
 from random import Random
 
-from multicx import transfer
+from multicx import derham, transfer
 from multicx.complexes import InfinityMorphism, Multicomplex
 from multicx.derham import PolyVector
-from multicx.exactla import Matrix, induced_subquotient_map, kernel_image, rat
+from multicx.exactla import Matrix, accumulate, induced_subquotient_map, kernel_image, rat
 from multicx.gauge import (
     OperatorSeries,
     check_gauge_hodge,
@@ -25,7 +27,7 @@ from multicx.gauge import (
     series_log,
 )
 from multicx.generators import rand_entry, rand_graded_map, rand_space, rand_square_zero
-from multicx.graded import GradedMap, compose, lincomb, max_component_index
+from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb, max_component_index
 
 
 def from_rows(data) -> Matrix:
@@ -53,6 +55,20 @@ def coordinate_field(dim: int, j: int) -> PolyVector:
 def coefficient_degree(v: PolyVector) -> int:
     """The largest total degree of a coefficient of v, 0 for v = 0."""
     return max((sum(a) for (a, _) in v.terms), default=0)
+
+
+def direct_sum(m1: Multicomplex, m2: Multicomplex) -> Multicomplex:
+    """Degreewise direct sum with blockwise-diagonal operators, m1 first."""
+    space = GradedVectorSpace({k: m1.space.dim(k) + m2.space.dim(k)
+                               for k in set(m1.space.dims) | set(m2.space.dims)})
+    deltas = []
+    for n in range(max(m1.order, m2.order) + 1):
+        deg = 2 * n - 1
+        entries = list(m1.delta(n).entries())
+        entries += [(k, m1.space.dim(k + deg) + r, m1.space.dim(k) + c, v)
+                    for k, r, c, v in m2.delta(n).entries()]
+        deltas.append(GradedMap.from_entries(space, space, deg, entries))
+    return Multicomplex(space, deltas)
 
 
 def form_vector(a, terms, k: int) -> Matrix:
@@ -91,6 +107,41 @@ def inclusion_extension(r, m: Multicomplex, transferred: Multicomplex) -> Infini
     s_chain = transfer._chain_sums(m, r.homotopy, r.incl, n_i)
     comps = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
     return InfinityMorphism(transferred, m, comps)
+
+
+def complement_maps(split):
+    """The inclusion [B | C] of the acyclic complement K = B (+) C of the
+    homology representatives, and its coordinates q_0 = [b; c]."""
+    space = split.d.source
+    kspace = GradedVectorSpace({k: b.cols + c.cols for k, (_, b, c) in split.bases.items()})
+    return (GradedMap(kspace, space, 0, {k: b.hstack(c) for k, (_, b, c) in split.bases.items()}),
+            GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in split.coords.items()}))
+
+
+def frame_isomorphism(model) -> InfinityMorphism:
+    """The minimal model's isomorphism built through the direct sum with K:
+    components [p_n; q_n] into H (+) K, with q_0 = [b; c] and
+    q_n = -s sum_{k<n} q_k delta_{n-k} for the contraction s = q_0 h [B | C]
+    of K, read back onto A through the frame [H | B | C] as
+    i p_n + [B | C] q_n."""
+    m, r = model.source, model.retract
+    big = m.space
+    i_k, q0 = complement_maps(model.splitting)
+    s_k = compose(q0, compose(r.homotopy, i_k))
+    p_comps = transfer._p_components(r, m)
+    top = max(max_component_index(big, big, 2, 0), 0)
+    q_comps = [q0]
+    for n in range(1, top + 1):
+        terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
+        q_comps.append(compose(s_k, lincomb(terms, degree=2 * n - 1, source=big,
+                                            target=q0.target)).neg())
+    comps = []
+    for n in range(top + 1):
+        terms = [(1, compose(i_k, q_comps[n]))]
+        if n < len(p_comps):
+            terms.append((1, compose(r.incl, p_comps[n])))
+        comps.append(lincomb(terms))
+    return InfinityMorphism(m, model.iso.target, comps)
 
 
 # ---- the explicit gauge of a mixed complex ----
@@ -148,6 +199,18 @@ def mixed_gauge_coefficient(retract, delta: GradedMap, n: int) -> GradedMap:
         piece = compose(pow_map(h_delta, l - 1), compose(ip, pow_map(delta_h, n - l + 1)))
         terms.append((Fraction(-1, l), piece))
     return lincomb(terms, degree=2 * n, source=space, target=space)
+
+
+# ---- sign conventions of the contraction ----
+
+def reversed_contraction_symbol(p: PolyVector) -> dict:
+    """The symbol of i(p) with the factors of each term applied in reversed
+    order, the convention that the contraction identity rejects."""
+    out = {}
+    for (beta, J), c in p.terms.items():
+        gens = [("dtheta", j) for j in reversed(J)] + derham._powers("x", beta)
+        accumulate(out, derham._word(derham._unit(p.dim), gens).items(), c)
+    return out
 
 
 # ---- spectral sequence ----

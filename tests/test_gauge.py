@@ -256,7 +256,7 @@ def test_find_gauge_matches_the_inverse_isomorphism_on_the_corpus(acceptance_cor
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_find_gauge_matches_the_inverse_isomorphism_on_orbits(seed):
-    # -log(frame o iso) against log(iso^{-1} o iso_0) on random gauge orbits
+    # -log(iso) against log(iso^{-1} o iso_0) on random gauge orbits
     rng = Random(seed)
     space = rand_space(rng)
     d = rand_square_zero(rng, space, -1)

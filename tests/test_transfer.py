@@ -20,10 +20,12 @@ from multicx.generators import (
     corpus,
     generate,
     hand_library,
+    rand_series,
     rand_space,
     rand_square_zero,
     staircase4,
 )
+from multicx.gauge import gauge_construct
 from multicx.graded import GradedMap, GradedVectorSpace, compose, homology, lincomb
 from multicx.transfer import (
     DeformationRetract,
@@ -33,7 +35,14 @@ from multicx.transfer import (
     minimal_model,
     transfer_structure,
 )
-from oracles import from_rows, identity_defects, inclusion_extension, mixed_gauge_instance
+from oracles import (
+    complement_maps,
+    frame_isomorphism,
+    from_rows,
+    identity_defects,
+    inclusion_extension,
+    mixed_gauge_instance,
+)
 
 
 def compositions(n):
@@ -81,8 +90,6 @@ def test_build_retract_zero_differential():
     assert r.homotopy.is_zero
     assert {k: (h.cols, b.cols, c.cols) for k, (h, b, c) in split.bases.items()} == \
         {0: (2, 0, 0), 1: (1, 0, 0)}
-    i_k, q0 = split.complement()
-    assert i_k.source.is_zero and q0.is_zero
     assert defects_vanish(r)
 
 
@@ -121,9 +128,8 @@ def test_build_retract_valid_on_random_instances():
         r, split = build_retract(space, d)
         assert defects_vanish(r)
         assert r.small == homology(d)
-        i_k, _ = split.complement()
-        for k in space.degrees:
-            assert r.small.dim(k) + i_k.source.dim(k) == space.dim(k)
+        for k, (_, b, c) in split.bases.items():
+            assert r.small.dim(k) + b.cols + c.cols == space.dim(k)
 
 
 def test_alternative_retracts_valid():
@@ -149,7 +155,7 @@ def test_splitting_and_its_twists(seed):
         for k, (h, b, c) in s.bases.items():
             # F F^{-1} = id, and d C_{k+1} = B_k: the invariant that makes
             # the homotopy a product
-            assert s.frame.block(k).mul(reduce(Matrix.vstack, s.coords[k])) == \
+            assert h.hstack(b).hstack(c).mul(reduce(Matrix.vstack, s.coords[k])) == \
                 Matrix.identity(space.dim(k))
             c_above = s.bases[k + 1][2] if k + 1 in s.bases else Matrix(0, 0)
             assert d.block(k + 1).mul(c_above) == b
@@ -321,8 +327,8 @@ def test_minimal_model_on_minimal_input():
     m = Multicomplex(space, [GradedMap.zero(space, space, -1)])
     model = minimal_model(m)
     assert model.minimal == m
-    assert model.trivial.space.is_zero
-    assert model.iso.comp(0) == GradedMap.identity(space)
+    # the retract is the identity, so the carried model is m itself
+    assert model.iso == InfinityMorphism.identity(m)
 
 
 def test_minimal_model_on_acyclic_input():
@@ -331,30 +337,69 @@ def test_minimal_model_on_acyclic_input():
     m = Multicomplex.trivial(space, d)
     model = minimal_model(m)
     assert model.minimal.space.is_zero
-    assert model.trivial.space == space
-    assert homology(model.trivial.delta(0)).is_zero
+    # all of A is the acyclic complement, and no higher operator moves it
+    assert model.iso == InfinityMorphism.identity(m)
 
 
 def test_minimal_model_random_instances():
-    for prof, seed in [("a", 11), ("a", 12), ("b", 11), ("c", 4), ("c", 1)]:
+    for prof, seed in [("a", 11), ("a", 12), ("b", 11), ("b", 12), ("c", 4), ("c", 1)]:
         m = generate(prof, seed)
         model = minimal_model(m)
+        r = model.retract
         assert model.minimal.space == homology(m.delta(0))
-        assert homology(model.trivial.delta(0)).is_zero
+        # the target is the minimal model carried onto A by the retract
+        carried = [m.delta(0)] + [reduce(compose, [r.incl, model.minimal.delta(n), r.proj])
+                                  for n in range(1, model.minimal.order + 1)]
+        assert model.iso.target == Multicomplex(m.space, carried)
+        assert validate_multicomplex(model.iso.target).ok
         assert validate_infinity_morphism(model.iso).ok
         iso_inv = invert_infinity(model.iso)
         assert validate_infinity_morphism(iso_inv).ok
         assert compose_infinity(iso_inv, model.iso) == InfinityMorphism.identity(m)
         assert compose_infinity(model.iso, iso_inv) == \
             InfinityMorphism.identity(model.iso.target)
-        # the kept frame is the degree-0 part of the inverse
-        assert iso_inv.comp(0) == model.frame
+        assert iso_inv.comp(0) == model.iso.comp(0) == GradedMap.identity(m.space)
+
+
+def iso_instances():
+    return [m for _, _, m in corpus(60)] + hand_library()
+
+
+def test_isomorphism_matches_the_direct_sum_construction():
+    # psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} against i p_n + [B | C] q_n,
+    # the isomorphism onto minimal (+) K read back through the frame
+    for m in iso_instances():
+        model = minimal_model(m)
+        assert model.iso == frame_isomorphism(model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_isomorphism_matches_the_direct_sum_construction_on_orbits(seed):
+    rng = Random(seed)
+    space = rand_space(rng)
+    d = rand_square_zero(rng, space, -1)
+    model = minimal_model(gauge_construct(d, rand_series(rng, space)))
+    assert model.iso == frame_isomorphism(model)
+    assert validate_infinity_morphism(model.iso).ok
+
+
+def test_isomorphism_checks_the_homotopy_identity():
+    # a doubled homotopy still satisfies h i = 0 and p h = 0, but no longer
+    # contracts the complement of the homology representatives
+    for m in [generate("a", 3), staircase4()]:
+        model = minimal_model(m)
+        r = model.retract
+        assert not r.homotopy.is_zero
+        r.homotopy = r.homotopy.scale(2)
+        with pytest.raises(NotSquareZero):
+            model.iso
 
 
 def complement_data(m):
     """The retract with K, q_0, iota_K, d_K and s built by products alone."""
     r, split = build_retract(m.space, m.delta(0))
-    i_k, q0 = split.complement()
+    i_k, q0 = complement_maps(split)
     kspace = i_k.source
     d_k = reduce(compose, [q0, m.delta(0), i_k])
     s = reduce(compose, [q0, r.homotopy, i_k])
@@ -362,8 +407,7 @@ def complement_data(m):
 
 
 def test_complement_from_the_splitting_contracts():
-    instances = [m for _, _, m in corpus(60)] + hand_library()
-    for m in instances:
+    for m in iso_instances():
         r, kspace, q0, i_k, d_k, s = complement_data(m)
         ident = GradedMap.identity(kspace)
         assert compose(q0, i_k) == ident
@@ -375,7 +419,9 @@ def test_complement_from_the_splitting_contracts():
         for k in m.space.degrees:
             ker, _ = kernel_image(r.proj.block(k))
             assert Subspace(m.space.dim(k), i_k.block(k)) == ker
-        assert minimal_model(m).trivial.delta(0) == d_k
+        # the identity that folds the recursion on K into the homotopy term
+        # of the isomorphism on A
+        assert compose(i_k, q0) == GradedMap.identity(m.space).sub(compose(r.incl, r.proj))
 
 
 def count_in_transfer(monkeypatch, name):
