@@ -9,14 +9,15 @@ that form, so the de Rham operators of an integer structure hold only ints
 and a Fraction appears only where a denominator does.  Arithmetic may still
 produce an integral Fraction; it compares and hashes equal to its int, so
 matrix equality and printed values do not depend on which of the two is
-held.  The only inversion in the package is the pivot inverse of `_rref`.
-Basis selection follows a leftmost-pivot convention, so every output is
-reproducible byte for byte.
+held.  The only inversion in the package is the one final division of each
+pivot row of `_rref` by its pivot.  Basis selection follows a leftmost-pivot
+convention, so every output is reproducible byte for byte.
 
-Every elimination goes through one kernel, `_rref`.  It keeps a column index
-(column -> ids of the rows holding a nonzero there), so it reads pivot
-candidates and the rows to clear from the index, visits only the columns
-that occur, and costs nothing on an empty matrix.
+Every elimination goes through one kernel, `_rref`, which is fraction-free:
+it eliminates over integer rows.  It keeps a column index (column -> ids of
+the rows holding a nonzero there), so it reads pivot candidates and the rows
+to clear from the index, visits only the columns that occur, and costs
+nothing on an empty matrix.
 
 `Subspace(n, basis)` checks that a caller's basis is independent, with one
 rank computation.  Bases that are independent by construction skip that
@@ -26,7 +27,7 @@ check through the private `Subspace._independent`:
   - the image basis of `kernel_image` is the pivot columns, which no earlier
     column spans;
   - `complement` keeps pivot columns of an independent ambient basis;
-  - `Subspace.zero` and `Subspace.full` have no columns and identity columns;
+  - `Subspace.zero` has no columns;
   - the image basis B = d C of `transfer.build_retract` is d applied to a
     complement C of ker d, on which d is injective;
   - the spectral filtration F_s takes identity columns, and the cycles Z^r_s
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotContained, NotWellDefined, ShapeMismatch
 
@@ -227,35 +229,61 @@ class Matrix:
         return m
 
 
-def _rref(m: Matrix):
-    """Reduced row echelon form.
+def _unit_row(col, row):
+    """An integer pivot row divided by its pivot at `col`: each v/p is an
+    `int` when p divides v and a `Fraction` otherwise."""
+    p = row[col]
+    if p == 1:
+        return row
+    return {c: Fraction(v, p) if v % p else v // p for c, v in row.items()}
 
-    Returns (pivot_cols, rows) where rows is a list of {col: value} dicts in
-    echelon order.  A column index `where` maps each column to the ids of
-    the rows holding a nonzero there, so pivot candidates and the rows to
-    clear are read from it instead of found by scanning every row.  Only
-    columns that occur in the matrix are visited, left to right: elimination
-    adds multiples of rows that are already there, so it never creates a
-    new column.  Clearing a row with the pivot row can change that row only
-    at the pivot row's keys, so those are the only index entries updated.
-    Among the candidate pivot rows still unused, the sparsest (then lowest
-    row id) is chosen; that does not affect the result (RREF is unique) but
-    keeps intermediate fill-in low.  A pivot row whose pivot is already 1 is
-    used as it is.
+
+def _rref(m: Matrix):
+    """Reduced row echelon form, eliminated over integer rows (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968; Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, 1992, ch. 9).
+
+    Returns (pivot_cols, rows), rows an iterator over {col: value} dicts in
+    echelon order.  A row holding a Fraction is first multiplied by the lcm
+    of its denominators.  The pivot p clears a row whose entry in its column
+    is a as row <- (p/g) row - (a/g) pivot_row, g = gcd(p, a) with the sign
+    of p, and the row is divided by its content, the gcd of its entries.
+    Every row stays a nonzero multiple of the one rational elimination
+    would hold, so zero patterns, pivots and key order are the same.  Each
+    pivot row is divided by its pivot once, as the iterator reaches it, so
+    a caller that needs only the pivots pays for no division.
+
+    A column index `where` maps each column to the ids of the rows holding
+    a nonzero there, so pivot candidates and the rows to clear are read from
+    it, not found by scanning every row.  Only columns that occur are
+    visited, left to right: elimination never creates a new column, and
+    clearing a row can change it only at the pivot row's keys, so only
+    those index entries are updated.  The sparsest unused candidate (then
+    the lowest row id) becomes the pivot row; RREF is unique, so that only
+    keeps fill-in low.
     """
     rows = {}
     where = {}
+    fractional = set()
     for (r, c), v in m.entries.items():
         row = rows.get(r)
         if row is None:
             rows[r] = row = {}
         row[c] = v
+        if type(v) is not int:
+            fractional.add(r)
         ids = where.get(c)
         if ids is None:
             where[c] = ids = set()
         ids.add(r)
+    for r in fractional:
+        lcm = 1
+        for v in rows[r].values():
+            lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+        rows[r] = {c: v.numerator * (lcm // v.denominator) for c, v in rows[r].items()}
     used = set()
-    done = []
+    pivot_rows = []
     pivots = []
     for col in sorted(where):
         holders = where[col]
@@ -266,24 +294,30 @@ def _rref(m: Matrix):
         used.add(i)
         piv = rows[i]
         p = piv[col]
-        if p != 1:
-            inv = Fraction(p.denominator, p.numerator)
-            rows[i] = piv = {c: v * inv for c, v in piv.items()}
         where[col] = {i}
         keys = [c for c in piv if c != col]
         for k in holders:
             if k == i:
                 continue
             row = rows[k]
-            accumulate(row, piv.items(), -row[col])
+            a = row[col]
+            g = gcd(p, a) if p > 0 else -gcd(p, a)
+            s = p // g
+            if s != 1:
+                row = {c: s * v for c, v in row.items()}
+            accumulate(row, piv.items(), -(a // g))
+            content = gcd(*row.values())
+            if content > 1:
+                row = {c: v // content for c, v in row.items()}
+            rows[k] = row
             for c in keys:
                 if c in row:
                     where[c].add(k)
                 else:
                     where[c].discard(k)
-        done.append(piv)
+        pivot_rows.append(i)
         pivots.append(col)
-    return pivots, done
+    return pivots, map(_unit_row, pivots, [rows[i] for i in pivot_rows])
 
 
 def rank(m: Matrix) -> int:
@@ -322,10 +356,6 @@ class Subspace:
         return Subspace._independent(ambient_dim, Matrix(ambient_dim, 0))
 
     @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace._independent(ambient_dim, Matrix.identity(ambient_dim))
-
-    @staticmethod
     def spanned_by(ambient_dim: int, vectors: Matrix) -> "Subspace":
         """Span of arbitrary column vectors; dependent columns are dropped."""
         if vectors.rows != ambient_dim:
@@ -347,13 +377,9 @@ class Subspace:
         return solve(self.basis, other.basis) is not None
 
 
-def kernel_image(m: Matrix):
-    """Kernel and image (column space) of m, with canonical bases.
-
-    The kernel basis comes from the unique RREF (one vector per free column,
-    free columns ascending); the image basis is the original columns at the
-    pivot positions, so dim ker + dim im = cols always.
-    """
+def _kernel(m: Matrix):
+    """The kernel basis of m (see `kernel_image`) and m's pivot columns,
+    from one `_rref`."""
     pivots, rows = _rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -366,10 +392,20 @@ def kernel_image(m: Matrix):
     for pcol, row in zip(pivots, rows):
         for c, v in row.items():
             k = slot.get(c)
-            if k is not None and v:
+            if k is not None:
                 ker.entries[(pcol, k)] = -v
-    image = m.select_columns(pivots)
-    return Subspace._independent(m.cols, ker), Subspace._independent(m.rows, image)
+    return Subspace._independent(m.cols, ker), pivots
+
+
+def kernel_image(m: Matrix):
+    """Kernel and image (column space) of m, with canonical bases.
+
+    The kernel basis comes from the unique RREF (one vector per free column,
+    free columns ascending); the image basis is the original columns at the
+    pivot positions, so dim ker + dim im = cols always.
+    """
+    ker, pivots = _kernel(m)
+    return ker, Subspace._independent(m.rows, m.select_columns(pivots))
 
 
 def solve(a: Matrix, b: Matrix):
@@ -379,15 +415,14 @@ def solve(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows:
         raise ShapeMismatch("solve with mismatched rows")
-    aug = a.hstack(b)
-    pivots, rows = _rref(aug)
-    for p, prow in zip(pivots, rows):
-        if p >= a.cols:
-            return None
+    pivots, rows = _rref(a.hstack(b))
+    # pivots ascend: b is outside the column space of a iff the last is in b
+    if pivots and pivots[-1] >= a.cols:
+        return None
     x = Matrix(a.cols, b.cols)
-    for prow, pcol in enumerate(pivots):
-        for c, v in rows[prow].items():
-            if c >= a.cols and v:
+    for pcol, row in zip(pivots, rows):
+        for c, v in row.items():
+            if c >= a.cols:
                 x.entries[(pcol, c - a.cols)] = v
     return x
 

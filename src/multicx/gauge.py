@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .complexes import Multicomplex, validate_multicomplex
 from .errors import BadConstantTerm, NotSquareZero, SpaceMismatch
-from .graded import GradedMap, GradedVectorSpace, compose
+from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 from .transfer import HodgeData, MinimalModel, nonzero_weights
 
 
@@ -49,10 +49,6 @@ class OperatorSeries:
             if not f.is_zero and n <= power_cap(space):
                 clean[int(n)] = f
         self.coeffs = dict(sorted(clean.items()))
-
-    @staticmethod
-    def zero(space) -> "OperatorSeries":
-        return OperatorSeries(space)
 
     @staticmethod
     def unit(space) -> "OperatorSeries":
@@ -91,25 +87,6 @@ class OperatorSeries:
     def __repr__(self):
         return "OperatorSeries(powers %r)" % (list(self.coeffs),)
 
-    def add(self, other: "OperatorSeries") -> "OperatorSeries":
-        if self.space != other.space:
-            raise SpaceMismatch("series on different spaces")
-        out = {}
-        for n in set(self.coeffs) | set(other.coeffs):
-            a, b = self.coeffs.get(n), other.coeffs.get(n)
-            out[n] = a if b is None else (b if a is None else a.add(b))
-        return OperatorSeries(self.space, out)
-
-    def scale(self, a) -> "OperatorSeries":
-        return OperatorSeries(self.space, {n: f.scale(a) for n, f in self.coeffs.items()})
-
-    def neg(self) -> "OperatorSeries":
-        return self.scale(-1)
-
-    def sub(self, other: "OperatorSeries") -> "OperatorSeries":
-        return self.add(other.neg())
-
-
 def series_mul(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
     """Cauchy product; coefficients compose as operators (a after b)."""
     if a.space != b.space:
@@ -128,41 +105,59 @@ def series_mul(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
     return OperatorSeries(a.space, out)
 
 
+def series_lincomb(space: GradedVectorSpace, terms) -> OperatorSeries:
+    """The sum of a * s over the (scalar, series) terms, one `lincomb` per
+    power, so no scaled copy of a series is built."""
+    per = {}
+    for a, s in terms:
+        if s.space != space:
+            raise SpaceMismatch("series on different spaces")
+        for n, f in s.coeffs.items():
+            per.setdefault(n, []).append((a, f))
+    return OperatorSeries(space, {n: lincomb(fs) for n, fs in per.items()})
+
+
 def series_exp(r: OperatorSeries) -> OperatorSeries:
     """exp of a series with zero constant term (a finite sum by nilpotency)."""
     if 0 in r.coeffs:
         raise BadConstantTerm("exp needs a zero constant term")
     cap = power_cap(r.space)
-    acc = OperatorSeries.unit(r.space)
     term = OperatorSeries.unit(r.space)
+    terms = [(1, term)]
     fact = 1
     for k in range(1, cap + 1):
         term = series_mul(term, r)
         if term.is_zero:
             break
         fact *= k
-        acc = acc.add(term.scale(Fraction(1, fact)))
-    return acc
+        terms.append((Fraction(1, fact), term))
+    return series_lincomb(r.space, terms)
 
 
-def series_log(u: OperatorSeries) -> OperatorSeries:
-    """log of a series with constant term the identity."""
+def _log_terms(u: OperatorSeries) -> list:
+    """The (coefficient, power) terms of log u = sum_k (-1)^(k+1) v^k / k,
+    v = u - 1, for a series u with constant term the identity."""
     if u.constant_term != GradedMap.identity(u.space):
         raise BadConstantTerm("log needs constant term equal to the identity")
-    v = u.sub(OperatorSeries.unit(u.space))
+    v = OperatorSeries(u.space, {n: f for n, f in u.coeffs.items() if n})
     cap = power_cap(u.space)
-    acc = OperatorSeries.zero(u.space)
+    terms = []
     term = OperatorSeries.unit(u.space)
     for k in range(1, cap + 1):
         term = series_mul(term, v)
         if term.is_zero:
             break
-        acc = acc.add(term.scale(Fraction((-1) ** (k + 1), k)))
-    return acc
+        terms.append((Fraction((-1) ** (k + 1), k), term))
+    return terms
+
+
+def series_log(u: OperatorSeries) -> OperatorSeries:
+    """log of a series with constant term the identity."""
+    return series_lincomb(u.space, _log_terms(u))
 
 
 def commutator_series(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
-    return series_mul(a, b).sub(series_mul(b, a))
+    return series_lincomb(a.space, [(1, series_mul(a, b)), (-1, series_mul(b, a))])
 
 
 def conjugate_series(r: OperatorSeries, d_series: OperatorSeries) -> OperatorSeries:
@@ -175,16 +170,16 @@ def conjugate_series(r: OperatorSeries, d_series: OperatorSeries) -> OperatorSer
     if 0 in r.coeffs:
         raise BadConstantTerm("gauge series needs a zero constant term")
     cap = power_cap(r.space)
-    acc = d_series
     term = d_series
+    terms = [(1, term)]
     fact = 1
     for k in range(1, cap + 1):
         term = commutator_series(r, term)
         if term.is_zero:
             break
         fact *= k
-        acc = acc.add(term.scale(Fraction(1, fact)))
-    return acc
+        terms.append((Fraction(1, fact), term))
+    return series_lincomb(r.space, terms)
 
 
 def conjugate_differential(r: OperatorSeries, d: GradedMap) -> OperatorSeries:
@@ -258,4 +253,5 @@ def find_gauge(model: MinimalModel):
     if weights:
         return NoGauge(witness=weights[0])
     iso = model.iso
-    return series_log(OperatorSeries(iso.source.space, dict(enumerate(iso.comps)))).neg()
+    log = _log_terms(OperatorSeries(iso.source.space, dict(enumerate(iso.comps))))
+    return series_lincomb(iso.source.space, [(-a, f) for a, f in log])

@@ -45,7 +45,7 @@ from functools import cached_property
 
 from .complexes import InfinityMorphism, Multicomplex
 from .errors import NotSquareZero, SpaceMismatch
-from .exactla import Matrix, Subspace, complement, kernel_image, solve
+from .exactla import Matrix, Subspace, _kernel, complement, solve
 from .graded import (
     GradedMap,
     GradedVectorSpace,
@@ -108,15 +108,18 @@ def build_retract(space: GradedVectorSpace, d: GradedMap):
     Returns (retract, splitting).  Each degree is eliminated once, for
     ker d_k; C_k is the greedy complement of ker d_k, B_k = d C_{k+1}, H_k
     the greedy complement of B_k in ker d_k, and one solve inverts the frame.
+    That C_k is the unit vectors at d_k's pivot columns: a free e_j is its
+    kernel vector plus pivot unit vectors left of j, and the RREF row of a
+    pivot j vanishes on ker d_k and on every e_i, i < j, but not on e_j.
     """
     if d.degree != -1:
         raise NotSquareZero("differential must have degree -1")
     if not compose(d, d).is_zero:
         raise NotSquareZero("d squared is nonzero")
     kernels, c = {}, {}
-    for k in space.degrees:
-        kernels[k] = kernel_image(d.block(k))[0]
-        c[k] = complement(kernels[k], Subspace.full(space.dim(k))).basis
+    for k, n in space.dims.items():
+        kernels[k], pivots = _kernel(d.block(k))
+        c[k] = Matrix(n, len(pivots), [(p, j, 1) for j, p in enumerate(pivots)])
     bases, coords = {}, {}
     for k, n in space.dims.items():
         b = d.block(k + 1).mul(c[k + 1]) if k + 1 in c else Matrix(n, 0)
@@ -271,9 +274,10 @@ class MinimalModel:
         p_comps = _p_components(r, m)
         psi = [ident]
         for n in range(1, max(max_component_index(big, big, 2, 0), 0) + 1):
-            terms = [(1, compose(psi[k], m.delta(n - k))) for k in range(max(n - m.order, 0), n)]
+            terms = [(-1, compose(psi[k], m.delta(n - k))) for k in range(max(n - m.order, 0), n)]
             tail = compose(r.homotopy, lincomb(terms, degree=2 * n - 1, source=big, target=big))
-            psi.append(compose(r.incl, p_comps[n]).sub(tail) if n < len(p_comps) else tail.neg())
+            psi.append(lincomb([(1, compose(r.incl, p_comps[n])), (1, tail)])
+                       if n < len(p_comps) else tail)
         return InfinityMorphism(m, carried, psi)
 
 

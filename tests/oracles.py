@@ -4,12 +4,13 @@ None of these is on a path the CLI runs.  Each is either an independent
 second construction of something the package computes (the inclusion's
 infinity-extension, the minimal model's isomorphism through the direct sum
 with the acyclic complement, the paper's explicit gauge for mixed
-complexes, the leading-slot identification of a page with homology), a
-generator of test instances, a check that only tests make (the defects of
-the retract identities, the first nonzero differential of a built page),
-or a small constructor that only tests need (matrices from rows or a
-column, the transpose, coordinate fields, form vectors, direct sums, the
-contraction symbol with its factors in reversed order).
+complexes, the leading-slot identification of a page with homology, the
+row-scanning Fraction elimination), a generator of test instances, a check
+that only tests make (the defects of the retract identities, the first
+nonzero differential of a built page), or a small constructor that only tests need (matrices from rows or a
+column, Q^n on its standard basis, the transpose, coordinate fields, form
+vectors, direct sums, the contraction symbol with its factors in reversed
+order).
 """
 
 from fractions import Fraction
@@ -18,12 +19,20 @@ from random import Random
 from multicx import derham, transfer
 from multicx.complexes import InfinityMorphism, Multicomplex
 from multicx.derham import PolyVector
-from multicx.exactla import Matrix, accumulate, induced_subquotient_map, kernel_image, rat
+from multicx.exactla import (
+    Matrix,
+    Subspace,
+    accumulate,
+    induced_subquotient_map,
+    kernel_image,
+    rat,
+)
 from multicx.gauge import (
     OperatorSeries,
     check_gauge_hodge,
     gauge_construct,
     power_cap,
+    series_lincomb,
     series_log,
 )
 from multicx.generators import rand_entry, rand_graded_map, rand_space, rand_square_zero
@@ -45,6 +54,43 @@ def column(values) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def full_space(n: int) -> Subspace:
+    """Q^n on its standard basis."""
+    return Subspace(n, Matrix.identity(n))
+
+
+def scanning_rref(m):
+    """The row-scanning, all-Fraction elimination that `_rref`'s column
+    index and integer rows replaced: for each column it scans every
+    remaining row for pivot candidates and every row for the entries to
+    clear, and it scales each pivot row by the pivot's inverse."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    rows = [r for r in rows if r]
+    done = []
+    pivots = []
+    for col in range(m.cols):
+        cand = [i for i, r in enumerate(rows) if col in r]
+        if not cand:
+            continue
+        cand.sort(key=lambda i: (len(rows[i]), i))
+        i = cand[0]
+        piv = rows.pop(i)
+        inv = Fraction(1) / piv[col]
+        piv = {c: v * inv for c, v in piv.items()}
+        for other_set in (rows, done):
+            for k, r in enumerate(other_set):
+                f = r.get(col)
+                if f is None:
+                    continue
+                other_set[k] = accumulate(dict(r), piv.items(), -f)
+        rows = [r for r in rows if r]
+        done.append(piv)
+        pivots.append(col)
+    return pivots, done
 
 
 def coordinate_field(dim: int, j: int) -> PolyVector:
@@ -166,14 +212,14 @@ def mixed_complex_gauge(retract, delta: GradedMap) -> OperatorSeries:
     h_delta = compose(retract.homotopy, delta)
     delta_h = compose(delta, retract.homotopy)
     ip = compose(retract.incl, retract.proj)
-    inner = OperatorSeries.unit(space).sub(OperatorSeries.single(1, h_delta))
+    inner = [(1, OperatorSeries.unit(space)), (-1, OperatorSeries.single(1, h_delta))]
     power = GradedMap.identity(space)
     for n in range(1, power_cap(space) + 1):
         power = compose(power, delta_h)
         if power.is_zero:
             break
-        inner = inner.add(OperatorSeries.single(n, compose(ip, power)))
-    series = series_log(inner).neg()
+        inner.append((1, OperatorSeries.single(n, compose(ip, power))))
+    series = series_lincomb(space, [(-1, series_log(series_lincomb(space, inner)))])
     check = check_gauge_hodge(series, m)
     if not check.ok:
         raise HodgeDataFails("mixed gauge fails at power %r" % (check.witness,))
@@ -272,7 +318,7 @@ def mixed_gauge_instance(rng: Random, max_width=5, max_dim=3):
     d = rand_square_zero(rng, space, -1)
     ks = [k for k in space.degrees if space.dim(k + 2)]
     if not ks:
-        return Multicomplex.trivial(space, d), OperatorSeries.zero(space)
+        return Multicomplex.trivial(space, d), OperatorSeries(space)
     k = rng.choice(ks)
     ent = [(k, r, c, rand_entry(rng))
            for r in range(space.dim(k + 2)) for c in range(space.dim(k))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicx
+from multicx import exactla
+from multicx.derham import FormAlgebra, PolyVector, jacobi_multicomplex
 from multicx.errors import NotContained, NotWellDefined, ShapeMismatch
 from multicx.exactla import (
     Matrix,
@@ -22,7 +24,8 @@ from multicx.exactla import (
     solve,
 )
 from multicx.graded import GradedMap, GradedVectorSpace, lincomb
-from oracles import column, from_rows
+from multicx.spectral import total_complex
+from oracles import column, from_rows, full_space, scanning_rref
 
 # property tests stay deterministic: the same examples on every run
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -92,7 +95,7 @@ def test_solve_exact_and_unsolvable():
 
 def test_complement_coordinate_cases():
     e1 = Subspace(2, column([1, 0]))
-    full = Subspace.full(2)
+    full = full_space(2)
     c = complement(e1, full)
     assert c.dim == 1 and solve(c.basis, column([0, 1])) is not None
     assert complement(full, full).dim == 0
@@ -101,7 +104,7 @@ def test_complement_coordinate_cases():
 def test_complement_greedy_pivot():
     # first standard vector not inside span{(1,1)} is e1
     diag = Subspace(2, column([1, 1]))
-    c = complement(diag, Subspace.full(2))
+    c = complement(diag, full_space(2))
     assert c.basis == column([1, 0])
 
 
@@ -118,15 +121,15 @@ def test_complement_rank_property_random():
         n = rng.randint(1, 6)
         vecs = rand_matrix(rng, n, rng.randint(0, n))
         sub = Subspace.spanned_by(n, vecs)
-        c = complement(sub, Subspace.full(n))
+        c = complement(sub, full_space(n))
         assert rank(sub.basis.hstack(c.basis)) == n
         assert sub.dim + c.dim == n
 
 
 def test_induced_map_zero_map():
     m = Matrix(2, 2)
-    src = (Subspace.full(2), Subspace(2, column([1, 0])))
-    dst = (Subspace.full(2), Subspace(2, column([0, 1])))
+    src = (full_space(2), Subspace(2, column([1, 0])))
+    dst = (full_space(2), Subspace(2, column([0, 1])))
     out = induced_subquotient_map(m, src, dst)
     assert out.rows == 1 and out.cols == 1 and out.is_zero()
 
@@ -144,17 +147,17 @@ def test_induced_map_coset_oracle():
     # of e1 is the quotient basis vector and the induced map is [1].  Both
     # expected values computed by solving the coset linear system by hand.
     m = from_rows([[0, 1], [0, 0]])
-    src = (Subspace.full(2), Subspace(2, column([1, 0])))
-    dst_e1 = (Subspace.full(2), Subspace(2, column([1, 0])))
-    dst_e2 = (Subspace.full(2), Subspace(2, column([0, 1])))
+    src = (full_space(2), Subspace(2, column([1, 0])))
+    dst_e1 = (full_space(2), Subspace(2, column([1, 0])))
+    dst_e2 = (full_space(2), Subspace(2, column([0, 1])))
     assert induced_subquotient_map(m, src, dst_e1).is_zero()
     assert induced_subquotient_map(m, src, dst_e2) == from_rows([[1]])
 
 
 def test_induced_map_detects_disrespected_quotient():
     m = from_rows([[0, 0], [1, 0]])  # e1 -> e2
-    src = (Subspace.full(2), Subspace(2, column([1, 0])))
-    dst = (Subspace.full(2), Subspace(2, column([1, 0])))
+    src = (full_space(2), Subspace(2, column([1, 0])))
+    dst = (full_space(2), Subspace(2, column([1, 0])))
     with pytest.raises(NotWellDefined):
         induced_subquotient_map(m, src, dst)
 
@@ -166,7 +169,7 @@ def test_induced_map_commutes_with_projection_random():
     for _ in range(30):
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n, n)
-        num = Subspace.full(n)
+        num = full_space(n)
         den__vecs = m.mul(rand_matrix(rng, n, rng.randint(0, n)))
         # use an m-stable denominator: span of m-images intersected trivially;
         # simplest stable choice is the zero denominator
@@ -190,7 +193,7 @@ def test_induced_map_with_stable_denominator_commutes():
         n = rng.randint(2, 6)
         m = rand_matrix(rng, n, n, density=0.5)
         _, den = kernel_image(m.mul(m))
-        num = Subspace.full(n)
+        num = full_space(n)
         out = induced_subquotient_map(m, (num, den), (num, den))
         rep = complement(den, num)
         frame = den.basis.hstack(rep.basis)
@@ -351,37 +354,6 @@ def test_kernel_image_and_solve_invariants(data):
 
 # ---- the indexed elimination kernel against the scanning one it replaced ----
 
-def scanning_rref(m):
-    """The row-scanning `_rref` the column index replaced: for each column it
-    scans every remaining row for pivot candidates and every row for the
-    entries to clear."""
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    rows = [r for r in rows if r]
-    done = []
-    pivots = []
-    for col in range(m.cols):
-        cand = [i for i, r in enumerate(rows) if col in r]
-        if not cand:
-            continue
-        cand.sort(key=lambda i: (len(rows[i]), i))
-        i = cand[0]
-        piv = rows.pop(i)
-        inv = Fraction(1) / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for other_set in (rows, done):
-            for k, r in enumerate(other_set):
-                f = r.get(col)
-                if f is None:
-                    continue
-                other_set[k] = accumulate(dict(r), piv.items(), -f)
-        rows = [r for r in rows if r]
-        done.append(piv)
-        pivots.append(col)
-    return pivots, done
-
-
 def sparse(draw, rows, cols, density):
     """rows x cols with each entry nonzero with probability about `density`."""
     ent = []
@@ -517,6 +489,94 @@ def test_int_entries_give_the_all_fraction_results(data):
     assert all(exact_entries(r.values()) for r in echelon)
 
 
+# ---- fraction-free elimination: integer rows, one division per pivot row ----
+
+def held_as_is(rows, cols, entries):
+    """A rows x cols matrix holding the entries as given: the constructor
+    would turn an integral Fraction into an int."""
+    m = Matrix(rows, cols)
+    m.entries.update(((r, c), v) for r, c, v in entries if v)
+    return m
+
+
+@st.composite
+def wide_rationals(draw):
+    """Small or up to 2^80 in size; an int, an integral Fraction, or a
+    Fraction with a denominator up to 10^6."""
+    bound = draw(st.sampled_from([3, 2 ** 80]))
+    num = draw(st.integers(-bound, bound).filter(bool))
+    kind = draw(st.sampled_from(["int", "integral", "fraction"]))
+    if kind == "int":
+        return num
+    return Fraction(num, 1 if kind == "integral" else draw(st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def fraction_free_inputs(draw):
+    """Sparse matrices of wide rationals, with some rows rational
+    combinations of earlier ones, so that rows cancel and ranks drop."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    base = [{c: draw(wide_rationals()) for c in range(cols) if draw(st.integers(0, 99)) < 40}
+            for _ in range(rows)]
+    for k in range(1, rows):
+        if draw(st.integers(0, 99)) < 30:
+            row = accumulate({}, base[draw(st.integers(0, k - 1))].items(), draw(wide_rationals()))
+            base[k] = accumulate(row, base[k].items()) if draw(st.booleans()) else row
+    return held_as_is(rows, cols, [(r, c, v) for r, row in enumerate(base)
+                                   for c, v in row.items()])
+
+
+def ints_exactly_when_integral(values):
+    return all(type(v) is int if v.denominator == 1 else type(v) is Fraction for v in values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fraction_free_inputs())
+def test_fraction_free_rref_matches_the_fraction_elimination(m):
+    pivots, rows = _rref(m)
+    rows = list(rows)
+    want_pivots, want_rows = scanning_rref(m)
+    assert pivots == want_pivots
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
+    assert all(ints_exactly_when_integral(r.values()) for r in rows)
+    assert all(r[p] == 1 for p, r in zip(pivots, rows))
+
+
+SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1, ((0, 1, 0), (0, 2)): -1})
+
+
+def count_fractions(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(exactla, "Fraction", counted)
+    return built
+
+
+def test_integer_elimination_builds_a_fraction_only_per_proper_entry(monkeypatch):
+    # the so3 Poisson total boundaries at trunc 4 and random integer
+    # matrices: no Fraction is built but the output's non-integral entries
+    a = FormAlgebra(3, 4, weight=True)
+    t = total_complex(jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex)
+    rng = Random(61)
+    cases = [t.boundary(0), t.boundary(1)]
+    cases += [Matrix(n, k, [(r, c, rng.randint(-9, 9)) for r in range(n) for c in range(k)
+                            if rng.random() < 0.4])
+              for n, k in [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(40)]]
+    built = count_fractions(monkeypatch)
+    proper_total = 0
+    for m in cases:
+        assert all(type(v) is int for v in m.entries.values())
+        del built[:]
+        pivots, rows = _rref(m)
+        proper = sum(type(v) is not int for r in rows for v in r.values())
+        assert len(built) <= proper
+        proper_total += proper
+    assert proper_total, "no case has a non-integral RREF entry"
+
+
 # ---- the trusted constructor: independence by construction ----
 
 def test_caller_supplied_dependent_basis_is_rejected():
@@ -536,9 +596,9 @@ def test_constructed_bases_are_independent(data):
     span = Subspace.spanned_by(n, vecs)
     ambient = Subspace.spanned_by(n, span.basis.hstack(data.draw(matrices(rows=n))))
     # d applied to a complement of its kernel, the image basis of a retract
-    preimage = complement(ker, Subspace.full(m.cols))
+    preimage = complement(ker, full_space(m.cols))
     subspaces = [ker, img, span, ambient, complement(span, ambient),
-                 complement(img, Subspace.full(n)), Subspace.zero(n), Subspace.full(n),
+                 complement(img, full_space(n)), Subspace.zero(n), full_space(n),
                  Subspace._independent(n, m.mul(preimage.basis))]
     for sub in subspaces:
         assert rank(sub.basis) == sub.basis.cols

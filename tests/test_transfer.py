@@ -15,7 +15,7 @@ from multicx.complexes import (
 )
 from multicx import transfer
 from multicx.errors import NotSquareZero, SpaceMismatch
-from multicx.exactla import Matrix, Subspace, kernel_image
+from multicx.exactla import Matrix, Subspace, complement, kernel_image
 from multicx.generators import (
     corpus,
     generate,
@@ -39,6 +39,7 @@ from oracles import (
     complement_maps,
     frame_isomorphism,
     from_rows,
+    full_space,
     identity_defects,
     inclusion_extension,
     mixed_gauge_instance,
@@ -436,22 +437,34 @@ def count_in_transfer(monkeypatch, name):
 
 
 def test_minimal_model_eliminates_only_for_the_splitting(monkeypatch):
-    # per degree one kernel, two complements and the frame inverse; the
-    # model, the verdict and every twisted retract eliminate nothing more
-    kernels = count_in_transfer(monkeypatch, "kernel_image")
+    # per degree one kernel, one complement (H of B in ker d; C is read off
+    # the kernel's pivots) and the frame inverse; the model, the verdict and
+    # every twisted retract eliminate nothing more
+    kernels = count_in_transfer(monkeypatch, "_kernel")
     complements = count_in_transfer(monkeypatch, "complement")
     solves = count_in_transfer(monkeypatch, "solve")
     rng = Random(53)
     for m in [generate("a", 5), generate("b", 5), staircase4()]:
         degrees = len(m.space.degrees)
         r, split = build_retract(m.space, m.delta(0))
-        assert (len(kernels), len(complements), len(solves)) == (degrees, 2 * degrees, degrees)
+        assert (len(kernels), len(complements), len(solves)) == (degrees, degrees, degrees)
         del kernels[:], complements[:], solves[:]
         minimal_model(m)
-        assert (len(kernels), len(complements), len(solves)) == (degrees, 2 * degrees, degrees)
+        assert (len(kernels), len(complements), len(solves)) == (degrees, degrees, degrees)
         del kernels[:], complements[:], solves[:]
         check_hodge_data(r, m)
         for _ in range(3):
             alt, _ = alternative_retract(split, rng)
             check_hodge_data(alt, m)
         assert not kernels and not complements and not solves
+
+
+def test_complement_of_the_kernel_is_the_greedy_one():
+    # C_k, the unit vectors at d_k's pivot columns, is the complement that
+    # scanning the standard basis of Q^n and keeping each vector that
+    # enlarges ker d_k + span(kept) picks
+    for m in iso_instances():
+        _, split = build_retract(m.space, m.delta(0))
+        for k, n in m.space.dims.items():
+            ker, _ = kernel_image(m.delta(0).block(k))
+            assert split.bases[k][2] == complement(ker, full_space(n)).basis, k
