@@ -24,7 +24,6 @@ from .derham import (
     contraction,
     d_de_rham,
     jacobi_multicomplex,
-    koszul_delta,
     schouten,
     structure_order_ladder,
 )

@@ -158,6 +158,15 @@ def _gauge(series, m):
     return check.ok, "" if check.ok else "fails at power %d" % check.witness
 
 
+def _degeneration(report: Report, t, h) -> bool:
+    """Add the page-one degeneration line, decided against h = H(A, d), and
+    return its verdict."""
+    degen = degenerates_at_one(t, h)
+    report.add("degenerates at page one", degen.ok,
+               "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
+    return degen.ok
+
+
 def _done(report: Report, started: float) -> Report:
     report.elapsed = round(time.perf_counter() - started, 6)
     return report
@@ -201,18 +210,16 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
     # the verdict comes from ranks; when it holds every page equals page
     # one, and when it fails the table is read off the corner ranks that
     # found the witness
-    degen = degenerates_at_one(t, model.minimal.space)
+    degen_ok = _degeneration(report, t, model.minimal.space)
     bound = t.stabilization_bound()
     shown = bound if pages is None else min(bound, pages)
-    if degen.ok:
+    if degen_ok:
         rows = [page_one_dims(t, model.minimal.space)] * shown
     else:
         rows = [page_dims(t, r) for r in range(1, shown + 1)]
     report.tables["page dimensions"] = {
         "page %d" % r: {str(k): v for k, v in dims.items()}
         for r, dims in enumerate(rows, 1)}
-    report.add("degenerates at page one", degen.ok,
-               "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
 
     gauge = find_gauge(model)
     found = not isinstance(gauge, NoGauge)
@@ -222,10 +229,10 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
         report.notes["gauge"] = " | ".join(formats.print_series(gauge).strip().splitlines())
         report.add("gauge series conjugates the differential", *_gauge(gauge, m))
 
-    agree = (hodge_ok == degen.ok == found)
+    agree = (hodge_ok == degen_ok == found)
     report.add("three-way agreement", agree,
                "" if agree else "hodge=%s degeneration=%s gauge=%s"
-               % (hodge_ok, degen.ok, found))
+               % (hodge_ok, degen_ok, found))
 
     if seed is not None:
         rng = Random(seed)
@@ -313,10 +320,8 @@ def cmd_geometry(kind: str, dim: int, trunc: int, structure_path: str) -> Report
         return _done(report, started)
 
     h = homology(m.delta(0))
-    degen = degenerates_at_one(t, h)
     report.tables["homology"] = dict(h.dims)
-    report.add("degenerates at page one", degen.ok,
-               "" if degen.ok else "page %d at (level, total degree) = (%d, %d)" % degen.witness)
+    _degeneration(report, t, h)
 
     def order_line(name, order, ok):
         # a failing line names the order found, -1 for the zero operator

@@ -119,6 +119,17 @@ class InfinityMorphism:
 
 
 @dataclass
+class HodgeData:
+    """A verdict with its witness (the least failing weight, power or page
+    position), or None when it holds."""
+    ok: bool
+    witness: object
+
+    def __bool__(self):
+        return self.ok
+
+
+@dataclass
 class Violation:
     index: int
     source_degree: int

@@ -305,11 +305,6 @@ def _bivector_contraction(a: FormAlgebra, w: PolyVector) -> GradedMap:
     return contraction(a, w)
 
 
-def koszul_delta(a: FormAlgebra, w: PolyVector) -> GradedMap:
-    """The square-lowering operator [i(w), d] of a bivector."""
-    return graded_commutator(_bivector_contraction(a, w), d_de_rham(a))
-
-
 # Normal-ordered symbols.  A polynomial differential operator on Q[x, theta],
 # theta_i = dx_i, is the sparse dict {(alpha, I, a, b): c} of the operator
 # sum c x^alpha theta_I dx^a dtheta_b: alpha and a are exponent tuples, I and b
@@ -442,7 +437,6 @@ def structure_order_ladder(w: PolyVector, e: PolyVector | None = None) -> OrderL
 class GeometricComplex:
     multicomplex: Multicomplex
     gauge: OperatorSeries
-    algebra: FormAlgebra
 
 
 def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> GeometricComplex:
@@ -468,7 +462,7 @@ def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> Geometr
     else:
         delta2 = compose(contraction(a, e), iw)
     m = Multicomplex(a.space, [d, graded_commutator(iw, d), delta2])
-    return GeometricComplex(multicomplex=m, gauge=OperatorSeries(a.space, {1: iw}), algebra=a)
+    return GeometricComplex(multicomplex=m, gauge=OperatorSeries(a.space, {1: iw}))
 
 
 def poisson_mixed_complex(w: PolyVector, a: FormAlgebra) -> GeometricComplex:
@@ -482,7 +476,6 @@ def poisson_mixed_complex(w: PolyVector, a: FormAlgebra) -> GeometricComplex:
 class BasicComplex:
     multicomplex: Multicomplex
     inclusions: dict          # exported degree -> column basis in the ambient
-    ambient: FormAlgebra
     gauge: OperatorSeries
 
 
@@ -525,4 +518,4 @@ def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicCompl
     m = Multicomplex(sub, [_restrict(d, basis, sub),
                            _restrict(graded_commutator(iw, d), basis, sub)])
     series = OperatorSeries(sub, {1: _restrict(iw, basis, sub)})
-    return BasicComplex(multicomplex=m, inclusions=basis, ambient=a, gauge=series)
+    return BasicComplex(multicomplex=m, inclusions=basis, gauge=series)

@@ -127,10 +127,6 @@ class Matrix:
             yield (r, c), rat(v)
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [(i, i, 1) for i in range(n)])
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .complexes import Multicomplex, validate_multicomplex
+from .complexes import HodgeData, Multicomplex, validate_multicomplex
 from .errors import BadConstantTerm, NotSquareZero, SpaceMismatch
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
-from .transfer import HodgeData, MinimalModel, nonzero_weights
+from .transfer import MinimalModel, nonzero_weights
 
 
 def power_cap(space: GradedVectorSpace) -> int:
@@ -73,10 +74,6 @@ class OperatorSeries:
         return max(self.coeffs, default=-1)
 
     @property
-    def constant_term(self) -> GradedMap:
-        return self.coefficient(0)
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -87,22 +84,34 @@ class OperatorSeries:
     def __repr__(self):
         return "OperatorSeries(powers %r)" % (list(self.coeffs),)
 
+
+def _product_sum(space: GradedVectorSpace, products) -> OperatorSeries:
+    """The sum of c * (x y) over the (c, x, y) terms, x y the Cauchy product.
+    Each power's compositions are collected as (coefficient, map) terms and
+    summed by one `lincomb`, so no partial sum or scaled copy is built."""
+    cap = power_cap(space)
+    per = {}
+    for c, x, y in products:
+        if x.space != space or y.space != space:
+            raise SpaceMismatch("series on different spaces")
+        for n, f in x.coeffs.items():
+            for m, g in y.coeffs.items():
+                if n + m > cap:
+                    continue
+                term = compose(f, g)
+                if not term.is_zero:
+                    per.setdefault(n + m, []).append((c, term))
+    return OperatorSeries(space, {n: lincomb(terms) for n, terms in per.items()})
+
+
 def series_mul(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
-    """Cauchy product; coefficients compose as operators (a after b)."""
-    if a.space != b.space:
-        raise SpaceMismatch("series on different spaces")
-    cap = power_cap(a.space)
-    out = {}
-    for n, fa in a.coeffs.items():
-        for m, fb in b.coeffs.items():
-            if n + m > cap:
-                continue
-            term = compose(fa, fb)
-            if term.is_zero:
-                continue
-            cur = out.get(n + m)
-            out[n + m] = term if cur is None else cur.add(term)
-    return OperatorSeries(a.space, out)
+    """Cauchy product; coefficients compose as operators (a after b), and
+    each power is one `lincomb` of its compositions."""
+    return _product_sum(a.space, [(1, a, b)])
+
+
+def commutator_series(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
+    return _product_sum(a.space, [(1, a, b), (-1, b, a)])
 
 
 def series_lincomb(space: GradedVectorSpace, terms) -> OperatorSeries:
@@ -117,47 +126,40 @@ def series_lincomb(space: GradedVectorSpace, terms) -> OperatorSeries:
     return OperatorSeries(space, {n: lincomb(fs) for n, fs in per.items()})
 
 
+def _power_sum(start: OperatorSeries, step, coeff) -> OperatorSeries:
+    """sum_k coeff(k) t_k with t_0 = start and t_k = step(t_{k-1}).  The
+    step raises the least power, so the terms are zero past the power cap:
+    the loop stops at the first zero term and the sum is finite."""
+    term, terms = start, [(coeff(0), start)]
+    for k in range(1, power_cap(start.space) + 1):
+        term = step(term)
+        if term.is_zero:
+            break
+        terms.append((coeff(k), term))
+    return series_lincomb(start.space, terms)
+
+
 def series_exp(r: OperatorSeries) -> OperatorSeries:
     """exp of a series with zero constant term (a finite sum by nilpotency)."""
     if 0 in r.coeffs:
         raise BadConstantTerm("exp needs a zero constant term")
-    cap = power_cap(r.space)
-    term = OperatorSeries.unit(r.space)
-    terms = [(1, term)]
-    fact = 1
-    for k in range(1, cap + 1):
-        term = series_mul(term, r)
-        if term.is_zero:
-            break
-        fact *= k
-        terms.append((Fraction(1, fact), term))
-    return series_lincomb(r.space, terms)
+    return _power_sum(OperatorSeries.unit(r.space), lambda t: series_mul(t, r),
+                      lambda k: Fraction(1, factorial(k)))
 
 
-def _log_terms(u: OperatorSeries) -> list:
-    """The (coefficient, power) terms of log u = sum_k (-1)^(k+1) v^k / k,
-    v = u - 1, for a series u with constant term the identity."""
-    if u.constant_term != GradedMap.identity(u.space):
+def _log(u: OperatorSeries, sign: int) -> OperatorSeries:
+    """sign * log u = sum_{k>=1} sign (-1)^(k+1) v^k / k, v = u - 1, for a
+    series u with constant term the identity."""
+    if u.coefficient(0) != GradedMap.identity(u.space):
         raise BadConstantTerm("log needs constant term equal to the identity")
     v = OperatorSeries(u.space, {n: f for n, f in u.coeffs.items() if n})
-    cap = power_cap(u.space)
-    terms = []
-    term = OperatorSeries.unit(u.space)
-    for k in range(1, cap + 1):
-        term = series_mul(term, v)
-        if term.is_zero:
-            break
-        terms.append((Fraction((-1) ** (k + 1), k), term))
-    return terms
+    return _power_sum(v, lambda t: series_mul(t, v),
+                      lambda k: Fraction(sign * (-1) ** k, k + 1))
 
 
 def series_log(u: OperatorSeries) -> OperatorSeries:
     """log of a series with constant term the identity."""
-    return series_lincomb(u.space, _log_terms(u))
-
-
-def commutator_series(a: OperatorSeries, b: OperatorSeries) -> OperatorSeries:
-    return series_lincomb(a.space, [(1, series_mul(a, b)), (-1, series_mul(b, a))])
+    return _log(u, 1)
 
 
 def conjugate_series(r: OperatorSeries, d_series: OperatorSeries) -> OperatorSeries:
@@ -169,26 +171,12 @@ def conjugate_series(r: OperatorSeries, d_series: OperatorSeries) -> OperatorSer
     validate."""
     if 0 in r.coeffs:
         raise BadConstantTerm("gauge series needs a zero constant term")
-    cap = power_cap(r.space)
-    term = d_series
-    terms = [(1, term)]
-    fact = 1
-    for k in range(1, cap + 1):
-        term = commutator_series(r, term)
-        if term.is_zero:
-            break
-        fact *= k
-        terms.append((Fraction(1, fact), term))
-    return series_lincomb(r.space, terms)
+    return _power_sum(d_series, lambda t: commutator_series(r, t),
+                      lambda k: Fraction(1, factorial(k)))
 
 
 def conjugate_differential(r: OperatorSeries, d: GradedMap) -> OperatorSeries:
     return conjugate_series(r, OperatorSeries.from_constant(d))
-
-
-def deltas_as_series(m: Multicomplex) -> OperatorSeries:
-    return OperatorSeries(m.space, {n: m.delta(n) for n in range(m.order + 1)
-                                    if not m.delta(n).is_zero})
 
 
 def check_gauge_hodge(r: OperatorSeries, m: Multicomplex) -> HodgeData:
@@ -222,7 +210,7 @@ def gauge_construct(d: GradedMap, r: OperatorSeries) -> Multicomplex:
 def conjugate_multicomplex(r: OperatorSeries, m: Multicomplex) -> Multicomplex:
     """Gauge transform of a whole multicomplex: coefficients of
     exp(r) D(z) exp(-r) where D(z) collects the operator family."""
-    conj = conjugate_series(r, deltas_as_series(m))
+    conj = conjugate_series(r, OperatorSeries(m.space, dict(enumerate(m.deltas))))
     deltas = [conj.coefficient(n, 2 * n - 1) for n in range(max(conj.max_power, 0) + 1)]
     return Multicomplex(m.space, deltas)
 
@@ -253,5 +241,4 @@ def find_gauge(model: MinimalModel):
     if weights:
         return NoGauge(witness=weights[0])
     iso = model.iso
-    log = _log_terms(OperatorSeries(iso.source.space, dict(enumerate(iso.comps))))
-    return series_lincomb(iso.source.space, [(-a, f) for a, f in log])
+    return _log(OperatorSeries(iso.source.space, dict(enumerate(iso.comps))), -1)

@@ -60,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .complexes import Multicomplex, validate_multicomplex
+from .complexes import HodgeData, Multicomplex, validate_multicomplex
 from .errors import InvalidMulticomplex, NotWellDefined
 from .exactla import Matrix, Subspace, _rref, kernel_image, induced_subquotient_map
 from .graded import GradedVectorSpace
@@ -317,16 +317,7 @@ def differential_rank(t: TotalComplex, r: int, s: int, n: int) -> int:
             - rho(n, s + 1, s + r + 1) + rho(n, s + 1, s + r))
 
 
-@dataclass
-class DegenerationResult:
-    ok: bool
-    witness: object  # (r, s, n) of the first nonzero differential, or None
-
-    def __bool__(self):
-        return self.ok
-
-
-def degenerates_at_one(t: TotalComplex, h: GradedVectorSpace) -> DegenerationResult:
+def degenerates_at_one(t: TotalComplex, h: GradedVectorSpace) -> HodgeData:
     """True iff every differential on every page vanishes, decided by the
     rank test of the module docstring against h = H(A, d), which the caller
     computes once per analysis; when it fails, the witness is the
@@ -336,7 +327,7 @@ def degenerates_at_one(t: TotalComplex, h: GradedVectorSpace) -> DegenerationRes
     b = t.boundary_rank(0) + t.boundary_rank(1)
     e1 = [sum(dim for k, dim in h.dims.items() if k % 2 == p) for p in (0, 1)]
     if all(e1[p] == t.total_dim(p) - b for p in (0, 1)):
-        return DegenerationResult(ok=True, witness=None)
+        return HodgeData(ok=True, witness=None)
     bound = t.stabilization_bound()
     least = {}
     for s, n in sorted((s, n) for n in t.source_window() for s in t.levels(n)):
@@ -345,7 +336,7 @@ def degenerates_at_one(t: TotalComplex, h: GradedVectorSpace) -> DegenerationRes
     for r in range(1, bound + 1):
         for s, n in sources:
             if differential_rank(t, r, s, n):
-                return DegenerationResult(ok=False, witness=(r, s, n))
+                return HodgeData(ok=False, witness=(r, s, n))
     raise NotWellDefined("page one does not account for the total homology, "
                          "yet no page up to %d has a nonzero differential" % bound)
 

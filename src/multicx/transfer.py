@@ -26,14 +26,13 @@ nothing on the pipeline reads it.
 `minimal_model` builds up front only what every verdict reads: the
 retract, its splitting and the transferred multicomplex.  The isomorphism
 is built on first read, once, on A itself.  The minimal model mu carried
-onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto it
-extends the identity by the homotopy-perturbation recursion
-psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} (Crainic, "On the
-perturbation lemma, and deformations", 2004).  It is the isomorphism onto
-mu (+) K, K = B (+) C the acyclic complement, read back through the frame
-[H | B | C]: the K half needs no space of its own, since incl o proj - id
-= d h + h d, h i = 0 and p h = 0 turn its recursion into the h term.  The
-homotopy identity is checked whenever the isomorphism is built.  Only
+onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto it is
+psi_0 = id and psi_n = i p_n - h delta_n.  This is the homotopy-perturbation
+recursion psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} (Crainic, "On the
+perturbation lemma, and deformations", 2004) in closed form: a retract read
+off a splitting has h i = 0 and h h = 0, so h psi_k = h i p_k - h h (...) = 0
+for every k >= 1 and only the k = 0 term is left.  The homotopy identity
+d h + h d = i p - id is checked whenever the isomorphism is built.  Only
 `gauge.find_gauge` reads it, and only when every transferred operator
 vanishes, so an obstructed analysis never builds it.
 """
@@ -43,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import InfinityMorphism, Multicomplex
+from .complexes import HodgeData, InfinityMorphism, Multicomplex
 from .errors import NotSquareZero, SpaceMismatch
 from .exactla import Matrix, Subspace, _kernel, complement, solve
 from .graded import (
@@ -81,7 +80,8 @@ class Splitting:
 
 def _retract(s: Splitting) -> DeformationRetract:
     """The retract read off a splitting by products alone: incl is H, proj
-    is p, and since d C_{k+1} = B_k the homotopy on A_k is -C_{k+1} b_k."""
+    is p, and since d C_{k+1} = B_k the homotopy on A_k is (-C_{k+1}) b_k,
+    the sign on the thin factor C."""
     space = s.d.source
     proj, incl, homotopy = {}, {}, {}
     for k, (h, b, _) in s.bases.items():
@@ -89,7 +89,7 @@ def _retract(s: Splitting) -> DeformationRetract:
         if h.cols:
             incl[k], proj[k] = h, p
         if b.cols:
-            homotopy[k] = s.bases[k + 1][2].mul(b_rows).neg()
+            homotopy[k] = s.bases[k + 1][2].neg().mul(b_rows)
     small = GradedVectorSpace({k: h.cols for k, (h, _, _) in s.bases.items()})
     return DeformationRetract(
         big=space,
@@ -133,16 +133,18 @@ def build_retract(space: GradedVectorSpace, d: GradedMap):
 
 
 def _random_matrix(rng, rows, cols):
-    return Matrix(rows, cols, [(r, c, rng.randint(-2, 2))
-                               for r in range(rows) for c in range(cols)])
+    return Matrix(rows, cols, [(rng.randrange(rows), c, rng.choice((-2, -1, 1, 2)))
+                               for c in range(cols)] if rows else None)
 
 
 def alternative_retract(split: Splitting, rng):
     """A randomized deformation retract and its splitting: the frame twisted
-    to F T, with T unipotent, H' = H + B phi and C' = C + H psi_H + B psi_B
-    for random integers in [-2, 2].  Every complement of B in ker d and of
-    ker d in A arises so.  The inverse T^{-1} F^{-1} is a product:
-    p' = p - psi_H c, b' = b - phi p' - psi_B c and c' = c."""
+    to F T, with T unipotent, H' = H + B phi and C' = C + H psi_H + B psi_B,
+    where each column of phi, psi_H and psi_B holds one random entry in
+    {-2, -1, 1, 2} at a random row, so the twisted retract stays about as
+    sparse as the canonical one.  Many complements of B in ker d and of
+    ker d in A arise so, not every one.  The inverse T^{-1} F^{-1} is a
+    product: p' = p - psi_H c, b' = b - phi p' - psi_B c and c' = c."""
     bases, coords = {}, {}
     for k, (h, b, c) in split.bases.items():
         p, b_rows, c_rows = split.coords[k]
@@ -217,17 +219,6 @@ def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput
                           p_inf=InfinityMorphism(m, transferred, _p_components(r, m)))
 
 
-@dataclass
-class HodgeData:
-    """A verdict with its witness: the least weight or power at which the
-    check fails, or None when it holds."""
-    ok: bool
-    witness: object
-
-    def __bool__(self):
-        return self.ok
-
-
 def nonzero_weights(m: Multicomplex) -> list:
     """Weights n >= 1 whose operator is nonzero, ascending; on a transferred
     structure the first one is the least obstructing weight."""
@@ -259,25 +250,26 @@ class MinimalModel:
     @cached_property
     def iso(self) -> InfinityMorphism:
         """From m to (A, d, i mu_1 p, i mu_2 p, ...), mu_n the operators of
-        `minimal`: psi_0 = id and psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k},
-        with p_n the components extending proj.  Building it checks the
+        `minimal`: psi_0 = id and psi_n = i p_n - h delta_n, with p_n the
+        components extending proj.  This is the perturbation recursion
+        psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} in closed form, by two
+        side conditions of the retract: h i = 0 and h h = 0 give
+        h psi_k = h i p_k - h h (...) = 0 for k >= 1.  Past the last p_n and
+        the last delta_n every component is zero.  Building it checks the
         homotopy identity d h + h d = i p - id, which on the complement of
         the homology representatives says that it is acyclic."""
         m, r = self.source, self.retract
-        big = m.space
-        ident = GradedMap.identity(big)
+        ident = GradedMap.identity(m.space)
         if not lincomb([(1, compose(r.d_big, r.homotopy)), (1, compose(r.homotopy, r.d_big)),
                         (-1, compose(r.incl, r.proj)), (1, ident)]).is_zero:
             raise NotSquareZero("complement of the homology representatives is not acyclic")
-        carried = Multicomplex(big, [r.d_big] + [compose(r.incl, compose(mu, r.proj))
-                                                 for mu in self.minimal.deltas[1:]])
+        carried = Multicomplex(m.space, [r.d_big] + [compose(r.incl, compose(mu, r.proj))
+                                                     for mu in self.minimal.deltas[1:]])
         p_comps = _p_components(r, m)
         psi = [ident]
-        for n in range(1, max(max_component_index(big, big, 2, 0), 0) + 1):
-            terms = [(-1, compose(psi[k], m.delta(n - k))) for k in range(max(n - m.order, 0), n)]
-            tail = compose(r.homotopy, lincomb(terms, degree=2 * n - 1, source=big, target=big))
-            psi.append(lincomb([(1, compose(r.incl, p_comps[n])), (1, tail)])
-                       if n < len(p_comps) else tail)
+        for n in range(1, max(len(p_comps) - 1, m.order) + 1):
+            ip = [(1, compose(r.incl, p_comps[n]))] if n < len(p_comps) else []
+            psi.append(lincomb(ip + [(-1, compose(r.homotopy, m.delta(n)))]))
         return InfinityMorphism(m, carried, psi)
 
 

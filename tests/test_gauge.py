@@ -27,6 +27,7 @@ from multicx.gauge import (
     series_mul,
 )
 from multicx.generators import (
+    corpus,
     generate,
     rand_graded_map,
     rand_series,
@@ -344,18 +345,23 @@ def test_space_mismatch_guard():
 def test_gauge_builds_no_scaled_copy(monkeypatch):
     # exp, log, the commutators and the isomorphism psi take a coefficient
     # per term in one lincomb, so finding and checking a gauge never scales
-    # a matrix on its own
-    scaled = []
+    # a matrix on its own, and no power is summed by chained additions
+    scaled, added = [], []
 
     def counted(self, a, _fn=Matrix.scale):
         scaled.append(a)
         return _fn(self, a)
-    for seed in range(8):
-        m = generate("a", seed)
+
+    def counted_add(self, other, _fn=GradedMap.add):
+        added.append(1)
+        return _fn(self, other)
+    for m in [m for profile, _, m in corpus(60) if profile == "a"]:
         model = minimal_model(m)
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "scale", counted)
+            patch.setattr(GradedMap, "add", counted_add)
             series = find_gauge(model)
             assert check_gauge_hodge(series, m).ok
         assert not series.is_zero or m.order == 0
     assert scaled == []
+    assert added == []

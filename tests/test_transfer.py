@@ -14,6 +14,7 @@ from multicx.complexes import (
     validate_multicomplex,
 )
 from multicx import transfer
+from multicx.derham import FormAlgebra, PolyVector, jacobi_multicomplex
 from multicx.errors import NotSquareZero, SpaceMismatch
 from multicx.exactla import Matrix, Subspace, complement, kernel_image
 from multicx.generators import (
@@ -383,6 +384,50 @@ def test_isomorphism_matches_the_direct_sum_construction_on_orbits(seed):
     model = minimal_model(gauge_construct(d, rand_series(rng, space)))
     assert model.iso == frame_isomorphism(model)
     assert validate_infinity_morphism(model.iso).ok
+
+
+def test_isomorphism_composes_no_later_component(monkeypatch):
+    # psi_n = i p_n - h delta_n: h i = 0 and h h = 0 give h psi_k = 0 for
+    # k >= 1, so the perturbation recursion keeps only its k = 0 term and
+    # no component past psi_0 is ever composed again
+    lefts = []
+    real = transfer.compose
+
+    def recorded(g, f):
+        lefts.append(g)
+        return real(g, f)
+    monkeypatch.setattr(transfer, "compose", recorded)
+    orbits = [m for profile, _, m in corpus(60) if profile == "a"]
+    longest = 0
+    for m in orbits:
+        del lefts[:]
+        comps = minimal_model(m).iso.comps
+        longest = max(longest, len(comps))
+        assert not any(g is psi for g in lefts for psi in comps[1:])
+    assert longest > 2
+
+
+SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1,
+                     ((1, 0, 0), (1, 2)): 1,
+                     ((0, 1, 0), (0, 2)): -1})
+
+
+def nonzeros(f):
+    return sum(len(block.entries) for block in f.blocks.values())
+
+
+def test_twisted_homotopy_stays_sparse():
+    # so3 as the Jacobi pair (w, 0) at trunc 6: the sparse twist keeps each
+    # randomized homotopy within 10x the canonical one's nonzeros, where a
+    # dense draw of phi, psi_H and psi_B fills it in about 150x
+    a = FormAlgebra(3, 6, weight=True)
+    m = jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex
+    canonical, split = build_retract(m.space, m.delta(0))
+    rng = Random(1)
+    for _ in range(2):
+        twisted, _ = alternative_retract(split, rng)
+        assert defects_vanish(twisted)
+        assert nonzeros(twisted.homotopy) <= 10 * nonzeros(canonical.homotopy)
 
 
 def test_isomorphism_checks_the_homotopy_identity():
