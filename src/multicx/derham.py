@@ -8,11 +8,12 @@ monomial is (alpha, J) for x^alpha in the exterior algebra of coordinate
 vector fields.  Form degree k is exported at homological degree -k, so the
 de Rham differential has degree -1 and contraction by a bivector degree +2.
 
-Truncation compresses everything onto the span of the monomials below a
-cutoff; see FormAlgebra for the two cutoff semantics and when operator
-identities survive the compression exactly.  The order ladder needs no
-cutoff: it reads each operator's order off its normal-ordered symbol, a
-polynomial differential operator on the untruncated algebra Q[x, dx].
+Truncation compresses everything onto the span of the basis monomials: a
+monomial is in the window exactly when it has a row in `position`.  See
+FormAlgebra for the two windows and when operator identities survive the
+compression exactly.  The order ladder needs no window: it reads each
+operator's order off its normal-ordered symbol, a polynomial differential
+operator on the untruncated algebra Q[x, dx].
 
 Sign conventions are pinned by the contraction/bracket compatibility check
 `check_contraction_identity` rather than trusted: with the frozen choices
@@ -26,11 +27,13 @@ Under the frozen choice i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
+from operator import add
 
 from .complexes import Multicomplex
 from .errors import NotContained, NotJacobi, ShapeMismatch
-from .exactla import accumulate, kernel_image, rat, solve
+from .exactla import Matrix, _kernel, accumulate, rat
 from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
@@ -70,7 +73,7 @@ class PolyVector:
     def __init__(self, dim: int, terms=None):
         self.dim = dim
         items = terms.items() if isinstance(terms, dict) else (terms or [])
-        self.terms = dict(sorted(accumulate({}, self._checked(items)).items()))
+        self.terms = {key: rat(c) for key, c in sorted(accumulate({}, self._checked(items)).items())}
 
     def _checked(self, items):
         """The ((alpha, J), Fraction) items, each checked to be a monomial."""
@@ -193,11 +196,13 @@ class FormAlgebra:
     with polynomial degree |alpha| <= truncation; compressing operators onto
     it is exact for the differential and for wedge but can lose
     raise-then-lower composites at the top degree.  With weight=True the
-    cutoff reads |alpha| + |I| <= truncation, the degree of x^alpha dx_I
+    window reads |alpha| + |I| <= truncation, the degree of x^alpha dx_I
     under rescaling of the coordinates.  That ideal is stable under wedge,
     the differential, and contraction by fields of coefficient degree at
     most 2 (resp. 1 for vector fields), so on the weight quotient every
     operator identity holds verbatim; the Jacobi builders rely on this.
+    Either way `position[k]` holds exactly the monomials of form degree k in
+    the window, so membership in it is the truncation test.
     """
 
     def __init__(self, dim: int, truncation: int, weight: bool = False):
@@ -207,23 +212,12 @@ class FormAlgebra:
         self.truncation = truncation
         self.weight = weight
         self.monomials = sorted(self._exponents(), key=lambda a: (sum(a), a))
-        self.basis = {}
-        self.position = {}
-        for k in range(dim + 1):
-            items = []
-            for alpha in self.monomials:
-                if weight and sum(alpha) + k > truncation:
-                    continue
-                for I in combinations(range(dim), k):
-                    items.append((alpha, I))
-            self.basis[k] = items
-            self.position[k] = {key: pos for pos, key in enumerate(items)}
-        self._space = GradedVectorSpace({-k: len(self.basis[k])
-                                         for k in range(dim + 1)})
-
-    def cutoff(self, form_degree: int) -> int:
-        """Largest stored polynomial degree in the given form degree."""
-        return self.truncation - form_degree if self.weight else self.truncation
+        self.basis = {k: [(alpha, I) for alpha in self.monomials
+                          if not (weight and sum(alpha) + k > truncation)
+                          for I in combinations(range(dim), k)] for k in range(dim + 1)}
+        self.position = {k: {key: pos for pos, key in enumerate(items)}
+                         for k, items in self.basis.items()}
+        self.space = GradedVectorSpace({-k: len(self.basis[k]) for k in range(dim + 1)})
 
     def _exponents(self):
         def rec(prefix, remaining, slots):
@@ -234,59 +228,59 @@ class FormAlgebra:
                 yield from rec(prefix + [e], remaining - e, slots - 1)
         yield from rec([], self.truncation, self.dim)
 
-    @property
-    def space(self) -> GradedVectorSpace:
-        return self._space
-
     def operator(self, form_shift: int, action) -> GradedMap:
         """Assemble the graded map of an operator given termwise on basis
         monomials; action(k, alpha, I) yields ((beta, J), coeff) terms of
-        form degree k + form_shift.  Terms beyond the truncation are dropped
-        (the quotient ideal absorbs them)."""
-        entries = []
-        for k in range(self.dim + 1):
-            k_out = k + form_shift
-            if not 0 <= k_out <= self.dim:
-                continue
-            pos_out = self.position[k_out]
-            for col, (alpha, I) in enumerate(self.basis[k]):
-                for (beta, J), coeff in action(k, alpha, I):
-                    if sum(beta) > self.cutoff(k_out):
-                        continue
-                    entries.append((-k, pos_out[(beta, J)], col, coeff))
-        return GradedMap.from_entries(self._space, self._space,
-                                      -form_shift, entries)
+        form degree k + form_shift, J increasing, each coeff already an
+        exact rational as `rat` gives it, which is summed in as it is.  A
+        term whose key has no row in `position` lies beyond the truncation
+        and is dropped (the quotient ideal absorbs it)."""
+        blocks = {}
+        for k, basis in self.basis.items():
+            pos = self.position.get(k + form_shift)
+            if pos is not None:
+                m = blocks[-k] = Matrix(len(pos), len(basis))
+                accumulate(m.entries, (((row, col), c) for col, (alpha, I) in enumerate(basis)
+                                       for key, c in action(k, alpha, I)
+                                       for row in [pos.get(key)] if row is not None))
+        return GradedMap(self.space, self.space, -form_shift, blocks)
 
 
 def d_de_rham(a: FormAlgebra) -> GradedMap:
     """Exterior differential: d(x^alpha dx_I) = sum_i alpha_i x^(alpha - e_i)
-    dx_i ^ dx_I; lowers polynomial degree, so it is exact on the quotient."""
+    dx_i ^ dx_I; lowers polynomial degree, so it is exact on the quotient.
+    The signs of dx_i ^ dx_I are read once per form index I."""
+    @cache
+    def moves(I):
+        return [(i, sign, J) for i in range(a.dim) for sign, J in [_merge_sign((i,), I)] if sign]
+
     def action(k, alpha, I):
-        for i in range(a.dim):
-            if not alpha[i]:
-                continue
-            sign, J = _merge_sign((i,), I)
-            if sign:
-                yield (_bumped(alpha, i, -1), J), sign * alpha[i]
+        for i, sign, J in moves(I):
+            e = alpha[i]
+            if e:
+                yield (alpha[:i] + (e - 1,) + alpha[i + 1:], J), sign * e
     return a.operator(1, action)
 
 
 def contraction(a: FormAlgebra, p: PolyVector) -> GradedMap:
     """Contraction by a homogeneous polyvector, extended linearly over the
-    polynomial coefficients."""
+    polynomial coefficients.  Each term's contraction of dx_I is read once
+    per form index I."""
     if p.dim != a.dim:
         raise ShapeMismatch("polyvector dimension differs from the algebra")
     degs = p.vector_degrees()
     if len(degs) > 1:
         raise ShapeMismatch("contraction needs a homogeneous polyvector")
     j = degs[0] if degs else 0
+
+    @cache
+    def chains(I):
+        return [(beta, rest, sign * c) for (beta, J), c in p.terms.items()
+                for sign, rest in [_iota_chain(I, J)] if sign]
+
     def action(k, alpha, I):
-        for (beta, J), c in p.terms.items():
-            sign, rest = _iota_chain(I, J)
-            if not sign:
-                continue
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            yield (gamma, rest), sign * c
+        for beta, rest, c in chains(I):
+            yield (tuple(map(add, alpha, beta)), rest), c
     return a.operator(-j, action)
 
 
@@ -448,11 +442,10 @@ def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> Geometr
     NotJacobi carrying both defects.  d and i(w) are built once each.  The
     multicomplex relations, the bracket identity
     [i(w), [i(w), d]] = 2 i(e) i(w) and the gauge identity are left to the
-    caller (`validate_multicomplex`, `check_gauge_hodge`); `TotalComplex`
-    refuses a family that fails the relations.  They hold exactly on a
-    weight-truncated algebra.  The plain polynomial cutoff loses
-    raise-then-lower composites at its top degree, and the relations of
-    weight two can then fail there.
+    caller (`validate_multicomplex`, `check_gauge_hodge`).  They hold
+    exactly on the weight window; the polynomial window loses
+    raise-then-lower composites at its top degree, where the relations of
+    weight two can fail.
     """
     _check_structure(w, e)
     d = d_de_rham(a)
@@ -467,8 +460,7 @@ def jacobi_multicomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> Geometr
 
 def poisson_mixed_complex(w: PolyVector, a: FormAlgebra) -> GeometricComplex:
     """The Jacobi builder on the pair (w, 0).  Nothing in the package calls
-    it; the layer trace of `perfbench/spans.py` wraps this name, and it goes
-    with that entry (ROADMAP item 7)."""
+    it; it goes with its entry in the layer trace of `perfbench/spans.py`."""
     return jacobi_multicomplex(w, PolyVector.zero(w.dim), a)
 
 
@@ -479,16 +471,19 @@ class BasicComplex:
     gauge: OperatorSeries
 
 
-def _restrict(f: GradedMap, subspace_basis: dict, sub: GradedVectorSpace) -> GradedMap:
+def _restrict(f: GradedMap, inclusions: dict, free: dict, sub: GradedVectorSpace) -> GradedMap:
+    """f on the subcomplex, in its basis.  Each B_k is a kernel basis from
+    `_kernel`, the identity on its free rows free[k], so the coordinates of
+    f B_k are its free rows X, and f preserves the subcomplex exactly when
+    B X == f B_k: one product, no elimination."""
     blocks = {}
     for k in sub.degrees:
-        img = f.block(k).mul(subspace_basis[k])
+        img = f.block(k).mul(inclusions[k])
         if img.is_zero():
             continue
-        coords = None
-        if sub.dim(k + f.degree):
-            coords = solve(subspace_basis[k + f.degree], img)
-        if coords is None:
+        target = k + f.degree
+        coords = img.select_rows(free.get(target, []))
+        if target not in inclusions or inclusions[target].mul(coords) != img:
             raise NotContained("an operator does not preserve the basic subcomplex")
         blocks[k] = coords
     return GradedMap(sub, sub, f.degree, blocks)
@@ -500,22 +495,24 @@ def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicCompl
 
     Only the structure equations are checked here, as in
     `jacobi_multicomplex`, and d and i(w) are built once each; a restriction
-    that leaves the subcomplex raises NotContained.  The relations and the
-    gauge identity are left to the caller.
+    that leaves the subcomplex raises NotContained.  Once d and i(w) both
+    preserve the basic forms B, so does [i(w), d], and its restriction is
+    the commutator of theirs, computed on B with no further check.  The
+    relations and the gauge identity are left to the caller.
     """
     _check_structure(w, e)
     d = d_de_rham(a)
     iw = _bivector_contraction(a, w)
     ie = contraction(a, e)
     ie_d = compose(ie, d)
-    bases, dims = {}, {}
+    inclusions, free = {}, {}
     for k in a.space.degrees:
-        ker, _ = kernel_image(ie.block(k).vstack(ie_d.block(k)))
-        bases[k] = ker.basis
-        dims[k] = ker.dim
-    sub = GradedVectorSpace(dims)
-    basis = {k: bases[k] for k in sub.degrees}
-    m = Multicomplex(sub, [_restrict(d, basis, sub),
-                           _restrict(graded_commutator(iw, d), basis, sub)])
-    series = OperatorSeries(sub, {1: _restrict(iw, basis, sub)})
-    return BasicComplex(multicomplex=m, inclusions=basis, gauge=series)
+        ker, pivots = _kernel(ie.block(k).vstack(ie_d.block(k)))
+        if ker.dim:
+            inclusions[k] = ker.basis
+            free[k] = sorted(set(range(ker.ambient_dim)).difference(pivots))
+    sub = GradedVectorSpace({k: b.cols for k, b in inclusions.items()})
+    d_sub, iw_sub = (_restrict(f, inclusions, free, sub) for f in (d, iw))
+    m = Multicomplex(sub, [d_sub, graded_commutator(iw_sub, d_sub)])
+    return BasicComplex(multicomplex=m, inclusions=inclusions,
+                        gauge=OperatorSeries(sub, {1: iw_sub}))

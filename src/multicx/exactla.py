@@ -147,11 +147,17 @@ class Matrix:
         return self.entries.get((r, c), 0)
 
     def add(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
+
+    def sub(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", a) -> "Matrix":
+        """self + a * other, summed without a scaled copy of other."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("add %dx%d to %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         m = Matrix(self.rows, self.cols)
-        m.entries.update(self.entries)
-        accumulate(m.entries, other.entries.items())
+        m.entries = accumulate(dict(self.entries), other.entries.items(), a)
         return m
 
     def scale(self, a) -> "Matrix":
@@ -163,9 +169,6 @@ class Matrix:
 
     def neg(self) -> "Matrix":
         return self.scale(-1)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other."""

@@ -10,7 +10,9 @@ that only tests make (the defects of the retract identities, the first
 nonzero differential of a built page), or a small constructor that only tests need (matrices from rows or a
 column, Q^n on its standard basis, the transpose, coordinate fields, form
 vectors, direct sums, the contraction symbol with its factors in reversed
-order).
+order).  The de Rham operators are assembled a second way, one monomial at
+a time through a flat entry list, and the basic complex a second way, by
+solving for each restricted operator on the ambient forms.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from multicx.exactla import (
     induced_subquotient_map,
     kernel_image,
     rat,
+    solve,
 )
 from multicx.gauge import (
     OperatorSeries,
@@ -245,6 +248,78 @@ def mixed_gauge_coefficient(retract, delta: GradedMap, n: int) -> GradedMap:
         piece = compose(pow_map(h_delta, l - 1), compose(ip, pow_map(delta_h, n - l + 1)))
         terms.append((Fraction(-1, l), piece))
     return lincomb(terms, degree=2 * n, source=space, target=space)
+
+
+# ---- de Rham operators and basic forms, assembled the direct way ----
+
+def monomial_operator(a, form_shift: int, action) -> GradedMap:
+    """`FormAlgebra.operator` term by term: a term is dropped when its
+    polynomial degree passes the window's cutoff in its form degree
+    (|alpha| <= D, or |alpha| <= D - k on the weight window), and the flat
+    entry list goes through `GradedMap.from_entries`."""
+    entries = []
+    for k in range(a.dim + 1):
+        k_out = k + form_shift
+        if not 0 <= k_out <= a.dim:
+            continue
+        cutoff = a.truncation - k_out if a.weight else a.truncation
+        for col, (alpha, I) in enumerate(a.basis[k]):
+            for (beta, J), coeff in action(k, alpha, I):
+                if sum(beta) <= cutoff:
+                    entries.append((-k, a.position[k_out][(beta, J)], col, coeff))
+    return GradedMap.from_entries(a.space, a.space, -form_shift, entries)
+
+
+def monomial_d(a) -> GradedMap:
+    """d(x^alpha dx_I) = sum_i alpha_i x^(alpha - e_i) dx_i ^ dx_I, each sign
+    merged afresh."""
+    def action(k, alpha, I):
+        for i in range(a.dim):
+            if alpha[i]:
+                sign, J = derham._merge_sign((i,), I)
+                if sign:
+                    yield (derham._bumped(alpha, i, -1), J), sign * alpha[i]
+    return monomial_operator(a, 1, action)
+
+
+def monomial_contraction(a, p: PolyVector) -> GradedMap:
+    """i(p) for a homogeneous p, each term's contraction chained afresh."""
+    degs = p.vector_degrees()
+    def action(k, alpha, I):
+        for (beta, J), c in p.terms.items():
+            sign, rest = derham._iota_chain(I, J)
+            if sign:
+                yield (tuple(x + y for x, y in zip(alpha, beta)), rest), sign * c
+    return monomial_operator(a, -(degs[0] if degs else 0), action)
+
+
+def solved_basic_subcomplex(w: PolyVector, e: PolyVector, a) -> derham.BasicComplex:
+    """The basic forms, the kernel of i(e) and i(e) d, with delta = [i(w), d]
+    built on the ambient forms, and each of d, delta and i(w) restricted by
+    one `solve` per degree."""
+    d = monomial_d(a)
+    iw = monomial_contraction(a, w) if not w.is_zero else GradedMap.zero(a.space, a.space, 2)
+    ie = monomial_contraction(a, e)
+    ie_d = compose(ie, d)
+    bases = {}
+    for k in a.space.degrees:
+        ker, _ = kernel_image(ie.block(k).vstack(ie_d.block(k)))
+        if ker.dim:
+            bases[k] = ker.basis
+    sub = GradedVectorSpace({k: b.cols for k, b in bases.items()})
+
+    def restrict(f):
+        blocks = {}
+        for k, b in bases.items():
+            img = f.block(k).mul(b)
+            if not img.is_zero():
+                coords = solve(bases[k + f.degree], img) if k + f.degree in bases else None
+                assert coords is not None, "an operator leaves the basic forms"
+                blocks[k] = coords
+        return GradedMap(sub, sub, f.degree, blocks)
+    delta = lincomb([(1, compose(iw, d)), (-1, compose(d, iw))])
+    return derham.BasicComplex(multicomplex=Multicomplex(sub, [restrict(d), restrict(delta)]),
+                               inclusions=bases, gauge=OperatorSeries(sub, {1: restrict(iw)}))
 
 
 # ---- sign conventions of the contraction ----

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import sys
 from random import Random
 
 import pytest
@@ -326,17 +327,16 @@ def test_corrupted_operator_fails_each_identity_line(kind, tmp_path, monkeypatch
 
 def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
-    real = derham.graded_commutator
-    a = derham.FormAlgebra(3, 3, weight=True)
-    x3 = a.position[0][((0, 0, 1), ())]
+    real = derham._bivector_contraction
 
-    def leaky(f, g):
-        # delta = [i(w), d] sends every 1-form also to the function x3,
-        # which is not basic
-        bump = GradedMap.from_entries(a.space, a.space, 1, [
-            (-1, x3, col, 1) for col in range(a.space.dim(-1))])
-        return real(f, g).add(bump)
-    monkeypatch.setattr(derham, "graded_commutator", leaky)
+    def leaky(a, w):
+        # i(w) sends every 2-form also to the function x3, which is not
+        # basic: i(e) d x3 = -1
+        x3 = a.position[0][((0, 0, 1), ())]
+        bump = GradedMap.from_entries(a.space, a.space, 2, [
+            (-2, x3, col, 1) for col in range(a.space.dim(-2))])
+        return real(a, w).add(bump)
+    monkeypatch.setattr(derham, "_bivector_contraction", leaky)
     code = main(["geometry", "--kind", "basic", "--dim", "3", "--trunc", "3",
                  "--structure", structure_file(tmp_path, "basic")])
     captured = capsys.readouterr()
@@ -347,6 +347,31 @@ def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatc
     # the structure line, checked before the restriction, passes first
     assert captured.out.index("PASS structure equations hold") < \
         captured.out.index("FAIL basic subcomplex")
+
+
+def test_matrix_sub_makes_no_negated_copy(tmp_path, monkeypatch):
+    # the randomized retracts of --seed subtract three times per degree;
+    # each difference is summed with coefficient -1, not through a scaled
+    # copy of its right operand
+    callers, subs = [], []
+    real_scale, real_sub = exactla.Matrix.scale, exactla.Matrix.sub
+
+    def scale(self, a):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name == "neg":
+            caller = caller.f_back
+        callers.append(caller.f_code.co_name)
+        return real_scale(self, a)
+
+    def sub(self, other):
+        subs.append(1)
+        return real_sub(self, other)
+    monkeypatch.setattr(exactla.Matrix, "scale", scale)
+    monkeypatch.setattr(exactla.Matrix, "sub", sub)
+    for s in range(20):
+        path = write(tmp_path, "orbit%d.mcx" % s, cmd_generate("a", s))
+        assert cmd_analyze(path, seed=s).ok
+    assert subs and "sub" not in callers
 
 
 def test_analyze_pages_truncates_only_the_table(tmp_path, monkeypatch):

@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multicx.cli import main
-from multicx.derham import PolyVector, schouten
+from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, schouten
 from multicx.formats import polyvector_to_terms, print_structure
+from oracles import solved_basic_subcomplex
 
 
 def bivector(dim, terms):
@@ -149,6 +150,15 @@ def test_contact_pair_in_new_coordinates(tmp_path, monkeypatch, capsys, frame, t
     w, e = (change_coordinates(p, *frame) for p in CONTACT)
     for kind in ("jacobi", "basic"):
         assert_theorem(tmp_path, capsys, kind, w, e, trunc)
+
+
+@settings(max_examples=10, **PROPERTY)
+@given(unimodular(3), st.integers(1, 5))
+def test_basic_complex_in_new_coordinates_matches_the_solved_restriction(frame, trunc):
+    # as tests/test_derham.py checks on the contact pair itself
+    w, e = (change_coordinates(p, *frame) for p in CONTACT)
+    a = FormAlgebra(3, trunc, weight=True)
+    assert basic_subcomplex(w, e, a) == solved_basic_subcomplex(w, e, a)
 
 
 @settings(max_examples=5, **PROPERTY)
