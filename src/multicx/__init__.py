@@ -11,6 +11,7 @@ Jacobi structures that instantiate all of it.
 from .complexes import (
     InfinityMorphism,
     Multicomplex,
+    OperatorSeries,
     compose_infinity,
     invert_infinity,
     validate_infinity_morphism,
@@ -30,7 +31,6 @@ from .derham import (
 from .exactla import Matrix, Subspace, complement, induced_subquotient_map, kernel_image
 from .gauge import (
     NoGauge,
-    OperatorSeries,
     check_gauge_hodge,
     conjugate_differential,
     find_gauge,

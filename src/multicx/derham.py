@@ -31,10 +31,9 @@ from functools import cache
 from itertools import chain, combinations
 from operator import add
 
-from .complexes import Multicomplex
+from .complexes import Multicomplex, OperatorSeries
 from .errors import NotContained, NotJacobi, ShapeMismatch
 from .exactla import Matrix, _kernel, accumulate, rat
-from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 
 
@@ -106,10 +105,6 @@ class PolyVector:
     def is_homogeneous(self, k: int) -> bool:
         return all(len(J) == k for (_, J) in self.terms)
 
-    def component(self, k: int) -> "PolyVector":
-        return PolyVector(self.dim, {key: c for key, c in self.terms.items()
-                                     if len(key[1]) == k})
-
     def add(self, other: "PolyVector") -> "PolyVector":
         return PolyVector(self.dim, chain(self.terms.items(), other.terms.items()))
 
@@ -124,13 +119,19 @@ class PolyVector:
         return self.add(other.neg())
 
     def wedge(self, other: "PolyVector") -> "PolyVector":
-        def products():
-            for (a1, J1), c1 in self.terms.items():
-                for (a2, J2), c2 in other.terms.items():
-                    sign, J = _merge_sign(J1, J2)
-                    if sign:
-                        yield (tuple(x + y for x, y in zip(a1, a2)), J), sign * c1 * c2
-        return PolyVector(self.dim, products())
+        return PolyVector(self.dim, _wedge_terms(self.terms.items(), other.terms.items(),
+                                                 lambda J1, J2: 1))
+
+
+def _wedge_terms(left, right, factor):
+    """The terms of left ^ right for two iterables of terms, the product of
+    x^a1 d_J1 and x^a2 d_J2 taken factor(J1, J2) times."""
+    right = list(right)
+    for (a1, J1), c1 in left:
+        for (a2, J2), c2 in right:
+            sign, J = _merge_sign(J1, J2)
+            if sign:
+                yield (tuple(map(add, a1, a2)), J), sign * factor(J1, J2) * c1 * c2
 
 
 def _x_derivative(terms, i):
@@ -148,18 +149,17 @@ def _right_theta_derivative(terms, i):
             yield (alpha, tuple(j for j in J if j != i)), sign * c
 
 
-def _schouten_homogeneous(p: PolyVector, q: PolyVector, pdeg, qdeg) -> PolyVector:
-    dim = p.dim
-    acc = PolyVector.zero(dim)
-    for i in range(dim):
-        left = PolyVector(dim, _right_theta_derivative(p.terms, i))
-        right = PolyVector(dim, _x_derivative(q.terms, i))
-        acc = acc.add(left.wedge(right))
-        left2 = PolyVector(dim, _right_theta_derivative(q.terms, i))
-        right2 = PolyVector(dim, _x_derivative(p.terms, i))
-        sign = (-1) ** ((pdeg - 1) * (qdeg - 1) % 2)
-        acc = acc.sub(left2.wedge(right2).scale(sign))
-    return acc
+def _schouten_terms(p: PolyVector, q: PolyVector):
+    """The terms of [p, q]: over each direction i,
+    (d^R p / d theta_i) ^ (d q / d x_i)
+    - (-1)^((|p| - 1)(|q| - 1)) (d^R q / d theta_i) ^ (d p / d x_i).
+    Each monomial pair reads its sign off its own index lengths, so p and q
+    need not be homogeneous and no homogeneous part is split off."""
+    for i in range(p.dim):
+        yield from _wedge_terms(_right_theta_derivative(p.terms, i),
+                                _x_derivative(q.terms, i), lambda J1, J2: 1)
+        yield from _wedge_terms(_right_theta_derivative(q.terms, i), _x_derivative(p.terms, i),
+                                lambda J1, J2: -(-1) ** (len(J1) * (len(J2) - 1) % 2))
 
 
 def schouten(p: PolyVector, q: PolyVector) -> PolyVector:
@@ -167,19 +167,15 @@ def schouten(p: PolyVector, q: PolyVector) -> PolyVector:
     of vector fields; bidegree |p| + |q| - 1 on homogeneous inputs."""
     if p.dim != q.dim:
         raise ShapeMismatch("polyvectors on different spaces")
-    acc = PolyVector.zero(p.dim)
-    for pdeg in p.vector_degrees():
-        for qdeg in q.vector_degrees():
-            acc = acc.add(_schouten_homogeneous(
-                p.component(pdeg), q.component(qdeg), pdeg, qdeg))
-    return acc
+    return PolyVector(p.dim, _schouten_terms(p, q))
 
 
 def jacobi_defects(w: PolyVector, e: PolyVector):
-    """The two structure equations of a Jacobi pair, as exact defects."""
-    first = schouten(w, w).sub(e.wedge(w).scale(2))
-    second = schouten(e, w)
-    return first, second
+    """The two structure equations of a Jacobi pair, as exact defects, each
+    summed once: [w, w] - 2 e ^ w and [e, w]."""
+    first = chain(_schouten_terms(w, w),
+                  _wedge_terms(e.terms.items(), w.terms.items(), lambda J1, J2: -2))
+    return PolyVector(w.dim, first), schouten(e, w)
 
 
 def _check_structure(w: PolyVector, e: PolyVector):

@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import re
 
-from .complexes import Multicomplex
+from .complexes import Multicomplex, OperatorSeries
 from .derham import PolyVector
 from .errors import ParseError, ShapeMismatch
 from .exactla import rat
-from .gauge import OperatorSeries
 from .graded import GradedMap, GradedVectorSpace
 
 MULTICOMPLEX_HEADER = "multicx multicomplex v1"
@@ -189,13 +188,9 @@ def parse_multicomplex(text: str):
             ops[n] = GradedMap.from_entries(space, space, 2 * n - 1, entries)
         except Exception as exc:
             raise ParseError("operator %d: %s" % (n, exc), no)
-    # operators past the last section with entries are zero; Multicomplex
-    # needs none of them, so none is built
-    deltas = [ops[n] if n in ops else GradedMap.zero(space, space, 2 * n - 1)
-              for n in range(max(ops, default=-1) + 1)]
     if lines.peek()[1] is not None:
         raise ParseError("trailing content after end", lines.peek()[0])
-    return Multicomplex(space, deltas), meta
+    return Multicomplex(space, OperatorSeries(space, ops)), meta
 
 
 def print_series(s: OperatorSeries) -> str:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .complexes import Multicomplex
+from .complexes import Multicomplex, OperatorSeries
 from .exactla import Matrix, solve
-from .gauge import OperatorSeries, conjugate_multicomplex, gauge_construct
+from .gauge import conjugate_multicomplex, gauge_construct
 from .graded import GradedMap, GradedVectorSpace, compose
 
 ENTRY_POOL = [-2, -1, -1, 1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]

@@ -151,12 +151,6 @@ class GradedMap:
     def neg(self) -> "GradedMap":
         return self.scale(-1)
 
-    def add(self, other: "GradedMap") -> "GradedMap":
-        return lincomb([(1, self), (1, other)])
-
-    def sub(self, other: "GradedMap") -> "GradedMap":
-        return lincomb([(1, self), (-1, other)])
-
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g after f; degrees add and blocks multiply."""

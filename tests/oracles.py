@@ -12,14 +12,26 @@ column, Q^n on its standard basis, the transpose, coordinate fields, form
 vectors, direct sums, the contraction symbol with its factors in reversed
 order).  The de Rham operators are assembled a second way, one monomial at
 a time through a flat entry list, and the basic complex a second way, by
-solving for each restricted operator on the ambient forms.
+solving for each restricted operator on the ambient forms.  The
+convolutions of operator families are looped a second way, one power at a
+time over explicit index ranges, with the inverse of an infinity-morphism
+by its recursion; the Schouten bracket is summed a second way, one
+homogeneous part at a time.
 """
 
 from fractions import Fraction
 from random import Random
 
 from multicx import derham, transfer
-from multicx.complexes import InfinityMorphism, Multicomplex
+from multicx.complexes import (
+    InfinityMorphism,
+    Multicomplex,
+    OperatorSeries,
+    ValidationReport,
+    Violation,
+    power_cap,
+    series_lincomb,
+)
 from multicx.derham import PolyVector
 from multicx.exactla import (
     Matrix,
@@ -30,14 +42,8 @@ from multicx.exactla import (
     rat,
     solve,
 )
-from multicx.gauge import (
-    OperatorSeries,
-    check_gauge_hodge,
-    gauge_construct,
-    power_cap,
-    series_lincomb,
-    series_log,
-)
+from multicx.gauge import check_gauge_hodge, gauge_construct, series_log
+from multicx.errors import NotInvertible
 from multicx.generators import rand_entry, rand_graded_map, rand_space, rand_square_zero
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb, max_component_index
 
@@ -129,6 +135,67 @@ def form_vector(a, terms, k: int) -> Matrix:
     return col
 
 
+# ---- convolutions of operator families, looped one power at a time ----
+
+def _looped_violation(report, n, defect):
+    if not defect.is_zero:
+        k, r, c, v = next(defect.entries())
+        report.violations.append(Violation(n, k, r, c, v))
+
+
+def looped_validate_multicomplex(m: Multicomplex) -> ValidationReport:
+    """sum_{i+j=n} delta_i delta_j = 0, one n at a time up to twice the order."""
+    report = ValidationReport()
+    top = m.order
+    for n in range(2 * top + 1):
+        terms = [(1, compose(m.delta(i), m.delta(n - i)))
+                 for i in range(n + 1) if i <= top and n - i <= top]
+        _looped_violation(report, n, lincomb(terms, degree=2 * n - 2,
+                                             source=m.space, target=m.space))
+    return report
+
+
+def looped_validate_infinity_morphism(f: InfinityMorphism) -> ValidationReport:
+    """sum f_k delta^src_l = sum delta^tgt_k f_l, one n at a time."""
+    report = ValidationReport()
+    top = f.order + max(f.source.order, f.target.order)
+    for n in range(top + 1):
+        terms = [(1, compose(f.comp(k), f.source.delta(n - k))) for k in range(n + 1)]
+        terms += [(-1, compose(f.target.delta(k), f.comp(n - k))) for k in range(n + 1)]
+        _looped_violation(report, n, lincomb(terms, degree=2 * n - 1,
+                                             source=f.source.space, target=f.target.space))
+    return report
+
+
+def looped_compose_infinity(g: InfinityMorphism, f: InfinityMorphism) -> InfinityMorphism:
+    """(g f)_n = sum_{k+l=n} g_k f_l up to the grading bound."""
+    bound = max_component_index(f.source.space, g.target.space, 2, 0)
+    comps = []
+    for n in range(max(bound, 0) + 1):
+        terms = [(1, compose(g.comp(k), f.comp(n - k))) for k in range(n + 1)]
+        comps.append(lincomb(terms, degree=2 * n, source=f.source.space, target=g.target.space))
+    return InfinityMorphism(f.source, g.target, comps)
+
+
+def recursive_invert_infinity(f: InfinityMorphism) -> InfinityMorphism:
+    """g_0 = f_0^{-1} and g_n = -g_0 sum_{k>=1} f_k g_{n-k}."""
+    src, tgt = f.source.space, f.target.space
+    if src != tgt:
+        raise NotInvertible("dimensions differ")
+    inv_blocks = {}
+    for k in src.degrees:
+        x = solve(f.comp(0).block(k), Matrix.identity(tgt.dim(k)))
+        if x is None:
+            raise NotInvertible("degree-0 component singular at degree %d" % k)
+        inv_blocks[k] = x
+    g0 = GradedMap(tgt, src, 0, inv_blocks)
+    comps = [g0]
+    for n in range(1, max(max_component_index(tgt, src, 2, 0), 0) + 1):
+        terms = [(-1, compose(f.comp(k), comps[n - k])) for k in range(1, n + 1)]
+        comps.append(compose(g0, lincomb(terms, degree=2 * n, source=tgt, target=tgt)))
+    return InfinityMorphism(f.target, f.source, comps)
+
+
 # ---- homotopy transfer ----
 
 def identity_defects(r):
@@ -138,10 +205,11 @@ def identity_defects(r):
     dh = compose(r.d_big, r.homotopy)
     hd = compose(r.homotopy, r.d_big)
     return {
-        "proj_chain": compose(r.d_small, r.proj).sub(compose(r.proj, r.d_big)),
-        "incl_chain": compose(r.d_big, r.incl).sub(compose(r.incl, r.d_small)),
-        "retract_identity": ip.sub(GradedMap.identity(r.big)).sub(dh).sub(hd),
-        "projection": compose(r.proj, r.incl).sub(GradedMap.identity(r.small)),
+        "proj_chain": lincomb([(1, compose(r.d_small, r.proj)), (-1, compose(r.proj, r.d_big))]),
+        "incl_chain": lincomb([(1, compose(r.d_big, r.incl)), (-1, compose(r.incl, r.d_small))]),
+        "retract_identity": lincomb([(1, ip), (-1, GradedMap.identity(r.big)), (-1, dh),
+                                     (-1, hd)]),
+        "projection": lincomb([(1, compose(r.proj, r.incl)), (-1, GradedMap.identity(r.small))]),
         "side_h_incl": compose(r.homotopy, r.incl),
         "side_proj_h": compose(r.proj, r.homotopy),
         "side_h_h": compose(r.homotopy, r.homotopy),
@@ -322,6 +390,26 @@ def solved_basic_subcomplex(w: PolyVector, e: PolyVector, a) -> derham.BasicComp
                                inclusions=bases, gauge=OperatorSeries(sub, {1: restrict(iw)}))
 
 
+def homogeneous_schouten(p: PolyVector, q: PolyVector) -> PolyVector:
+    """The Schouten bracket summed over pairs of homogeneous parts (|p|, |q|),
+    each a sum over directions of wedge products of separately built
+    derivatives, with the sign (-1)^((|p| - 1)(|q| - 1)) of its pair."""
+    def part(v, k):
+        return PolyVector(v.dim, {key: c for key, c in v.terms.items() if len(key[1]) == k})
+    acc = PolyVector.zero(p.dim)
+    for pdeg in p.vector_degrees():
+        for qdeg in q.vector_degrees():
+            pp, qq = part(p, pdeg), part(q, qdeg)
+            sign = (-1) ** ((pdeg - 1) * (qdeg - 1) % 2)
+            for i in range(p.dim):
+                left = PolyVector(p.dim, derham._right_theta_derivative(pp.terms, i))
+                right = PolyVector(p.dim, derham._x_derivative(qq.terms, i))
+                left2 = PolyVector(p.dim, derham._right_theta_derivative(qq.terms, i))
+                right2 = PolyVector(p.dim, derham._x_derivative(pp.terms, i))
+                acc = acc.add(left.wedge(right)).sub(left2.wedge(right2).scale(sign))
+    return acc
+
+
 # ---- sign conventions of the contraction ----
 
 def reversed_contraction_symbol(p: PolyVector) -> dict:
@@ -375,7 +463,7 @@ def mixed_commutator_instance(rng: Random, max_width=6, max_dim=3, trials=400):
         space = rand_space(rng, max_width, max_dim)
         d = rand_square_zero(rng, space, -1)
         s = rand_graded_map(rng, space, space, 2, density=0.5)
-        delta = compose(s, d).sub(compose(d, s))
+        delta = lincomb([(1, compose(s, d)), (-1, compose(d, s))])
         if delta.is_zero or not compose(delta, delta).is_zero:
             continue
         m = Multicomplex(space, [d, delta])

@@ -11,7 +11,7 @@ from multicx.cli import cmd_analyze, cmd_generate, cmd_geometry, main
 from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
 from multicx.exactla import Subspace
-from multicx.graded import GradedMap
+from multicx.graded import GradedMap, lincomb
 from multicx.formats import parse_multicomplex, print_multicomplex, print_structure
 from multicx.generators import staircase4
 from multicx.spectral import total_complex
@@ -287,7 +287,7 @@ def corrupted(builder, n):
         deltas = [m.delta(i) for i in range(max(m.order, n) + 1)]
         k = next(k for k in m.space.degrees if m.space.dim(k + 2 * n - 1))
         bump = GradedMap.from_entries(m.space, m.space, 2 * n - 1, [(k, 0, 0, 1)])
-        deltas[n] = deltas[n].add(bump)
+        deltas[n] = lincomb([(1, deltas[n]), (1, bump)])
         geo.multicomplex = Multicomplex(m.space, deltas)
         return geo
     return build
@@ -335,7 +335,7 @@ def test_basic_restriction_that_leaves_the_subcomplex_fails(tmp_path, monkeypatc
         x3 = a.position[0][((0, 0, 1), ())]
         bump = GradedMap.from_entries(a.space, a.space, 2, [
             (-2, x3, col, 1) for col in range(a.space.dim(-2))])
-        return real(a, w).add(bump)
+        return lincomb([(1, real(a, w)), (1, bump)])
     monkeypatch.setattr(derham, "_bivector_contraction", leaky)
     code = main(["geometry", "--kind", "basic", "--dim", "3", "--trunc", "3",
                  "--structure", structure_file(tmp_path, "basic")])

@@ -1,18 +1,39 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.complexes import (
     InfinityMorphism,
     Multicomplex,
+    OperatorSeries,
     compose_infinity,
     invert_infinity,
     validate_infinity_morphism,
     validate_multicomplex,
 )
-from multicx.errors import NotInvertible, SourceTargetMismatch
+from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_multicomplex
+from multicx.errors import DegreeMismatch, NotInvertible, SourceTargetMismatch, SpaceMismatch
+from multicx.exactla import Matrix
+from multicx.gauge import check_gauge_hodge, series_mul
+from multicx.generators import (
+    corpus,
+    hand_library,
+    rand_automorphism,
+    rand_graded_map,
+    rand_space,
+)
 from multicx.graded import GradedMap, GradedVectorSpace, compose
-from oracles import direct_sum, transpose
+from multicx.transfer import minimal_model
+from oracles import (
+    direct_sum,
+    looped_compose_infinity,
+    looped_validate_infinity_morphism,
+    looped_validate_multicomplex,
+    recursive_invert_infinity,
+    transpose,
+)
 
 
 V = GradedVectorSpace({0: 2, 1: 2, 2: 2, 3: 2})
@@ -219,3 +240,129 @@ def test_product_with_zero_complex():
     m = staircase4()
     z = Multicomplex.zero(GradedVectorSpace({}))
     assert direct_sum(m, z) == m
+
+
+# ---- the one Cauchy product against the parent's per-power loops ----
+
+CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
+CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
+SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1,
+                     ((0, 1, 0), (0, 2)): -1})
+
+
+def geometry_outputs():
+    out = []
+    for trunc in (2, 3, 4):
+        a = FormAlgebra(3, trunc, weight=True)
+        out.append(jacobi_multicomplex(CONTACT_W, CONTACT_E, a).multicomplex)
+        out.append(basic_subcomplex(CONTACT_W, CONTACT_E, a).multicomplex)
+        out.append(jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex)
+    return out
+
+
+def rand_family(rng, space, top=2, density=0.3):
+    """delta_0, ..., delta_top drawn at random, so the relations mostly fail."""
+    return Multicomplex(space, [rand_graded_map(rng, space, space, 2 * n - 1, density)
+                                for n in range(top + 1)])
+
+
+def rand_morphism(rng, source, target, top=2, density=0.3, head=None):
+    comps = [head or rand_graded_map(rng, source.space, target.space, 0, density)]
+    comps += [rand_graded_map(rng, source.space, target.space, 2 * n, density)
+              for n in range(1, top + 1)]
+    return InfinityMorphism(source, target, comps)
+
+
+def test_validation_matches_the_looped_oracle():
+    rng = Random(101)
+    families = [m for _, _, m in corpus(60)] + hand_library() + geometry_outputs()
+    families += [rand_family(rng, rand_space(rng)) for _ in range(40)]
+    failing = 0
+    for m in families:
+        report = validate_multicomplex(m)
+        assert report == looped_validate_multicomplex(m)
+        failing += not report.ok
+    # the random families exercise the violations, in order
+    assert failing >= 30
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_morphism_convolutions_match_the_looped_oracle(seed):
+    rng = Random(seed)
+    a, b, c = (rand_family(rng, rand_space(rng, max_width=5, max_dim=3)) for _ in range(3))
+    f, g = rand_morphism(rng, a, b), rand_morphism(rng, b, c)
+    assert validate_infinity_morphism(f) == looped_validate_infinity_morphism(f)
+    # equal series: every component equal, exactly
+    assert compose_infinity(g, f) == looped_compose_infinity(g, f)
+    # an isomorphism on one space: invertible head, random tail
+    iso = rand_morphism(rng, a, a, head=rand_automorphism(rng, a.space))
+    inverse = invert_infinity(iso)
+    assert inverse == recursive_invert_infinity(iso)
+    assert validate_infinity_morphism(inverse) == looped_validate_infinity_morphism(inverse)
+
+
+def test_model_isomorphisms_match_the_looped_oracle():
+    for _, _, m in corpus(60)[:20]:
+        iso = minimal_model(m).iso
+        assert validate_infinity_morphism(iso) == looped_validate_infinity_morphism(iso)
+        assert validate_infinity_morphism(iso).ok
+        assert invert_infinity(iso) == recursive_invert_infinity(iso)
+
+
+def test_mismatched_series_spaces_raise():
+    small, other = GradedVectorSpace({0: 1, 1: 1}), GradedVectorSpace({0: 2})
+    on_other = OperatorSeries(other, {0: GradedMap.zero(other, other, -1)})
+    d = GradedMap.from_entries(other, other, -1, [])
+    with pytest.raises(SpaceMismatch):
+        Multicomplex(small, OperatorSeries(other, {0: GradedMap.identity(other)}))
+    with pytest.raises(SpaceMismatch):
+        Multicomplex(small, [d])
+    m, n = Multicomplex.zero(small), Multicomplex.zero(other)
+    into_other = OperatorSeries(small, {}, other)
+    with pytest.raises(SpaceMismatch):
+        InfinityMorphism(m, m, into_other)
+    with pytest.raises(SpaceMismatch):
+        InfinityMorphism(n, m, on_other)
+    with pytest.raises(SpaceMismatch):
+        series_mul(OperatorSeries.unit(small), OperatorSeries.unit(other))
+    with pytest.raises(SpaceMismatch):
+        OperatorSeries(small, {0: GradedMap.identity(other)})
+    with pytest.raises(SpaceMismatch):
+        check_gauge_hodge(OperatorSeries(other), m)
+    # a series of the right spaces but the wrong degrees
+    with pytest.raises(DegreeMismatch):
+        Multicomplex(small, OperatorSeries.unit(small))
+
+
+def test_series_views_are_the_family():
+    m = staircase4()
+    assert m.series.coeffs == {n: m.delta(n) for n in range(m.order + 1) if not m.delta(n).is_zero}
+    assert Multicomplex(m.space, m.series) == m
+    f = single_block_isotopy(m, 0, [(0, 0, 3)])
+    assert InfinityMorphism(m, m, f.series) == f
+    assert f.comps == [f.comp(0), f.comp(1)]
+    assert InfinityMorphism(m, m, []).series.is_zero
+
+
+def test_products_on_the_contact_pair_keep_their_matrix_products(monkeypatch):
+    # pinned to the per-power loops' counts: validating the multicomplex at
+    # trunc 4 makes 12 block products (6 on the basic forms) and checking
+    # its gauge 6 (2); a pair of powers past the grading width has no pair
+    # of matching blocks, so the product needs no power cap to skip it
+    calls = []
+    real = Matrix.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    a = FormAlgebra(3, 4, weight=True)
+    for build, want in ((jacobi_multicomplex, (12, 6)), (basic_subcomplex, (6, 2))):
+        geo = build(CONTACT_W, CONTACT_E, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "mul", counted)
+            assert validate_multicomplex(geo.multicomplex).ok
+            validated = len(calls)
+            assert check_gauge_hodge(geo.gauge, geo.multicomplex).ok
+        assert (validated, len(calls) - validated) == want
+        calls.clear()

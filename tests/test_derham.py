@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicx.complexes import Multicomplex, validate_multicomplex
+from multicx.complexes import Multicomplex, OperatorSeries, validate_multicomplex
 from multicx.errors import NotJacobi, ShapeMismatch
 from multicx.derham import (
     FormAlgebra,
@@ -33,12 +33,13 @@ from multicx.derham import (
     _word,
 )
 from multicx.exactla import accumulate
-from multicx.gauge import OperatorSeries, check_gauge_hodge
+from multicx.gauge import check_gauge_hodge
 from multicx.graded import GradedMap, compose, lincomb
 from oracles import (
     coefficient_degree,
     coordinate_field,
     form_vector,
+    homogeneous_schouten,
     monomial_contraction,
     monomial_d,
     reversed_contraction_symbol,
@@ -201,6 +202,45 @@ def test_schouten_graded_antisymmetry_and_jacobi():
         assert s1 == s2.add(s3)
 
 
+@st.composite
+def mixed_polyvectors(draw, dim):
+    """Sums of monomials of any vector degree, with int or Fraction coefficients."""
+    monomial = st.tuples(st.tuples(*[st.integers(0, 2)] * dim),
+                         st.sets(st.integers(0, dim - 1)).map(lambda s: tuple(sorted(s))))
+    coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
+    return PolyVector(dim, draw(st.lists(st.tuples(monomial, coefficient), max_size=5)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(mixed_polyvectors(dim),
+                                                        mixed_polyvectors(dim))))
+def test_schouten_matches_the_homogeneous_sum(pair):
+    # one sum over monomial pairs against the sum over homogeneous parts:
+    # the same terms, in the same key order, integral values held as ints
+    p, q = pair
+    got, want = schouten(p, q), homogeneous_schouten(p, q)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    first, second = jacobi_defects(p, q)
+    assert first == homogeneous_schouten(p, p).sub(q.wedge(p).scale(2))
+    assert second == homogeneous_schouten(q, p)
+
+
+def test_structure_equations_build_two_polyvectors(monkeypatch):
+    # each defect is summed once: no intermediate bracket, wedge or
+    # homogeneous part is built (the per-part sum built 74 on this pair)
+    built = []
+    real = PolyVector.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        real(self, *args)
+    monkeypatch.setattr(PolyVector, "__init__", counted)
+    first, second = jacobi_defects(CONTACT_W, CONTACT_E)
+    assert first.is_zero and second.is_zero
+    assert len(built) == 2
+
+
 def test_contraction_identity_trivial_and_random():
     c0 = coordinate_field(2, 0)
     c1 = coordinate_field(2, 1)
@@ -240,7 +280,7 @@ def test_anticommute_holds_for_any_bivector():
     for _ in range(6):
         w = rand_polyvector(rng, 3, 2, cdeg=1)
         delta = graded_commutator(contraction(a, w), d)
-        assert compose(d, delta).add(compose(delta, d)).is_zero
+        assert lincomb([(1, compose(d, delta)), (1, compose(delta, d))]).is_zero
 
 
 def test_verify_jacobi_cases():
@@ -352,7 +392,7 @@ def test_jacobi_bracket_identities_on_weight_model():
     # 2 i(w) d i(w) = i(w)^2 d + d i(w)^2 - 2 i(e) i(w)
     iw2 = compose(iw, iw)
     lhs = compose(iw, compose(d, iw)).scale(2)
-    rhs = compose(iw2, d).add(compose(d, iw2)).sub(delta2.scale(2))
+    rhs = lincomb([(1, compose(iw2, d)), (1, compose(d, iw2)), (-2, delta2)])
     assert lhs == rhs
 
 

@@ -7,22 +7,22 @@ from hypothesis import strategies as st
 from multicx.complexes import (
     InfinityMorphism,
     Multicomplex,
+    OperatorSeries,
     compose_infinity,
     invert_infinity,
+    power_cap,
+    series_lincomb,
     validate_multicomplex,
 )
 from multicx.errors import BadConstantTerm, SpaceMismatch
 from multicx.gauge import (
     NoGauge,
-    OperatorSeries,
     check_gauge_hodge,
     conjugate_differential,
     conjugate_series,
     find_gauge,
     gauge_construct,
-    power_cap,
     series_exp,
-    series_lincomb,
     series_log,
     series_mul,
 )
@@ -140,11 +140,11 @@ def test_conjugate_differential_zero_and_central():
     space = GradedVectorSpace({0: 2, 1: 2})
     d = GradedMap.from_entries(space, space, -1, [(1, 0, 0, 1)])
     conj = conjugate_differential(OperatorSeries(space), d)
-    assert conj == OperatorSeries.from_constant(d)
+    assert conj == OperatorSeries(space, {0: d})
     # a coefficient commuting with d leaves the differential alone
     central = GradedMap.zero(space, space, 2)
     conj = conjugate_differential(OperatorSeries.single(1, central), d)
-    assert conj == OperatorSeries.from_constant(d)
+    assert conj == OperatorSeries(space, {0: d})
 
 
 def test_conjugate_differential_first_order():
@@ -154,7 +154,7 @@ def test_conjugate_differential_first_order():
         d = rand_square_zero(rng, space, -1)
         r1 = rand_graded_map(rng, space, space, 2, 0.5)
         conj = conjugate_differential(OperatorSeries.single(1, r1), d)
-        bracket = compose(r1, d).sub(compose(d, r1))
+        bracket = lincomb([(1, compose(r1, d)), (-1, compose(d, r1))])
         assert conj.coefficient(1, 1) == bracket
 
 
@@ -184,6 +184,25 @@ def test_check_gauge_trivial_and_impossible():
         r = rand_series(rng, space)
         res = check_gauge_hodge(r, obstructed)
         assert not res.ok and res.witness == 1
+
+
+def test_check_gauge_witness_is_the_least_differing_power():
+    # the series comparison against a loop over the powers, on families
+    # that differ from the conjugate at several powers
+    rng = Random(37)
+    several = 0
+    for _ in range(60):
+        space = rand_space(rng)
+        d = rand_square_zero(rng, space, -1)
+        m = gauge_construct(d, rand_series(rng, space))
+        r = rand_series(rng, space)
+        conj = conjugate_differential(r, d)
+        top = max(conj.max_power, m.order, 0)
+        differ = [n for n in range(top + 1) if conj.coefficient(n, 2 * n - 1) != m.delta(n)]
+        res = check_gauge_hodge(r, m)
+        assert res.ok == (not differ) and res.witness == (differ[0] if differ else None)
+        several += len(differ) > 1
+    assert several >= 10
 
 
 def test_gauge_construct_zero_series_and_zero_differential():
@@ -309,8 +328,8 @@ def test_mixed_gauge_weight_one_coefficient():
         r, _ = build_retract(m.space, m.delta(0))
         delta = m.delta(1)
         series = mixed_complex_gauge(r, delta)
-        expected = compose(r.homotopy, delta).sub(
-            compose(compose(r.incl, r.proj), compose(delta, r.homotopy)))
+        expected = lincomb([(1, compose(r.homotopy, delta)),
+                            (-1, compose(compose(r.incl, r.proj), compose(delta, r.homotopy)))])
         assert series.coefficient(1, 2) == expected
         assert mixed_gauge_coefficient(r, delta, 1) == expected
 
@@ -345,21 +364,22 @@ def test_space_mismatch_guard():
 def test_gauge_builds_no_scaled_copy(monkeypatch):
     # exp, log, the commutators and the isomorphism psi take a coefficient
     # per term in one lincomb, so finding and checking a gauge never scales
-    # a matrix on its own, and no power is summed by chained additions
+    # a matrix on its own, and no power is summed by chained additions of
+    # matrices (graded maps have no pairwise sum besides lincomb)
     scaled, added = [], []
 
     def counted(self, a, _fn=Matrix.scale):
         scaled.append(a)
         return _fn(self, a)
 
-    def counted_add(self, other, _fn=GradedMap.add):
+    def counted_add(self, other, _fn=Matrix.add):
         added.append(1)
         return _fn(self, other)
     for m in [m for profile, _, m in corpus(60) if profile == "a"]:
         model = minimal_model(m)
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "scale", counted)
-            patch.setattr(GradedMap, "add", counted_add)
+            patch.setattr(Matrix, "add", counted_add)
             series = find_gauge(model)
             assert check_gauge_hodge(series, m).ok
         assert not series.is_zero or m.order == 0

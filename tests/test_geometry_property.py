@@ -6,13 +6,15 @@ a random unimodular integer change of coordinates first, which keeps the
 structure equations and the polynomial degrees of the coefficients."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multicx.cli import main
-from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, schouten
+from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_defects, schouten
 from multicx.formats import polyvector_to_terms, print_structure
 from oracles import solved_basic_subcomplex
 
@@ -113,6 +115,35 @@ def change_coordinates(p, a, inv):
     return PolyVector(dim, terms)
 
 
+def translate(p, shift):
+    """The polyvector p with each coefficient f(x) replaced by f(x + shift);
+    no coefficient degree grows, so the weight window stays invariant."""
+    dim = p.dim
+    linear = [{tuple(int(t == i) for t in range(dim)): 1, (0,) * dim: shift[i]}
+              for i in range(dim)]
+    terms = []
+    for (alpha, J), c in p.terms.items():
+        poly = {(0,) * dim: c}
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                poly = _poly_mul(poly, linear[i])
+        terms += [((beta, J), v) for beta, v in poly.items()]
+    return PolyVector(dim, terms)
+
+
+def standard_contact(n):
+    """The standard contact pair on R^{2n+1}, coordinates (x_1, y_1, ...,
+    x_n, y_n, z): w = sum_i d_{x_i} ^ d_{y_i} - y_i d_{y_i} ^ d_z and
+    e = -d_z.  With n = 1 this is CONTACT."""
+    dim = 2 * n + 1
+    flat = (0,) * dim
+    terms = []
+    for i in range(n):
+        y = tuple(int(t == 2 * i + 1) for t in range(dim))
+        terms += [((flat, (2 * i, 2 * i + 1)), 1), ((y, (2 * i + 1, 2 * n)), -1)]
+    return PolyVector(dim, terms), PolyVector(dim, [((flat, (2 * n,)), -1)])
+
+
 # each example reuses the test's directory, environment and captured output
 PROPERTY = dict(derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -173,3 +204,43 @@ def test_non_poisson_bivector_fails_with_its_defect(tmp_path, capsys, frame):
     [check] = report["checks"]
     assert check["name"] == "structure equations hold" and not check["passed"]
     assert check["witness"] == "[w, w] - 2 e ^ w has terms %s" % polyvector_to_terms(defect)
+
+
+@pytest.mark.parametrize("n, trunc", [(2, 2), (2, 4), (3, 2)])
+@settings(max_examples=3, **PROPERTY)
+@given(data=st.data())
+def test_standard_contact_pairs_in_new_coordinates(tmp_path, monkeypatch, capsys, n, trunc,
+                                                   data):
+    # the Jacobi half of the theorem in dimension 5 and 7: a unimodular
+    # change of coordinates, then a translation, then a constant rescaling
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    dim = 2 * n + 1
+    frame = data.draw(unimodular(dim))
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim))
+    scale = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+    w, e = (translate(change_coordinates(p, *frame), shift).scale(scale)
+            for p in standard_contact(n))
+    for kind in ("jacobi", "basic"):
+        assert_theorem(tmp_path, capsys, kind, w, e, trunc)
+    a = FormAlgebra(dim, trunc, weight=True)
+    assert basic_subcomplex(w, e, a) == solved_basic_subcomplex(w, e, a)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "basic"])
+def test_contact_pairs_failing_a_structure_equation_name_the_defect(tmp_path, monkeypatch,
+                                                                     capsys, kind):
+    monkeypatch.setenv("MULTICX_OUTDIR", str(tmp_path))
+    w, e = standard_contact(2)
+    # (w, 2e) breaks [w, w] = 2 e ^ w; (d1 ^ d2, x1 d1) keeps it, as
+    # e ^ w = 0 = [w, w], but [e, w] = -d1 ^ d2
+    doubled = (w, e.scale(2))
+    plane = (bivector(3, [(1, (0, 0, 0), (1, 2))]), PolyVector(3, {((1, 0, 0), (0,)): 1}))
+    for (w, e), name in ((doubled, "[w, w] - 2 e ^ w"), (plane, "[e, w]")):
+        first, second = jacobi_defects(w, e)
+        defect = first if name.startswith("[w, w]") else second
+        assert not defect.is_zero and (name == "[e, w]") == first.is_zero
+        code, report = run_geometry(tmp_path, capsys, kind, w, e, 3)
+        assert code == 1
+        [check] = report["checks"]
+        assert check["name"] == "structure equations hold" and not check["passed"]
+        assert check["witness"] == "%s has terms %s" % (name, polyvector_to_terms(defect))
