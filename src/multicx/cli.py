@@ -13,9 +13,13 @@ The relations come from the one validation `TotalComplex` runs (its error
 carries the report); a failing relation stops the command before the
 degeneration check.  `analyze` computes each object once: one minimal model
 gives the homology, the transferred operators with their verdict, and the
-gauge, and `--seed` twists that model's splitting instead of splitting d
-again.  The model's isomorphism is built only when a gauge can exist, so an
-obstructed analysis pays only for its verdicts, witnesses and page table.
+gauge, and `--seed` twists that model's retract, which is its splitting,
+instead of splitting d again.  The model's isomorphism is built only when a
+gauge can exist, so an obstructed analysis pays only for its verdicts,
+witnesses and page table.  The three-way agreement compares the Hodge leg
+(every transferred operator vanishes), the degeneration leg (page one) and
+the gauge leg: a series was found and conjugates d onto the whole family,
+which `find_gauge`, reading the Hodge leg's weights, does not check.
 `geometry` builds a Poisson bivector w as the Jacobi pair (w, 0) and calls
 its builder once; the builders check only the structure equations, and the
 structure line reads its witness from their NotJacobi error.  The
@@ -222,23 +226,24 @@ def cmd_analyze(path: str, pages=None, seed=None) -> Report:
         for r, dims in enumerate(rows, 1)}
 
     gauge = find_gauge(model)
-    found = not isinstance(gauge, NoGauge)
+    gauge_ok = found = not isinstance(gauge, NoGauge)
     report.add("gauge series exists", found,
                "" if found else "obstructed at weight %d" % gauge.witness)
     if found:
         report.notes["gauge"] = " | ".join(formats.print_series(gauge).strip().splitlines())
-        report.add("gauge series conjugates the differential", *_gauge(gauge, m))
+        gauge_ok, witness = _gauge(gauge, m)
+        report.add("gauge series conjugates the differential", gauge_ok, witness)
 
-    agree = (hodge_ok == degen_ok == found)
+    agree = (hodge_ok == degen_ok == gauge_ok)
     report.add("three-way agreement", agree,
                "" if agree else "hodge=%s degeneration=%s gauge=%s"
-               % (hodge_ok, degen_ok, found))
+               % (hodge_ok, degen_ok, gauge_ok))
 
     if seed is not None:
         rng = Random(seed)
         match = True
         for _ in range(2):
-            alt, _ = alternative_retract(model.splitting, rng)
+            alt = alternative_retract(model.retract, rng)
             if check_hodge_data(alt, m).ok != hodge_ok:
                 match = False
         report.add("randomized retracts agree", match, seed=seed)

@@ -34,6 +34,7 @@ from .graded import GradedMap, GradedVectorSpace, compose, lincomb
 class OperatorSeries:
     """Finitely many graded-map coefficients source -> target indexed by the
     power of z; the target defaults to the source, an endomorphism series.
+    Every coefficient has one degree - 2n (deg z = -2), or DegreeMismatch.
     Zero coefficients are not stored, and a power past the grading width
     needs no cap: its coefficient has no nonempty block, so it is zero."""
 
@@ -50,6 +51,8 @@ class OperatorSeries:
                 raise BadConstantTerm("negative power %d" % n)
             if not f.is_zero:
                 clean[int(n)] = f
+        if len({f.degree - 2 * n for n, f in clean.items()}) > 1:
+            raise DegreeMismatch("coefficients of one series differ in degree - 2n")
         self.coeffs = dict(sorted(clean.items()))
 
     @staticmethod
@@ -85,17 +88,14 @@ class OperatorSeries:
 def _family(space, target, maps, offset: int, what: str) -> OperatorSeries:
     """The maps space -> target, a list or a series, as one series whose
     power-n coefficient has degree 2n + offset."""
-    if isinstance(maps, OperatorSeries):
-        if maps.space != space or maps.target != target:
-            raise SpaceMismatch("the %s series lives on different spaces" % what)
-        items = maps.coeffs.items()
-    else:
-        items = list(enumerate(maps))
-        maps = OperatorSeries(space, dict(items), target)
+    series = isinstance(maps, OperatorSeries)
+    if series and (maps.space != space or maps.target != target):
+        raise SpaceMismatch("the %s series lives on different spaces" % what)
+    items = maps.coeffs.items() if series else list(enumerate(maps))
     for n, f in items:
         if f.degree != 2 * n + offset:
             raise DegreeMismatch("%s %d must have degree %d" % (what, n, 2 * n + offset))
-    return maps
+    return maps if series else OperatorSeries(space, dict(items), target)
 
 
 class Multicomplex:
@@ -256,8 +256,9 @@ def power_cap(space: GradedVectorSpace) -> int:
 
 def _power_sum(start: OperatorSeries, step, coeff) -> OperatorSeries:
     """sum_k coeff(k) t_k with t_0 = start and t_k = step(t_{k-1}).  The
-    step raises the least power, so the terms are zero past the power cap:
-    the loop stops at the first zero term and the sum is finite."""
+    step raises the least power, and each series keeps one degree - 2n, so
+    the terms are zero past the power cap: the loop stops at the first zero
+    term and the sum is finite."""
     term, terms = start, [(coeff(0), start)]
     for k in range(1, power_cap(start.space) + 1):
         term = step(term)

@@ -10,6 +10,8 @@ strict: an integer token is ASCII digits with an optional sign, a rational
 token (a `.mcx` entry or a structure coefficient string) is p or p/q of
 such digits with q nonzero, and any other token, a decimal, an exponent or
 an integer past Python's digit limit included, is a ParseError naming it.
+A `.mcx` document is read in one pass, each entry going straight into its
+operator's blocks, and the first fault in line order is the one reported.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from .complexes import Multicomplex, OperatorSeries
 from .derham import PolyVector
 from .errors import ParseError, ShapeMismatch
-from .exactla import rat
+from .exactla import Matrix, rat
 from .graded import GradedMap, GradedVectorSpace
 
 MULTICOMPLEX_HEADER = "multicx multicomplex v1"
@@ -41,33 +43,6 @@ def _degree_lines(space: GradedVectorSpace, out):
 def _entry_lines(f: GradedMap, out):
     for k, r, c, v in f.entries():
         out.append("%d %d %d %s" % (k, r, c, format_rational(v)))
-
-
-class _Lines:
-    """Cursor over meaningful lines, tracking numbers for error messages."""
-
-    def __init__(self, text):
-        self.items = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                self.items.append((no, line))
-        self.pos = 0
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
-
-    def next(self):
-        no, line = self.peek()
-        if line is None:
-            raise ParseError("unexpected end of document")
-        self.pos += 1
-        return no, line
-
-    def expect(self, want):
-        no, line = self.next()
-        if line != want:
-            raise ParseError("expected %r, found %r" % (want, line), no)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -91,47 +66,6 @@ def _parse_rational(token, no):
         raise ParseError("bad rational %r" % token, no)
 
 
-def _parse_degrees(lines, terminators):
-    dims = {}
-    while True:
-        no, line = lines.peek()
-        if line is None or line in terminators or line.split()[0] in terminators:
-            break
-        no, line = lines.next()
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("degree lines need two fields", no)
-        deg = _parse_int(parts[0], no, "degree")
-        dim = _parse_int(parts[1], no, "dimension")
-        if deg in dims:
-            raise ParseError("degree %d repeated" % deg, no)
-        if dim <= 0:
-            raise ParseError("dimension must be positive", no)
-        dims[deg] = dim
-    return dims
-
-
-def _parse_entries(lines, terminators):
-    entries = []
-    while True:
-        no, line = lines.peek()
-        if line is None:
-            break
-        head = line.split()[0]
-        if line in terminators or head in terminators:
-            break
-        no, line = lines.next()
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError("entry lines need four fields", no)
-        k = _parse_int(parts[0], no, "source degree")
-        r = _parse_int(parts[1], no, "row")
-        c = _parse_int(parts[2], no, "column")
-        v = _parse_rational(parts[3], no)
-        entries.append((k, r, c, v))
-    return entries
-
-
 def print_multicomplex(m: Multicomplex, meta=None) -> str:
     out = [MULTICOMPLEX_HEADER]
     for key, value in (meta or {}).items():
@@ -146,51 +80,79 @@ def print_multicomplex(m: Multicomplex, meta=None) -> str:
 
 
 def parse_multicomplex(text: str):
-    """Returns (multicomplex, meta dict)."""
-    lines = _Lines(text)
-    no, header = lines.next()
+    """Returns (multicomplex, meta dict).
+
+    One pass over the meaningful lines, closed by a sentinel that reads as
+    `end` at the end of the document.  After the header and the meta lines,
+    the degree section and the operator sections share one loop, where a
+    line whose first word is `operator` or `end` closes the section before
+    it.  Each entry is appended to its operator's (row, column, value)
+    triples for its source degree, and the operator's blocks are built from
+    them when its section closes.
+    """
+    items = [(no, line) for no, line in enumerate((raw.strip() for raw in text.splitlines()), 1)
+             if line and not line.startswith("#")] + [(None, "end")]
+    no, header = items[0]
+    if no is None:
+        raise ParseError("unexpected end of document")
     if header != MULTICOMPLEX_HEADER:
         raise ParseError("not a multicomplex document (header %r)" % header, no)
-    meta = {}
-    while True:
-        no, line = lines.peek()
-        if line is None or not line.startswith("meta "):
-            break
-        lines.next()
+    meta, pos = {}, 1
+    while items[pos][1].startswith("meta "):
+        no, line = items[pos]
         parts = line.split(None, 2)
         if len(parts) < 3:
             raise ParseError("meta lines need a key and a value", no)
         meta[parts[1]] = parts[2]
-    lines.expect("degrees")
-    dims = _parse_degrees(lines, {"operator", "end"})
-    space = GradedVectorSpace(dims)
-    ops = {}
-    last = -1
-    while True:
-        no, line = lines.peek()
-        if line == "end":
-            lines.next()
-            break
-        if line is None:
-            raise ParseError("missing end marker")
-        no, line = lines.next()
+        pos += 1
+    no, line = items[pos]
+    if no is None:
+        raise ParseError("unexpected end of document")
+    if line != "degrees":
+        raise ParseError("expected %r, found %r" % ("degrees", line), no)
+    dims, ops, space, last, head_no, per = {}, {}, None, -1, None, {}
+    for i in range(pos + 1, len(items)):
+        no, line = items[i]
         parts = line.split()
-        if parts[0] != "operator" or len(parts) != 2:
-            raise ParseError("expected an operator section, found %r" % line, no)
-        n = _parse_int(parts[1], no, "operator index")
-        if n <= last:
-            raise ParseError("operator indices must increase", no)
-        last = n
-        entries = _parse_entries(lines, {"operator", "end"})
-        if not entries:
-            continue
-        try:
-            ops[n] = GradedMap.from_entries(space, space, 2 * n - 1, entries)
-        except Exception as exc:
-            raise ParseError("operator %d: %s" % (n, exc), no)
-    if lines.peek()[1] is not None:
-        raise ParseError("trailing content after end", lines.peek()[0])
-    return Multicomplex(space, OperatorSeries(space, ops)), meta
+        if parts[0] in ("operator", "end"):
+            if space is None:
+                space = GradedVectorSpace(dims)
+            if per:
+                try:
+                    ops[last] = GradedMap(space, space, 2 * last - 1, {
+                        k: Matrix(space.dim(k + 2 * last - 1), space.dim(k), triples)
+                        for k, triples in per.items()})
+                except ShapeMismatch as exc:  # an entry outside its block
+                    raise ParseError("operator %d: %s" % (last, exc), head_no)
+            if no is None:
+                raise ParseError("missing end marker")
+            if line == "end":
+                if items[i + 1][0] is not None:
+                    raise ParseError("trailing content after end", items[i + 1][0])
+                return Multicomplex(space, OperatorSeries(space, ops)), meta
+            if parts[0] != "operator" or len(parts) != 2:
+                raise ParseError("expected an operator section, found %r" % line, no)
+            n = _parse_int(parts[1], no, "operator index")
+            if n <= last:
+                raise ParseError("operator indices must increase", no)
+            last, head_no, per = n, no, {}
+        elif space is None:
+            if len(parts) != 2:
+                raise ParseError("degree lines need two fields", no)
+            deg = _parse_int(parts[0], no, "degree")
+            dim = _parse_int(parts[1], no, "dimension")
+            if deg in dims:
+                raise ParseError("degree %d repeated" % deg, no)
+            if dim <= 0:
+                raise ParseError("dimension must be positive", no)
+            dims[deg] = dim
+        else:
+            if len(parts) != 4:
+                raise ParseError("entry lines need four fields", no)
+            k = _parse_int(parts[0], no, "source degree")
+            r = _parse_int(parts[1], no, "row")
+            c = _parse_int(parts[2], no, "column")
+            per.setdefault(k, []).append((r, c, _parse_rational(parts[3], no)))
 
 
 def print_series(s: OperatorSeries) -> str:

@@ -1,17 +1,19 @@
 """Deformation retracts onto homology and homotopy transfer.
 
-A retract is read from one splitting A_k = H_k (+) B_k (+) C_k: the frame
-F_k = [H | B | C] and the rows (p, b, c) of F_k^{-1}.  `build_retract`
-eliminates once per degree, for Z_k = ker d_k; C_k complements Z_k,
-B_k = d C_{k+1} is im d, and H_k complements B_k in Z_k.  As d maps C_{k+1}
-onto B_k column for column, the homotopy -(d|_C)^{-1} on B is the product
--C_{k+1} b_k, with no solve; that sign makes incl o proj - id = d h + h d
-hold on the nose, and the splitting gives h i = 0, p h = 0, h h = 0 for
-free.  incl is H and proj is p.
+A retract is its splitting A_k = H_k (+) B_k (+) C_k: one
+`DeformationRetract` holds the frame F_k = [H | B | C] and the rows
+(p, b, c) of F_k^{-1}, and reads incl = H, proj = p and the homotopy off
+them when it is made.  `build_retract` eliminates once per degree, for
+Z_k = ker d_k; C_k complements Z_k, B_k = d C_{k+1} is im d, and H_k
+complements B_k in Z_k.  As d maps C_{k+1} onto B_k column for column, the
+homotopy -(d|_C)^{-1} on B is the product -C_{k+1} b_k, with no solve;
+that sign makes incl o proj - id = d h + h d hold on the nose, and the
+splitting gives h i = 0, p h = 0, h h = 0 for free.
 
 Every other retract is a change of frame of this one, since ker d and im d
-are unique: `alternative_retract` twists F to F T with T unipotent and
-reads the retract from F T and T^{-1} F^{-1} by products alone.
+are unique: `alternative_retract` takes a retract, twists its F to F T
+with T unipotent and reads the new retract from F T and T^{-1} F^{-1} by
+products alone.
 
 `transfer_structure` pushes a multicomplex structure across a retract using
 the sum-over-compositions formulas: the transferred operator of weight n is
@@ -24,7 +26,7 @@ incl, i_n = h S_n over the chain sums S_n that end in incl, is not built:
 nothing on the pipeline reads it.
 
 `minimal_model` builds up front only what every verdict reads: the
-retract, its splitting and the transferred multicomplex.  The isomorphism
+retract and the transferred multicomplex.  The isomorphism
 is built on first read, once, on A itself.  The minimal model mu carried
 onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto it is
 psi_0 = id and psi_n = i p_n - h delta_n.  This is the homotopy-perturbation
@@ -54,63 +56,41 @@ from .graded import (
 )
 
 
-@dataclass
 class DeformationRetract:
-    big: GradedVectorSpace
-    small: GradedVectorSpace
-    proj: GradedMap      # big -> small, degree 0
-    incl: GradedMap      # small -> big, degree 0
-    homotopy: GradedMap  # big -> big, degree +1
-    d_big: GradedMap
-    d_small: GradedMap
+    """The retract of (A, d) onto its homology, which is its splitting:
+    bases[k] = (H, B, C) are the columns of the frame F_k, and
+    coords[k] = (p, b, c) the rows of F_k^{-1}.  incl is H, proj is p, and
+    the homotopy on A_k is (-C_{k+1}) b_k, the sign on the thin factor C."""
+
+    __slots__ = ("bases", "coords", "big", "small", "proj", "incl", "homotopy",
+                 "d_big", "d_small")
+
+    def __init__(self, d: GradedMap, bases: dict, coords: dict):
+        self.bases, self.coords = bases, coords
+        self.big, self.d_big = d.source, d
+        proj, incl, homotopy = {}, {}, {}
+        for k, (h, b, _) in bases.items():
+            p, b_rows, _ = coords[k]
+            if h.cols:
+                incl[k], proj[k] = h, p
+            if b.cols:
+                homotopy[k] = bases[k + 1][2].neg().mul(b_rows)
+        self.small = GradedVectorSpace({k: h.cols for k, (h, _, _) in bases.items()})
+        self.proj = GradedMap(self.big, self.small, 0, proj)
+        self.incl = GradedMap(self.small, self.big, 0, incl)
+        self.homotopy = GradedMap(self.big, self.big, 1, homotopy)
+        self.d_small = GradedMap.zero(self.small, self.small, -1)
 
 
-@dataclass
-class Splitting:
-    """A_k = H_k (+) B_k (+) C_k in every degree of a complex (A, d).
-
-    bases[k] = (H, B, C) are the columns of the frame F_k = [H | B | C] and
-    coords[k] = (p, b, c) the matching rows of F_k^{-1}.  H (+) B is ker d_k
-    and B_k = d C_{k+1}, so d maps C_{k+1} onto B_k column for column.
-    """
-    d: GradedMap
-    bases: dict
-    coords: dict
-
-
-def _retract(s: Splitting) -> DeformationRetract:
-    """The retract read off a splitting by products alone: incl is H, proj
-    is p, and since d C_{k+1} = B_k the homotopy on A_k is (-C_{k+1}) b_k,
-    the sign on the thin factor C."""
-    space = s.d.source
-    proj, incl, homotopy = {}, {}, {}
-    for k, (h, b, _) in s.bases.items():
-        p, b_rows, _ = s.coords[k]
-        if h.cols:
-            incl[k], proj[k] = h, p
-        if b.cols:
-            homotopy[k] = s.bases[k + 1][2].neg().mul(b_rows)
-    small = GradedVectorSpace({k: h.cols for k, (h, _, _) in s.bases.items()})
-    return DeformationRetract(
-        big=space,
-        small=small,
-        proj=GradedMap(space, small, 0, proj),
-        incl=GradedMap(small, space, 0, incl),
-        homotopy=GradedMap(space, space, 1, homotopy),
-        d_big=s.d,
-        d_small=GradedMap.zero(small, small, -1),
-    )
-
-
-def build_retract(space: GradedVectorSpace, d: GradedMap):
+def build_retract(space: GradedVectorSpace, d: GradedMap) -> DeformationRetract:
     """Deterministic deformation retract of (space, d) onto its homology.
 
-    Returns (retract, splitting).  Each degree is eliminated once, for
-    ker d_k; C_k is the greedy complement of ker d_k, B_k = d C_{k+1}, H_k
-    the greedy complement of B_k in ker d_k, and one solve inverts the frame.
-    That C_k is the unit vectors at d_k's pivot columns: a free e_j is its
-    kernel vector plus pivot unit vectors left of j, and the RREF row of a
-    pivot j vanishes on ker d_k and on every e_i, i < j, but not on e_j.
+    Each degree is eliminated once, for ker d_k; C_k is the greedy
+    complement of ker d_k, B_k = d C_{k+1}, H_k the greedy complement of B_k
+    in ker d_k, and one solve inverts the frame.  That C_k is the unit
+    vectors at d_k's pivot columns: a free e_j is its kernel vector plus
+    pivot unit vectors left of j, and the RREF row of a pivot j vanishes on
+    ker d_k and on every e_i, i < j, but not on e_j.
     """
     if d.degree != -1:
         raise NotSquareZero("differential must have degree -1")
@@ -128,8 +108,7 @@ def build_retract(space: GradedVectorSpace, d: GradedMap):
         z = h.cols + b.cols
         bases[k] = (h, b, c[k])
         coords[k] = tuple(inverse.select_rows(r) for r in (range(h.cols), range(h.cols, z), range(z, n)))
-    split = Splitting(d, bases, coords)
-    return _retract(split), split
+    return DeformationRetract(d, bases, coords)
 
 
 def _random_matrix(rng, rows, cols):
@@ -137,25 +116,24 @@ def _random_matrix(rng, rows, cols):
                                for c in range(cols)] if rows else None)
 
 
-def alternative_retract(split: Splitting, rng):
-    """A randomized deformation retract and its splitting: the frame twisted
-    to F T, with T unipotent, H' = H + B phi and C' = C + H psi_H + B psi_B,
-    where each column of phi, psi_H and psi_B holds one random entry in
+def alternative_retract(r: DeformationRetract, rng) -> DeformationRetract:
+    """A randomized deformation retract: the frame F of r twisted to F T,
+    with T unipotent, H' = H + B phi and C' = C + H psi_H + B psi_B, where
+    each column of phi, psi_H and psi_B holds one random entry in
     {-2, -1, 1, 2} at a random row, so the twisted retract stays about as
     sparse as the canonical one.  Many complements of B in ker d and of
     ker d in A arise so, not every one.  The inverse T^{-1} F^{-1} is a
     product: p' = p - psi_H c, b' = b - phi p' - psi_B c and c' = c."""
     bases, coords = {}, {}
-    for k, (h, b, c) in split.bases.items():
-        p, b_rows, c_rows = split.coords[k]
+    for k, (h, b, c) in r.bases.items():
+        p, b_rows, c_rows = r.coords[k]
         phi = _random_matrix(rng, b.cols, h.cols)
         psi_h = _random_matrix(rng, h.cols, c.cols)
         psi_b = _random_matrix(rng, b.cols, c.cols)
         p_twisted = p.sub(psi_h.mul(c_rows))
         bases[k] = (h.add(b.mul(phi)), b, c.add(h.mul(psi_h)).add(b.mul(psi_b)))
         coords[k] = (p_twisted, b_rows.sub(phi.mul(p_twisted)).sub(psi_b.mul(c_rows)), c_rows)
-    twisted = Splitting(split.d, bases, coords)
-    return _retract(twisted), twisted
+    return DeformationRetract(r.d_big, bases, coords)
 
 
 def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap, nmax: int):
@@ -236,8 +214,8 @@ class MinimalModel:
     """m split, up to infinity-isomorphism, into a minimal multicomplex on
     its homology and an acyclic remainder.
 
-    Built up front: the retract, its splitting and `minimal`, the
-    transferred multicomplex, which every verdict reads.  Built on first
+    Built up front: the retract, which keeps its splitting, and `minimal`,
+    the transferred multicomplex, which every verdict reads.  Built on first
     read, once: `iso`, the infinity-isomorphism from m onto the minimal
     model carried onto A by the retract.  `find_gauge` reads it only when
     every transferred operator vanishes.
@@ -245,7 +223,6 @@ class MinimalModel:
     source: Multicomplex
     minimal: Multicomplex
     retract: DeformationRetract
-    splitting: Splitting
 
     @cached_property
     def iso(self) -> InfinityMorphism:
@@ -279,6 +256,5 @@ def minimal_model(m: Multicomplex) -> MinimalModel:
     waits for its first read.  The model stores no inverse isomorphism;
     `invert_infinity(model.iso)` gives it when a caller needs it.
     """
-    retract, split = build_retract(m.space, m.delta(0))
-    return MinimalModel(source=m, minimal=_transferred(retract, m),
-                        retract=retract, splitting=split)
+    retract = build_retract(m.space, m.delta(0))
+    return MinimalModel(source=m, minimal=_transferred(retract, m), retract=retract)

@@ -16,7 +16,9 @@ solving for each restricted operator on the ambient forms.  The
 convolutions of operator families are looped a second way, one power at a
 time over explicit index ranges, with the inverse of an infinity-morphism
 by its recursion; the Schouten bracket is summed a second way, one
-homogeneous part at a time.
+homogeneous part at a time.  A `.mcx` document is parsed a second way,
+by a line cursor with one scan per section and a flat entry list that
+`GradedMap.from_entries` regroups into blocks.
 """
 
 from fractions import Fraction
@@ -43,7 +45,8 @@ from multicx.exactla import (
     solve,
 )
 from multicx.gauge import check_gauge_hodge, gauge_construct, series_log
-from multicx.errors import NotInvertible
+from multicx.errors import NotInvertible, ParseError
+from multicx.formats import MULTICOMPLEX_HEADER, _parse_int, _parse_rational
 from multicx.generators import rand_entry, rand_graded_map, rand_space, rand_square_zero
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb, max_component_index
 
@@ -226,13 +229,14 @@ def inclusion_extension(r, m: Multicomplex, transferred: Multicomplex) -> Infini
     return InfinityMorphism(transferred, m, comps)
 
 
-def complement_maps(split):
+def complement_maps(r):
     """The inclusion [B | C] of the acyclic complement K = B (+) C of the
-    homology representatives, and its coordinates q_0 = [b; c]."""
-    space = split.d.source
-    kspace = GradedVectorSpace({k: b.cols + c.cols for k, (_, b, c) in split.bases.items()})
-    return (GradedMap(kspace, space, 0, {k: b.hstack(c) for k, (_, b, c) in split.bases.items()}),
-            GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in split.coords.items()}))
+    homology representatives, and its coordinates q_0 = [b; c], read off
+    the splitting of the retract r."""
+    space = r.big
+    kspace = GradedVectorSpace({k: b.cols + c.cols for k, (_, b, c) in r.bases.items()})
+    return (GradedMap(kspace, space, 0, {k: b.hstack(c) for k, (_, b, c) in r.bases.items()}),
+            GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in r.coords.items()}))
 
 
 def frame_isomorphism(model) -> InfinityMorphism:
@@ -243,7 +247,7 @@ def frame_isomorphism(model) -> InfinityMorphism:
     i p_n + [B | C] q_n."""
     m, r = model.source, model.retract
     big = m.space
-    i_k, q0 = complement_maps(model.splitting)
+    i_k, q0 = complement_maps(r)
     s_k = compose(q0, compose(r.homotopy, i_k))
     p_comps = transfer._p_components(r, m)
     top = max(max_component_index(big, big, 2, 0), 0)
@@ -467,7 +471,7 @@ def mixed_commutator_instance(rng: Random, max_width=6, max_dim=3, trials=400):
         if delta.is_zero or not compose(delta, delta).is_zero:
             continue
         m = Multicomplex(space, [d, delta])
-        retract, _ = transfer.build_retract(space, d)
+        retract = transfer.build_retract(space, d)
         if transfer.check_hodge_data(retract, m).ok:
             return m
     raise RuntimeError("no commutator-type mixed complex found in %d trials" % trials)
@@ -490,3 +494,123 @@ def mixed_gauge_instance(rng: Random, max_width=5, max_dim=3):
     m = gauge_construct(d, series)
     assert m.order <= 1, "single-degree gauge produced higher operators"
     return m, series
+
+
+# ---- the .mcx format, parsed by a line cursor ----
+
+class _Lines:
+    """Cursor over meaningful lines, tracking numbers for error messages."""
+
+    def __init__(self, text):
+        self.items = []
+        for no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                self.items.append((no, line))
+        self.pos = 0
+
+    def peek(self):
+        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
+
+    def next(self):
+        no, line = self.peek()
+        if line is None:
+            raise ParseError("unexpected end of document")
+        self.pos += 1
+        return no, line
+
+    def expect(self, want):
+        no, line = self.next()
+        if line != want:
+            raise ParseError("expected %r, found %r" % (want, line), no)
+
+
+def _cursor_degrees(lines, terminators):
+    dims = {}
+    while True:
+        no, line = lines.peek()
+        if line is None or line in terminators or line.split()[0] in terminators:
+            break
+        no, line = lines.next()
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("degree lines need two fields", no)
+        deg = _parse_int(parts[0], no, "degree")
+        dim = _parse_int(parts[1], no, "dimension")
+        if deg in dims:
+            raise ParseError("degree %d repeated" % deg, no)
+        if dim <= 0:
+            raise ParseError("dimension must be positive", no)
+        dims[deg] = dim
+    return dims
+
+
+def _cursor_entries(lines, terminators):
+    entries = []
+    while True:
+        no, line = lines.peek()
+        if line is None:
+            break
+        head = line.split()[0]
+        if line in terminators or head in terminators:
+            break
+        no, line = lines.next()
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError("entry lines need four fields", no)
+        k = _parse_int(parts[0], no, "source degree")
+        r = _parse_int(parts[1], no, "row")
+        c = _parse_int(parts[2], no, "column")
+        v = _parse_rational(parts[3], no)
+        entries.append((k, r, c, v))
+    return entries
+
+
+def cursor_parse_multicomplex(text: str):
+    """(multicomplex, meta) of a `.mcx` document, or the same ParseError as
+    `formats.parse_multicomplex`: each section is scanned by its own loop,
+    and each operator's entries are collected in one flat list and grouped
+    into blocks by `GradedMap.from_entries` when its section ends."""
+    lines = _Lines(text)
+    no, header = lines.next()
+    if header != MULTICOMPLEX_HEADER:
+        raise ParseError("not a multicomplex document (header %r)" % header, no)
+    meta = {}
+    while True:
+        no, line = lines.peek()
+        if line is None or not line.startswith("meta "):
+            break
+        lines.next()
+        parts = line.split(None, 2)
+        if len(parts) < 3:
+            raise ParseError("meta lines need a key and a value", no)
+        meta[parts[1]] = parts[2]
+    lines.expect("degrees")
+    space = GradedVectorSpace(_cursor_degrees(lines, {"operator", "end"}))
+    ops = {}
+    last = -1
+    while True:
+        no, line = lines.peek()
+        if line == "end":
+            lines.next()
+            break
+        if line is None:
+            raise ParseError("missing end marker")
+        no, line = lines.next()
+        parts = line.split()
+        if parts[0] != "operator" or len(parts) != 2:
+            raise ParseError("expected an operator section, found %r" % line, no)
+        n = _parse_int(parts[1], no, "operator index")
+        if n <= last:
+            raise ParseError("operator indices must increase", no)
+        last = n
+        entries = _cursor_entries(lines, {"operator", "end"})
+        if not entries:
+            continue
+        try:
+            ops[n] = GradedMap.from_entries(space, space, 2 * n - 1, entries)
+        except Exception as exc:
+            raise ParseError("operator %d: %s" % (n, exc), no)
+    if lines.peek()[1] is not None:
+        raise ParseError("trailing content after end", lines.peek()[0])
+    return Multicomplex(space, OperatorSeries(space, ops)), meta

@@ -85,7 +85,7 @@ def test_criterion_01_transfer_validates(acceptance_corpus):
     for profile, seed, m in acceptance_corpus:
         ok = ok and m.space.width <= 6
         ok = ok and all(d <= 4 for d in m.space.dims.values())
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         out = transfer_structure(retract, m)
         ok = ok and validate_multicomplex(out.transferred).ok
         i_inf = inclusion_extension(retract, m, out.transferred)
@@ -147,7 +147,7 @@ def test_criterion_04_three_way_agreement(acceptance_corpus):
     ok = True
     seen_false = 0
     for profile, seed, m in acceptance_corpus:
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         hodge = check_hodge_data(retract, m).ok
         degen = degenerates_at_one(total_complex(m), homology(m.delta(0))).ok
         gauge = not isinstance(find_gauge(minimal_model(m)), NoGauge)
@@ -168,9 +168,9 @@ def test_criterion_05_uniform_vanishing(acceptance_corpus):
     ok = True
     orbit = [(p, s, m) for p, s, m in acceptance_corpus if p == "a"]
     for profile, seed, m in orbit:
-        _, split = build_retract(m.space, m.delta(0))
+        canonical = build_retract(m.space, m.delta(0))
         for _ in range(20):
-            retract, _ = alternative_retract(split, rng)
+            retract = alternative_retract(canonical, rng)
             res = check_hodge_data(retract, m)
             ok = ok and res.ok
             if not ok:
@@ -185,7 +185,7 @@ def test_criterion_06_mixed_gauge_formula(mixed_hodge_corpus):
     started = time.time()
     ok = True
     for m in mixed_hodge_corpus:
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         delta = m.delta(1)
         series = mixed_complex_gauge(retract, delta)
         ok = ok and check_gauge_hodge(series, m).ok
@@ -211,7 +211,7 @@ def test_criterion_07_spectral_cross_oracle(mixed_hodge_corpus):
     mixed_instances = list(mixed_hodge_corpus) + [staircase4()]
     for m in mixed_instances:
         t = total_complex(m)
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         out = transfer_structure(retract, m)
         p1 = page(t, 1)
         d1_op = out.transferred.delta(1)

@@ -94,6 +94,23 @@ def test_analyze_gauge_orbit_full_agreement(tmp_path):
     assert by_name["randomized retracts agree"].passed
 
 
+def test_agreement_reads_the_gauge_conjugation(tmp_path, monkeypatch):
+    # the gauge leg holds only when the found series conjugates d onto the
+    # family; find_gauge reads the Hodge weights, so "found" alone would
+    # always agree with the Hodge leg
+    path = write(tmp_path, "orbit.mcx", cmd_generate("a", 5))
+    monkeypatch.setattr(cli, "check_gauge_hodge",
+                        lambda series, m: complexes.HodgeData(ok=False, witness=1))
+    by_name = {c.name: c for c in cmd_analyze(path).checks}
+    assert by_name["transferred operators vanish"].passed
+    assert by_name["degenerates at page one"].passed
+    assert by_name["gauge series exists"].passed
+    assert not by_name["gauge series conjugates the differential"].passed
+    agreement = by_name["three-way agreement"]
+    assert not agreement.passed
+    assert agreement.witness == "hodge=True degeneration=True gauge=False"
+
+
 def test_analyze_staircase_witnesses(tmp_path):
     path = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
     report = cmd_analyze(path)
@@ -136,15 +153,15 @@ def test_analyze_builds_each_object_once(tmp_path, monkeypatch):
     stair = write(tmp_path, "stair.mcx", print_multicomplex(staircase4()))
     assert not cmd_analyze(stair).ok
     assert counts["invert_infinity"] == counts["compose_infinity"] == 0
-    # --seed twists the model's splitting: one retract is still built, and
+    # --seed twists the model's retract: one retract is still built, and
     # the two randomized retracts eliminate nothing
     eliminations = count_calls(monkeypatch, exactla.kernel_image, exactla.complement,
                                exactla.solve)
     inside = []
 
-    def twisted(split, rng, _fn=transfer.alternative_retract):
+    def twisted(r, rng, _fn=transfer.alternative_retract):
         before = dict(eliminations)
-        out = _fn(split, rng)
+        out = _fn(r, rng)
         inside.append({name: n - before[name] for name, n in eliminations.items()})
         return out
     monkeypatch.setattr(cli, "alternative_retract", twisted)

@@ -1,7 +1,11 @@
 import json
+import string
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicx.complexes import Multicomplex
 from multicx.derham import PolyVector
@@ -18,6 +22,7 @@ from multicx.formats import (
 )
 from multicx.generators import generate, staircase4
 from multicx.graded import GradedMap, GradedVectorSpace
+from oracles import cursor_parse_multicomplex
 
 
 def test_rational_formatting():
@@ -81,13 +86,84 @@ def test_multicomplex_round_trip_staircase():
     assert print_multicomplex(back, meta=meta) == text
 
 
-def test_multicomplex_round_trip_random():
-    for prof, seed in [("a", 0), ("a", 5), ("b", 2), ("c", 1), ("c", 4)]:
-        m = generate(prof, seed)
-        text = print_multicomplex(m)
-        back, _ = parse_multicomplex(text)
-        assert back == m
-        assert print_multicomplex(back) == text
+META_KEYS = st.text(string.ascii_letters + string.digits + "-_.", min_size=1, max_size=8)
+META_VALUES = st.text(string.ascii_letters + string.digits + string.punctuation + " ",
+                      min_size=1, max_size=12).filter(lambda v: v == v.strip())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from("abc"), st.integers(0, 10 ** 6),
+       st.dictionaries(META_KEYS, META_VALUES, max_size=3))
+def test_multicomplex_round_trip_random(prof, seed, meta):
+    # print o parse is the identity on documents, and parse o print on
+    # multicomplexes with their meta lines
+    m = generate(prof, seed)
+    text = print_multicomplex(m, meta)
+    back, back_meta = parse_multicomplex(text)
+    assert back == m and back_meta == meta
+    assert print_multicomplex(back, back_meta) == text
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of a document: its result, or the type and
+    message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+EDGE_DOCUMENTS = [
+    "",
+    "\n  \n# only a comment\n",
+    "multicx multicomplex v1\n",
+    "multicx multicomplex v1\nmeta\n",
+    "multicx multicomplex v1\nmeta key\ndegrees\nend\n",
+    "multicx multicomplex v1\nmeta key value\n",
+    "multicx multicomplex v1\ndegrees\n",
+    "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 0 1\n",
+    "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 5 1\n",
+    "multicx multicomplex v1\ndegrees\n0 1\nend\nend\n",
+    "multicx multicomplex v1\ndegrees\n0 1\noperator 0\nend\n0 0 0 1\n",
+    "multicx multicomplex v1\ndegrees\n0 1\nend x\n",
+    "multicx multicomplex v1\ndegrees\n0 1\noperator\nend\n",
+    "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 1 1\n1 0 x 1\nend\n",
+    "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 1 1\noperator 0\nend\n",
+    "multicx multicomplex v1\ndegrees\nend\n",
+]
+
+
+def mutations(text, count, seed):
+    """`count` documents, each `text` with one to three characters
+    replaced, deleted or inserted at seeded positions."""
+    alphabet = string.digits + " \n-+/#xmeoprtadn"
+    for i in range(count):
+        rng = Random(seed + i)
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and pos < len(chars):
+                chars[pos] = rng.choice(alphabet)
+            elif op == 1 and pos < len(chars):
+                del chars[pos]
+            else:
+                chars.insert(pos, rng.choice(alphabet))
+        yield "".join(chars)
+
+
+def test_parser_agrees_with_the_cursor_parser_on_mutated_documents():
+    # the one-pass parser returns what the cursor parser returns, or raises
+    # the same error: same message, same line, same first fault
+    text = print_multicomplex(generate("a", 1), {"generator": "profile-a", "seed": 1})
+    docs = EDGE_DOCUMENTS + [text] + list(mutations(text, 3000, 7000))
+    errors = 0
+    for doc in docs:
+        want = parse_outcome(cursor_parse_multicomplex, doc)
+        assert parse_outcome(parse_multicomplex, doc) == want, doc
+        errors += isinstance(want[0], str)
+    # most mutations break the document, but not all of them
+    assert 1000 < errors < len(docs)
 
 
 def test_multicomplex_parse_errors_carry_line_numbers():

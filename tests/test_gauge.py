@@ -14,7 +14,7 @@ from multicx.complexes import (
     series_lincomb,
     validate_multicomplex,
 )
-from multicx.errors import BadConstantTerm, SpaceMismatch
+from multicx.errors import BadConstantTerm, DegreeMismatch, SpaceMismatch
 from multicx.gauge import (
     NoGauge,
     check_gauge_hodge,
@@ -117,6 +117,21 @@ def test_exp_requires_zero_constant_term():
         series_exp(OperatorSeries.unit(WIDE))
     with pytest.raises(BadConstantTerm):
         series_log(OperatorSeries(WIDE))
+
+
+def test_series_keep_one_degree_offset():
+    # with deg z = -2 every series is homogeneous; 1 + z on V = Q in degree
+    # 0 is not, so exp of z, which the power cap would cut to 1 + z, and
+    # log of 1 + z both refuse instead of returning a truncation
+    line = GradedVectorSpace({0: 1})
+    ident = GradedMap.identity(line)
+    with pytest.raises(DegreeMismatch):
+        series_exp(OperatorSeries(line, {1: ident}))
+    with pytest.raises(DegreeMismatch):
+        series_log(OperatorSeries(line, {0: ident, 1: ident}))
+    # a zero coefficient has no degree to disagree with
+    zero = GradedMap.zero(line, line, 5)
+    assert OperatorSeries(line, {0: ident, 1: zero}) == OperatorSeries.unit(line)
 
 
 def test_log_exp_round_trip_random():
@@ -313,7 +328,7 @@ def test_gauge_exponential_is_an_isotopy_from_bare_complex():
 def test_mixed_gauge_zero_second_operator():
     space = GradedVectorSpace({0: 2, 1: 2})
     d = rand_square_zero(Random(41), space, -1)
-    r, _ = build_retract(space, d)
+    r = build_retract(space, d)
     series = mixed_complex_gauge(r, GradedMap.zero(space, space, 1))
     assert series.is_zero
 
@@ -325,7 +340,7 @@ def test_mixed_gauge_weight_one_coefficient():
         m, _ = mixed_gauge_instance(rng)
         if m.order < 1:
             continue
-        r, _ = build_retract(m.space, m.delta(0))
+        r = build_retract(m.space, m.delta(0))
         delta = m.delta(1)
         series = mixed_complex_gauge(r, delta)
         expected = lincomb([(1, compose(r.homotopy, delta)),
@@ -338,7 +353,7 @@ def test_mixed_gauge_matches_closed_form_and_conjugates():
     rng = Random(47)
     for _ in range(6):
         m = mixed_commutator_instance(rng)
-        r, _ = build_retract(m.space, m.delta(0))
+        r = build_retract(m.space, m.delta(0))
         series = mixed_complex_gauge(r, m.delta(1))
         assert check_gauge_hodge(series, m).ok
         for n in range(1, power_cap(m.space) + 1):
@@ -347,7 +362,7 @@ def test_mixed_gauge_matches_closed_form_and_conjugates():
 
 def test_mixed_gauge_rejects_obstructed():
     m = staircase4()
-    r, _ = build_retract(m.space, m.delta(0))
+    r = build_retract(m.space, m.delta(0))
     with pytest.raises(HodgeDataFails):
         mixed_complex_gauge(r, m.delta(1))
 

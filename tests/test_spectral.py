@@ -224,7 +224,7 @@ def test_degeneration_trivial_and_gauge_orbit():
 def test_degeneration_matches_hodge_data_both_ways():
     for prof, seed in [("a", 70), ("a", 71), ("b", 70), ("b", 71), ("c", 3), ("c", 8)]:
         m = generate(prof, seed)
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         hodge = check_hodge_data(retract, m)
         degen = degeneration(total_complex(m))
         assert hodge.ok == degen.ok, (prof, seed)
@@ -421,7 +421,7 @@ def test_page_one_differential_is_transferred_operator():
         m, _ = mixed_gauge_instance(rng)
         t = total_complex(m)
         pg = page(t, 1)
-        retract, _ = build_retract(m.space, m.delta(0))
+        retract = build_retract(m.space, m.delta(0))
         out = transfer_structure(retract, m)
         d1_op = out.transferred.delta(1)
         for (s, n), mat in pg.differentials.items():
@@ -442,7 +442,7 @@ def test_staircase_page_two_differential_is_transferred_weight_two():
     t = total_complex(m)
     p1 = page(t, 1)
     assert first_nonzero_differential(p1) is None
-    retract, _ = build_retract(m.space, m.delta(0))
+    retract = build_retract(m.space, m.delta(0))
     out = transfer_structure(retract, m)
     d2_op = out.transferred.delta(2)
     pg = page(t, 2)
