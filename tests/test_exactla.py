@@ -23,6 +23,8 @@ from multicx.exactla import (
     rat,
     solve,
 )
+from multicx.formats import parse_multicomplex, print_multicomplex
+from multicx.generators import generate
 from multicx.graded import GradedMap, GradedVectorSpace, lincomb
 from multicx.spectral import total_complex
 from oracles import column, from_rows, full_space, scanning_rref
@@ -546,12 +548,19 @@ SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1, ((0, 1, 0),
 
 
 def count_fractions(monkeypatch):
+    """Count the Fractions exactla builds; the stand-in still answers
+    isinstance checks as Fraction does, which `rat` makes."""
     built = []
 
-    def counted(*args):
-        built.append(args)
-        return Fraction(*args)
-    monkeypatch.setattr(exactla, "Fraction", counted)
+    class Instances(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+    class Counted(metaclass=Instances):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+    monkeypatch.setattr(exactla, "Fraction", Counted)
     return built
 
 
@@ -602,3 +611,156 @@ def test_constructed_bases_are_independent(data):
                  Subspace._independent(n, m.mul(preimage.basis))]
     for sub in subspaces:
         assert rank(sub.basis) == sub.basis.cols
+
+
+# ---- the in-place kernels: product, elimination and constructor ----
+
+MIXED = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+
+
+def mixed_sparse(draw, rows, cols):
+    """rows x cols with int and Fraction entries; with values this small,
+    many sums in a product cancel."""
+    ent = [(r, c, draw(st.sampled_from(MIXED))) for r in range(rows) for c in range(cols)
+           if draw(st.integers(0, 99)) < 50]
+    return Matrix(rows, cols, ent)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_mul_matches_the_dense_product(data):
+    rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = mixed_sparse(data.draw, rows, inner), mixed_sparse(data.draw, inner, cols)
+    if data.draw(st.booleans()) and a.rows:
+        # rows of a that cancel against each other in a @ b
+        r = data.draw(st.integers(0, a.rows - 1))
+        a = a.add(Matrix(rows, inner, [((r + 1) % rows, c, -v) for (r2, c), v
+                                       in a.entries.items() if r2 == r]))
+    got = a.mul(b)
+    da, db = dense(a), dense(b)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert dense(got) == [[sum((da[i][j] * db[j][k] for j in range(inner)), 0)
+                           for k in range(cols)] for i in range(rows)]
+    assert no_stored_zero(got)
+
+
+def test_mul_of_an_empty_operand_is_the_zero_product():
+    full = Matrix(2, 2, [(0, 0, 1), (1, 1, Fraction(1, 2))])
+    for left, right in [(Matrix(3, 2), full), (full, Matrix(2, 4)), (Matrix(0, 2), full),
+                        (full, Matrix(2, 0)), (Matrix(3, 0), Matrix(0, 4))]:
+        got = left.mul(right)
+        assert (got.rows, got.cols, got.entries) == (left.rows, right.cols, {})
+    with pytest.raises(ShapeMismatch, match="mul 2x2 by 3x1"):
+        full.mul(Matrix(3, 1))
+    # a product whose every sum cancels stores nothing
+    assert from_rows([[1, 1]]).mul(from_rows([[1], [-1]])).entries == {}
+
+
+@st.composite
+def tied_inputs(draw):
+    """Integer matrices whose rows often have the same number of entries, so
+    the pivot rule's tie-break on the row id decides."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    width = draw(st.integers(1, cols))
+    ent = []
+    for r in range(rows):
+        picked = draw(st.permutations(range(cols)))[:width]
+        ent += [(r, c, draw(st.sampled_from([-3, -1, 1, 2, 4]))) for c in picked]
+    return Matrix(rows, cols, ent)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tied_inputs())
+def test_rref_of_tied_rows_matches_the_scanning_rref(m):
+    pivots, rows = _rref(m)
+    rows = list(rows)
+    want_pivots, want_rows = scanning_rref(m)
+    assert pivots == want_pivots
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
+    assert all(ints_exactly_when_integral(r.values()) for r in rows)
+
+
+def test_rref_tie_break_takes_the_lowest_row_id():
+    # both rows hold two entries and column 0: row 0 is the first pivot row,
+    # and the key order of each output row records which row it came from
+    m = Matrix(2, 3, [(0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 2, 1)])
+    pivots, rows = _rref(m)
+    assert pivots == [0, 1]
+    assert [list(r.items()) for r in rows] == [[(0, 1), (2, 1)], [(2, -1), (1, 1)]]
+
+
+def summed(rows, cols, triples):
+    """The {(row, col): value} a list of triples sums to, by a dense table."""
+    table = [[0] * cols for _ in range(rows)]
+    for r, c, v in triples:
+        table[r][c] += v
+    return {(r, c): v for r in range(rows) for c in range(cols) if (v := table[r][c])}
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                          st.sampled_from([1, -1, 2, True, False, Fraction(4, 2),
+                                           Fraction(1, 2), Fraction(-1, 2), 0])),
+                max_size=14))
+def test_constructor_matches_a_summing_oracle(triples):
+    m = Matrix(3, 4, triples)
+    assert m.entries == summed(3, 4, triples)
+    assert no_stored_zero(m)
+    assert all(type(v) in (int, Fraction) for v in m.entries.values())
+    assert Matrix(3, 4, dict(((r, c), v) for r, c, v in triples)).entries == \
+        summed(3, 4, list({(r, c): (r, c, v) for r, c, v in triples}.values()))
+
+
+def test_constructor_normalises_sums_and_refuses_bad_entries():
+    m = Matrix(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, True), (0, 1, Fraction(4, 2)),
+                      (1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))])
+    assert m.entries == {(1, 1): 1, (0, 1): 2, (1, 0): 1}
+    assert type(m.entries[(1, 1)]) is int and type(m.entries[(0, 1)]) is int
+    for r, c in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ShapeMismatch) as info:
+            Matrix(2, 2, [(0, 0, 1), (r, c, 1)])
+        assert str(info.value) == "entry (%d,%d) outside 2x2" % (r, c)
+    with pytest.raises(ShapeMismatch, match="entry \\(0,3\\) outside 1x3"):
+        Matrix(1, 3, {(0, 3): 1})
+    with pytest.raises(TypeError):
+        Matrix(2, 2, [(0, 0, 0.5)])
+    with pytest.raises(ShapeMismatch, match="negative matrix shape 1x-1"):
+        Matrix(1, -1)
+
+
+def test_products_and_eliminations_call_no_accumulate(monkeypatch):
+    calls = []
+
+    def counted(acc, items, a=1):
+        calls.append(a)
+        return accumulate(acc, items, a)
+    monkeypatch.setattr(exactla, "accumulate", counted)
+    rng = Random(5)
+    for _ in range(20):
+        a, b = rand_matrix(rng, 5, 4), rand_matrix(rng, 4, 6)
+        assert a.mul(b).entries
+        pivots, rows = _rref(a.hstack(a.scale(2)))
+        assert len(list(rows)) == len(pivots) > 0
+    assert calls == []
+
+
+def test_integer_tokens_parse_with_no_fraction(monkeypatch):
+    # a profile-a document: one Fraction per p/q token, none for an integer
+    docs = [print_multicomplex(generate("a", seed)) for seed in range(6)]
+    tokens = [line.split()[3] for text in docs for line in text.splitlines()
+              if len(line.split()) == 4]
+    assert any("/" not in t for t in tokens) and any("/" in t for t in tokens)
+    built = count_fractions(monkeypatch)
+    parsed = [parse_multicomplex(text)[0] for text in docs]
+    assert len(built) == sum("/" in t for t in tokens)
+    for m, text in zip(parsed, docs):
+        assert print_multicomplex(m) == text
+    for token in ["3", "-12", "+7", "0"]:
+        del built[:]
+        got = rat(token)
+        assert type(got) is int and got == int(token) and built == []
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+    for bad in ["٣", "1.5", "1e3", " 3", "1_0", "9" * 5000]:
+        with pytest.raises(ValueError):
+            rat(bad)

@@ -236,3 +236,34 @@ def test_structure_round_trip_keeps_a_zero_vector_field():
     text = print_structure(3, w)
     assert "vector" not in json.loads(text)
     assert parse_structure(text) == (3, w, None)
+
+
+COEFFICIENTS = [1, -1, 7, -(2 ** 70), Fraction(1, 2), Fraction(-3, 7), Fraction(5, 2 ** 40)]
+
+
+def polyvectors(dim, degree):
+    """Polyvectors on dim coordinates whose terms carry `degree` indices,
+    with exponents up to 3 and int or Fraction coefficients."""
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * dim),
+                     st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree,
+                              unique=True).map(lambda J: tuple(sorted(J))),
+                     st.sampled_from(COEFFICIENTS))
+    if dim < degree:
+        return st.just(PolyVector.zero(dim))
+    return st.lists(term, max_size=6).map(
+        lambda ts: PolyVector(dim, [((alpha, J), c) for alpha, J, c in ts]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_structure_round_trip_random(data):
+    # a present, absent or zero vector field, on every dimension 0..5
+    dim = data.draw(st.integers(0, 5))
+    w = data.draw(polyvectors(dim, 2))
+    e = data.draw(st.sampled_from(["present", "absent", "zero"]))
+    e = {"present": data.draw(polyvectors(dim, 1)), "absent": None,
+         "zero": PolyVector.zero(dim)}[e]
+    text = print_structure(dim, w, e)
+    assert parse_structure(text) == (dim, w, e)
+    assert parse_structure(text, dim=dim) == (dim, w, e)
+    assert print_structure(*parse_structure(text)) == text

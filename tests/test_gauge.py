@@ -1,9 +1,14 @@
+import contextlib
+import io
+import os
+import tempfile
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicx.cli import main
 from multicx.complexes import (
     InfinityMorphism,
     Multicomplex,
@@ -36,8 +41,10 @@ from multicx.generators import (
     staircase4,
 )
 from multicx.exactla import Matrix
-from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb
-from multicx.transfer import build_retract, minimal_model, nonzero_weights
+from multicx.formats import print_multicomplex
+from multicx.graded import GradedMap, GradedVectorSpace, compose, homology, lincomb
+from multicx.spectral import degenerates_at_one, total_complex
+from multicx.transfer import build_retract, check_hodge_data, minimal_model, nonzero_weights
 from oracles import (
     HodgeDataFails,
     mixed_commutator_instance,
@@ -400,3 +407,24 @@ def test_gauge_builds_no_scaled_copy(monkeypatch):
         assert not series.is_zero or m.order == 0
     assert scaled == []
     assert added == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_gauge_orbits_stay_degenerate(seed):
+    # a gauge orbit of d: its transferred operators vanish, its spectral
+    # sequence degenerates at page one, and analyze passes every check
+    rng = Random(seed)
+    space = rand_space(rng)
+    d = rand_square_zero(rng, space, -1)
+    m = gauge_construct(d, rand_series(rng, space))
+    assert check_hodge_data(build_retract(m.space, m.delta(0)), m).ok
+    assert degenerates_at_one(total_complex(m), homology(d)).ok
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "orbit.mcx")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(print_multicomplex(m))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", path]) == 0
+    assert "all checks passed" in out.getvalue()
