@@ -235,10 +235,10 @@ class FormAlgebra:
         for k, basis in self.basis.items():
             pos = self.position.get(k + form_shift)
             if pos is not None:
-                m = blocks[-k] = Matrix(len(pos), len(basis))
-                accumulate(m.entries, (((row, col), c) for col, (alpha, I) in enumerate(basis)
-                                       for key, c in action(k, alpha, I)
-                                       for row in [pos.get(key)] if row is not None))
+                blocks[-k] = Matrix(len(pos), len(basis),
+                                    [(row, col, c) for col, (alpha, I) in enumerate(basis)
+                                     for key, c in action(k, alpha, I)
+                                     if (row := pos.get(key)) is not None])
         return GradedMap(self.space, self.space, -form_shift, blocks)
 
 

@@ -19,10 +19,15 @@ the rows holding a nonzero there), so it reads pivot candidates and the rows
 to clear from the index, visits only the columns that occur, and costs
 nothing on an empty matrix.
 
-`Matrix.mul`, the `Matrix` constructor and `_rref`'s row clearing sum in
-place, with no call per entry; `accumulate` sums everywhere else.  On the
-benchmark's products (2-core host, Python 3.11), one `accumulate` call per
-output row ran at 0.91-0.94x of one per (entry, row) pair, inline 0.59-0.63x.
+A `Matrix` is stored by rows, {row: {col: value}} with no empty row and no
+stored zero (the CSR layout of Saad, *Iterative Methods for Sparse Linear
+Systems*, 2003, ch. 3), so products, eliminations, sums and slices work on
+rows as stored.  Rows are shared (`select_rows`, `vstack`, `_plus`), so no
+row changes once its matrix is built; `_rref` copies the rows it clears.
+`Matrix.entries`, a read-only {(row, col): value} view built when read, is
+for outside readers: the tests, and the benchmark tracer, which counts
+nonzeros as its length.  `mul`, the constructor and `_rref` sum in place
+with no call per entry; `accumulate` sums everywhere else.
 
 `Subspace(n, basis)` checks that a caller's basis is independent, with one
 rank computation.  Bases that are independent by construction skip that
@@ -45,6 +50,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .errors import NotContained, NotWellDefined, ShapeMismatch
 
@@ -81,11 +87,8 @@ def rat(x):
 def accumulate(acc: dict, items, a=1) -> dict:
     """Add a*v into acc for every (key, v) in items and return acc.
 
-    The sparse sum outside the three in-place kernels (module docstring): a
-    key whose sum cancels is dropped, so a dict never stores an explicit
-    zero.  Values are exact rationals.  With a = 1 they are added as they
-    are, without a multiplication, and a new key takes its value without an
-    addition.
+    A key whose sum cancels is dropped, so a dict never stores a zero.
+    With a = 1 values are added as they are, with no multiplication.
     """
     unit = a == 1
     for key, v in items:
@@ -105,20 +108,18 @@ def accumulate(acc: dict, items, a=1) -> dict:
 
 
 class Matrix:
-    """Sparse rational matrix; immutable by convention after construction.
+    """Sparse rational matrix: `data` is {row: {col: value}} (module
+    docstring), each value as `rat` gives it, never changed once built.  The
+    constructor sums (row, col, value) triples or a {(row, col): value}."""
 
-    Entries are stored as {(row, col): value} with no explicit zeros, each
-    value an exact rational as `rat` gives it; a missing entry is 0.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative matrix shape %dx%d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        self.entries = acc = {}
+        self.data = data = {}
         if entries:
             if isinstance(entries, dict):
                 entries = [(r, c, v) for (r, c), v in entries.items()]
@@ -127,12 +128,20 @@ class Matrix:
                     raise ShapeMismatch("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
                 if type(v) is not int:
                     v = rat(v)
-                prev = acc.get((r, c))
+                row = data.setdefault(r, {})
+                prev = row.get(c)
                 v = v if prev is None else prev + v
                 if v:
-                    acc[(r, c)] = v
-                else:
-                    acc.pop((r, c), None)
+                    row[c] = v
+                elif prev is not None:
+                    del row[c]
+            if not all(data.values()):
+                self.data = {r: row for r, row in data.items() if row}
+
+    @property
+    def entries(self):
+        """A read-only {(row, col): value} view, built when read."""
+        return MappingProxyType({(r, c): v for r, row in self.data.items() for c, v in row.items()})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -140,19 +149,16 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+                and self.cols == other.cols and self.data == other.data)
 
     def __repr__(self):
         return "Matrix(%d, %d, %d entries)" % (self.rows, self.cols, len(self.entries))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.data
 
     def get(self, r: int, c: int):
-        return self.entries.get((r, c), 0)
+        return self.data.get(r, {}).get(c, 0)
 
     def add(self, other: "Matrix") -> "Matrix":
         return self._plus(other, 1)
@@ -161,79 +167,88 @@ class Matrix:
         return self._plus(other, -1)
 
     def _plus(self, other: "Matrix", a) -> "Matrix":
-        """self + a * other, summed without a scaled copy of other."""
+        """self + a * other: a row that only one side holds is shared (scaled
+        first unless a = 1), and self is the sum when other has no rows."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("add %dx%d to %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        if not other.data:
+            return self
         m = Matrix(self.rows, self.cols)
-        m.entries = accumulate(dict(self.entries), other.entries.items(), a)
+        data = m.data = dict(self.data)
+        for r, row in other.data.items():
+            mine = data.get(r)
+            if mine is None:
+                data[r] = row if a == 1 else {c: a * v for c, v in row.items()}
+            elif mine := accumulate(dict(mine), row.items(), a):
+                data[r] = mine
+            else:
+                del data[r]
         return m
 
     def scale(self, a) -> "Matrix":
         a = rat(a)
         m = Matrix(self.rows, self.cols)
         if a:
-            m.entries.update({k: a * v for k, v in self.entries.items()})
+            m.data = {r: {c: a * v for c, v in row.items()} for r, row in self.data.items()}
         return m
 
     def neg(self) -> "Matrix":
         return self.scale(-1)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """self @ other, row by row (Gustavson 1978): each (i, j, a) of self
-        adds a * other[j, :] into row i in place; zero sums drop at the end."""
+        """self @ other, row by row (Gustavson 1978): each entry (j, a) of a
+        row of self adds a * other's row j into the output row in place, and
+        a sum that cancels is deleted as it happens."""
         if self.cols != other.rows:
             raise ShapeMismatch("mul %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         m = Matrix(self.rows, other.cols)
-        if not (self.entries and other.entries):
+        by_row = other.data
+        if not (self.data and by_row):
             return m
-        by_row = {}
-        for (j, k), v in other.entries.items():
-            by_row.setdefault(j, []).append((k, v))
-        out = {}
-        for (i, j), a in self.entries.items():
-            hits = by_row.get(j)
-            if hits:
-                row = out.setdefault(i, {})
-                for k, v in hits:
-                    prev = row.get(k)
-                    row[k] = a * v if prev is None else prev + a * v
-        m.entries = {(i, k): v for i, row in out.items() for k, v in row.items() if v}
+        for i, left in self.data.items():
+            row = {}
+            for j, a in left.items():
+                hits = by_row.get(j)
+                if hits:
+                    for k, v in hits.items():
+                        prev = row.get(k)
+                        if prev is None:
+                            row[k] = a * v
+                        elif tot := prev + a * v:
+                            row[k] = tot
+                        else:
+                            del row[k]
+            if row:
+                m.data[i] = row
         return m
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
         m = Matrix(self.rows, self.cols + other.cols)
-        m.entries.update(self.entries)
-        for (r, c), v in other.entries.items():
-            m.entries[(r, self.cols + c)] = v
+        data = m.data = dict(self.data)
+        for r, row in other.data.items():
+            data[r] = {**data.get(r, {}), **{self.cols + c: v for c, v in row.items()}}
         return m
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack col mismatch")
         m = Matrix(self.rows + other.rows, self.cols)
-        m.entries.update(self.entries)
-        for (r, c), v in other.entries.items():
-            m.entries[(self.rows + r, c)] = v
+        m.data = {**self.data, **{self.rows + r: row for r, row in other.data.items()}}
         return m
 
     def select_columns(self, js) -> "Matrix":
         pos = {j: k for k, j in enumerate(js)}
         m = Matrix(self.rows, len(js))
-        for (r, c), v in self.entries.items():
-            k = pos.get(c)
-            if k is not None:
-                m.entries[(r, k)] = v
+        m.data = {r: kept for r, row in self.data.items()
+                  if (kept := {k: v for c, v in row.items() if (k := pos.get(c)) is not None})}
         return m
 
     def select_rows(self, rs) -> "Matrix":
-        pos = {r: k for k, r in enumerate(rs)}
         m = Matrix(len(rs), self.cols)
-        for (r, c), v in self.entries.items():
-            k = pos.get(r)
-            if k is not None:
-                m.entries[(k, c)] = v
+        data = self.data
+        m.data = {k: data[r] for k, r in enumerate(rs) if r in data}
         return m
 
 
@@ -262,25 +277,24 @@ def _rref(m: Matrix):
     pivot row is divided by its pivot once, as the iterator reaches it, so
     a caller that needs only the pivots pays for no division.
 
-    The column index `where` is kept as each row is cleared in place: only a
-    key the pivot row adds or cancels changes it.  One pass over a column's
-    holders picks the sparsest unused row, then the lowest id; RREF is
-    unique, so that only keeps fill-in low.
+    Each row is copied (rows are shared) and cleared in place, keeping the
+    column index `where`: only a key the pivot row adds or cancels changes
+    it.  One pass over a column's holders picks the sparsest unused row,
+    then the lowest id; RREF is unique, so that only keeps fill-in low.
     """
     rows = {}
     where = {}
     fractional = set()
-    for (r, c), v in m.entries.items():
-        row = rows.get(r)
-        if row is None:
-            rows[r] = row = {}
-        row[c] = v
-        if type(v) is not int:
-            fractional.add(r)
-        ids = where.get(c)
-        if ids is None:
-            where[c] = ids = set()
-        ids.add(r)
+    for r, row in m.data.items():
+        rows[r] = dict(row)
+        for c, v in row.items():
+            if type(v) is not int:
+                fractional.add(r)
+            ids = where.get(c)
+            if ids is None:
+                where[c] = {r}
+            else:
+                ids.add(r)
     for r in fractional:
         lcm = 1
         for v in rows[r].values():
@@ -396,13 +410,9 @@ def _kernel(m: Matrix):
     # free column -> its kernel vector; the cost is the RREF's nonzeros
     slot = {fc: k for k, fc in enumerate(free)}
     ker = Matrix(m.cols, len(free))
-    for k, fc in enumerate(free):
-        ker.entries[(fc, k)] = 1
-    for pcol, row in zip(pivots, rows):
-        for c, v in row.items():
-            k = slot.get(c)
-            if k is not None:
-                ker.entries[(pcol, k)] = -v
+    ker.data = {fc: {k: 1} for k, fc in enumerate(free)}
+    ker.data.update({pcol: out for pcol, row in zip(pivots, rows)
+                     if (out := {k: -v for c, v in row.items() if (k := slot.get(c)) is not None})})
     return Subspace._independent(m.cols, ker), pivots
 
 
@@ -429,10 +439,9 @@ def solve(a: Matrix, b: Matrix):
     if pivots and pivots[-1] >= a.cols:
         return None
     x = Matrix(a.cols, b.cols)
-    for pcol, row in zip(pivots, rows):
-        for c, v in row.items():
-            if c >= a.cols:
-                x.entries[(pcol, c - a.cols)] = v
+    n = a.cols
+    x.data = {pcol: out for pcol, row in zip(pivots, rows)
+              if (out := {c - n: v for c, v in row.items() if c >= n})}
     return x
 
 

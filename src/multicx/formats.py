@@ -41,8 +41,7 @@ def _degree_lines(space: GradedVectorSpace, out):
 
 
 def _entry_lines(f: GradedMap, out):
-    for k, r, c, v in f.entries():
-        out.append("%d %d %d %s" % (k, r, c, format_rational(v)))
+    out.extend("%d %d %d %s" % e for e in f.entries())
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -8,7 +8,7 @@ handled by the de Rham builder.
 from __future__ import annotations
 
 from .errors import DegreeMismatch, NotSquareZero, ShapeMismatch, SpaceMismatch
-from .exactla import Matrix, accumulate, rank, rat
+from .exactla import Matrix, rank, rat
 
 
 class GradedVectorSpace:
@@ -125,9 +125,10 @@ class GradedMap:
 
     def entries(self):
         """Deterministic flat listing (source_degree, row, col, value)."""
-        for k in sorted(self.blocks):
-            for (r, c) in sorted(self.blocks[k].entries):
-                yield k, r, c, self.blocks[k].entries[(r, c)]
+        for k, m in self.blocks.items():
+            for r, row in sorted(m.data.items()):
+                for c, v in sorted(row.items()):
+                    yield k, r, c, v
 
     @property
     def is_zero(self) -> bool:
@@ -185,12 +186,9 @@ def lincomb(terms, degree=None, source=None, target=None) -> GradedMap:
             raise SpaceMismatch("mixed spaces in linear combination")
     acc = {}
     for a, f in terms:
-        if not a:
-            continue
-        for k, m in f.blocks.items():
-            if k not in acc:
-                acc[k] = Matrix(m.rows, m.cols)
-            accumulate(acc[k].entries, m.entries.items(), a)
+        if a:
+            for k, m in f.blocks.items():
+                acc[k] = (acc[k] if k in acc else Matrix(m.rows, m.cols))._plus(m, a)
     return GradedMap(first.source, first.target, first.degree, acc)
 
 

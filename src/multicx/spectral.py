@@ -122,16 +122,18 @@ class TotalComplex:
     def _boundary_matrix(self, n) -> Matrix:
         m = self.source
         targets = self.slots(n - 1)
-        ent = []
+        out = Matrix(self.total_dim(n - 1), self.total_dim(n))
         for q_src in self.slots(n):
             col_off = self.offset(n, q_src)
             for r in range(m.order + 1):
                 if q_src - r not in targets:
                     continue
                 row_off = self.offset(n - 1, q_src - r)
-                for (i, j), v in m.delta(r).block(n - 2 * q_src).entries.items():
-                    ent.append((row_off + i, col_off + j, v))
-        return Matrix(self.total_dim(n - 1), self.total_dim(n), ent)
+                for i, row in m.delta(r).block(n - 2 * q_src).data.items():
+                    dst = out.data.setdefault(row_off + i, {})
+                    for j, v in row.items():
+                        dst[col_off + j] = v
+        return out
 
     def levels(self, n):
         """Occupied filtration levels at total degree n, ascending."""
@@ -167,8 +169,7 @@ class TotalComplex:
         rows = range(self._filtration_start(n - 1, s + r))
         ker, _ = kernel_image(self.boundary(n).select_rows(rows).select_columns(cols))
         embed = Matrix(dim, ker.dim)
-        for (i, j), v in ker.basis.entries.items():
-            embed.entries[(cols[i], j)] = v
+        embed.data = {cols[i]: row for i, row in ker.basis.data.items()}
         out = Subspace._independent(dim, embed)
         self._zcache[key] = out
         return out
@@ -183,8 +184,10 @@ class TotalComplex:
         pivots = self._profiles.get((n % 2, start))
         if pivots is None:
             block = Matrix(b.cols - start, b.rows)
-            block.entries.update(((c - start, r), v) for (r, c), v in b.entries.items()
-                                 if c >= start)
+            for r, row in b.data.items():
+                for c, v in row.items():
+                    if c >= start:
+                        block.data.setdefault(c - start, {})[r] = v
             pivots, _ = _rref(block)
             self._profiles[(n % 2, start)] = pivots
         return pivots

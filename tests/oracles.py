@@ -132,10 +132,7 @@ def direct_sum(m1: Multicomplex, m2: Multicomplex) -> Multicomplex:
 def form_vector(a, terms, k: int) -> Matrix:
     """The column vector, in the basis of the form algebra a, of a form of
     pure degree k given as {(alpha, I): coefficient}."""
-    col = Matrix(len(a.basis[k]), 1)
-    for (alpha, I), c in terms.items():
-        col.entries[(a.position[k][(alpha, I)], 0)] = rat(c)
-    return col
+    return Matrix(len(a.basis[k]), 1, [(a.position[k][key], 0, c) for key, c in terms.items()])
 
 
 # ---- convolutions of operator families, looped one power at a time ----

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicx
-from multicx import exactla
+from multicx import cli, exactla
 from multicx.derham import FormAlgebra, PolyVector, jacobi_multicomplex
 from multicx.errors import NotContained, NotWellDefined, ShapeMismatch
 from multicx.exactla import (
     Matrix,
     Subspace,
+    _kernel,
     _rref,
     accumulate,
     complement,
@@ -446,7 +447,7 @@ def as_fractions(m):
     """m with every entry held as a Fraction; the constructor would normalise
     the integral ones back to ints, so the entries are set directly."""
     out = Matrix(m.rows, m.cols)
-    out.entries.update((k, Fraction(v)) for k, v in m.entries.items())
+    out.data = {r: {c: Fraction(v) for c, v in row.items()} for r, row in m.data.items()}
     return out
 
 
@@ -497,7 +498,9 @@ def held_as_is(rows, cols, entries):
     """A rows x cols matrix holding the entries as given: the constructor
     would turn an integral Fraction into an int."""
     m = Matrix(rows, cols)
-    m.entries.update(((r, c), v) for r, c, v in entries if v)
+    for r, c, v in entries:
+        if v:
+            m.data.setdefault(r, {})[c] = v
     return m
 
 
@@ -764,3 +767,166 @@ def test_integer_tokens_parse_with_no_fraction(monkeypatch):
     for bad in ["٣", "1.5", "1e3", " 3", "1_0", "9" * 5000]:
         with pytest.raises(ValueError):
             rat(bad)
+
+
+# ---- the row layout: {row: {col: value}}, shared rows, a read-only view ----
+
+def well_formed(m):
+    """No empty row, no stored zero, every key inside the shape, and the flat
+    view counts the nonzeros, as the benchmark tracer reads it."""
+    return (all(m.data.values()) and len(m.entries) == sum(map(len, m.data.values()))
+            and all(v != 0 and 0 <= r < m.rows and 0 <= c < m.cols
+                    for r, row in m.data.items() for c, v in row.items()))
+
+
+def dense_entries(table):
+    """The {(row, col): value} of a dense table, zeros left out."""
+    return {(r, c): v for r, row in enumerate(table) for c, v in enumerate(row) if v}
+
+
+def dense_product(a, b):
+    da, db = dense(a), dense(b)
+    return [[sum((da[i][j] * db[j][k] for j in range(a.cols)), 0) for k in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def rref_kernel(m):
+    """The kernel basis read off the scanning elimination: one vector per
+    free column, 1 there and minus the RREF entries at the pivot rows."""
+    pivots, rows = scanning_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    want = {(fc, k): 1 for k, fc in enumerate(free)}
+    want.update({(p, k): -row[fc] for p, row in zip(pivots, rows)
+                 for k, fc in enumerate(free) if row.get(fc)})
+    return want
+
+
+def snapshot(*ms):
+    return [(m.rows, m.cols, {r: dict(row) for r, row in m.data.items()}) for m in ms]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_every_operation_keeps_the_row_layout(data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = mixed_sparse(data.draw, rows, inner), mixed_sparse(data.draw, rows, inner)
+    c = mixed_sparse(data.draw, inner, cols)
+    da, db = dense(a), dense(b)
+    got = {}
+    # the constructor, with duplicates that cancel
+    triples = [(r, j, v) for (r, j), v in a.entries.items()]
+    dropped = data.draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    got["constructor"] = (Matrix(rows, inner, triples + [(r, j, -v) for r, j, v in dropped]),
+                          {(r, j): v for r, j, v in triples if (r, j, v) not in dropped})
+    # products, one of them with every sum built to cancel
+    got["mul"] = a.mul(c), dense_entries(dense_product(a, c))
+    got["mul to zero"] = a.hstack(a).mul(c.vstack(c.neg())), {}
+    # sums down to zero rows
+    kill = data.draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+    part = Matrix(rows, inner, [(r, j, v) for r, j, v in triples if r in kill])
+    left = dense_entries([[0 if r in kill else v for v in row] for r, row in enumerate(da)])
+    got["sub to zero rows"] = a.sub(part), left
+    got["add to zero rows"] = a.add(part.neg()), left
+    got["add"] = a.add(b), dense_entries([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)])
+    scalar = data.draw(st.sampled_from([0, 1, -1, 2, Fraction(-1, 2)]))
+    got["scale"] = a.scale(scalar), dense_entries([[scalar * v for v in row] for row in da])
+    got["hstack"] = a.hstack(b), dense_entries([p + q for p, q in zip(da, db)])
+    got["vstack"] = a.vstack(b), dense_entries(da + db)
+    js = data.draw(st.lists(st.integers(0, inner - 1), unique=True)) if inner else []
+    got["select_columns"] = (a.select_columns(js),
+                             dense_entries([[row[j] for j in js] for row in da]))
+    # rows that a does not store are selected too
+    rs = data.draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+    got["select_rows"] = a.select_rows(rs), dense_entries([da[r] for r in rs])
+    got["_kernel"] = _kernel(a)[0].basis, rref_kernel(a)
+    rhs = a.mul(c)
+    pivots, echelon = scanning_rref(a.hstack(rhs))
+    got["solve"] = solve(a, rhs), {(p, k - inner): v for p, row in zip(pivots, echelon)
+                                    for k, v in row.items() if k >= inner}
+    if rows and inner:
+        src, tgt = GradedVectorSpace({0: inner}), GradedVectorSpace({0: rows})
+        f, p, g = (GradedMap(src, tgt, 0, {0: m}) for m in (a, part, b))
+        got["lincomb"] = lincomb([(1, f), (-1, p), (2, g), (-2, g)]).block(0), left
+    for name, (m, want) in got.items():
+        assert well_formed(m), name
+        assert m.entries == want, name
+
+
+def test_operator_assembly_keeps_the_row_layout():
+    # an action whose terms repeat, cancel or fall past the truncation
+    a = FormAlgebra(2, 3)
+
+    def action(k, alpha, I):
+        yield (alpha, I), 1
+        yield (alpha, I), -1
+        if alpha[0]:
+            yield ((alpha[0] - 1, alpha[1]), I), alpha[0]
+            yield ((alpha[0] - 1, alpha[1]), I), Fraction(alpha[0], 2)
+        yield ((alpha[0], alpha[1] + 1), I), Fraction(1, 3)
+    op = a.operator(0, action)
+    assert sorted(op.blocks) == [-2, -1, 0]
+    for k, basis in a.basis.items():
+        want = {}
+        for col, (alpha, I) in enumerate(basis):
+            for key, v in action(k, alpha, I):
+                row = a.position[k].get(key)
+                if row is not None:
+                    want[(row, col)] = want.get((row, col), 0) + v
+        m = op.block(-k)
+        assert well_formed(m)
+        assert m.entries == {key: v for key, v in want.items() if v}
+
+
+@PROPERTY
+@given(st.data())
+def test_operations_leave_their_operands_unchanged(data):
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = mixed_sparse(data.draw, rows, inner), mixed_sparse(data.draw, rows, inner)
+    c = mixed_sparse(data.draw, inner, cols)
+    before = snapshot(a, b, c)
+    # results that share rows with a and b are operands in turn
+    shared = [a.vstack(b), a.select_rows(range(rows)), a.add(Matrix(rows, inner)),
+              a.add(b), b.sub(a)]
+    for m in [a, b] + shared:
+        list(_rref(m)[1])
+        kernel_image(m)
+        solve(m, m.mul(mixed_sparse(data.draw, m.cols, 2)))
+        m.mul(mixed_sparse(data.draw, m.cols, 3))
+        m.add(m.scale(-1))
+        m.sub(m)
+    assert snapshot(a, b, c) == before
+    assert snapshot(*shared) == snapshot(a.vstack(b), a.select_rows(range(rows)), a,
+                                         a.add(b), b.sub(a))
+
+
+def test_the_entries_view_is_read_only():
+    m = Matrix(2, 3, [(0, 1, 3), (1, 2, Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        m.entries[(1, 1)] = 1
+    with pytest.raises(TypeError):
+        del m.entries[(0, 1)]
+    assert not hasattr(m.entries, "update")
+    assert m.entries == {(0, 1): 3, (1, 2): Fraction(1, 2)}
+    assert m.data == {0: {1: 3}, 1: {2: Fraction(1, 2)}}
+
+
+def test_a_sum_with_an_empty_addend_builds_no_matrix(monkeypatch, tmp_path, capsys):
+    # the zero twists of alternative_retract add empty products: such a sum
+    # is its other term itself, with no new matrix
+    empty, built = [], []
+
+    def counted(self, other, a, _fn=Matrix._plus):
+        out = _fn(self, other, a)
+        if other.is_zero():
+            empty.append(a)
+            if out is not self:
+                built.append(a)
+        return out
+    monkeypatch.setattr(Matrix, "_plus", counted)
+    for seed in range(20):
+        path = tmp_path / ("orbit%d.mcx" % seed)
+        path.write_text(print_multicomplex(generate("a", seed)), encoding="utf-8")
+        assert cli.main(["analyze", "--seed", str(seed), str(path)]) == 0
+    capsys.readouterr()
+    assert len(empty) > 100
+    assert built == []

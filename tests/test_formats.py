@@ -30,6 +30,15 @@ def test_rational_formatting():
     assert format_rational(Fraction(-4, 6)) == format_rational("-2/3") == "-2/3"
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.integers(), st.fractions(), st.integers().map(Fraction),
+                 st.integers().map(lambda n: Fraction(6 * n, 3))))
+def test_entries_print_with_percent_s(v):
+    # `.mcx` entries and the gauge note print a held value with %s: str of an
+    # int or a Fraction is already p or p/q in lowest terms
+    assert "%s" % v == format_rational(v)
+
+
 # rational tokens are p or p/q in ASCII digits; everything else is refused
 ACCEPTED_TOKENS = [("0", 0), ("-3", -3), ("+4", 4), ("007", 7), ("3/7", Fraction(3, 7)),
                    ("-6/4", Fraction(-3, 2)), ("10/5", 2), ("9" * 4000, int("9" * 4000))]

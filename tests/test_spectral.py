@@ -112,7 +112,7 @@ def definition_boundary(m, n):
         for r in range(m.order + 1):
             if q - r in rows:
                 for (i, j), v in m.delta(r).block(n - 2 * q).entries.items():
-                    out.entries[(rows[q - r] + i, col + j)] = v
+                    out.data.setdefault(rows[q - r] + i, {})[col + j] = v
     return out
 
 
