@@ -9,7 +9,6 @@ Jacobi structures that instantiate all of it.
 """
 
 from .complexes import (
-    InfinityMorphism,
     Multicomplex,
     OperatorSeries,
     compose_infinity,
@@ -21,7 +20,6 @@ from .derham import (
     FormAlgebra,
     PolyVector,
     basic_subcomplex,
-    check_contraction_identity,
     contraction,
     d_de_rham,
     jacobi_multicomplex,

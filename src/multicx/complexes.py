@@ -6,7 +6,9 @@ A mixed complex is the special case delta_n = 0 for n >= 2.  Morphisms come
 in families f_n of degree 2n intertwining the two operator families.
 
 Every family is one `OperatorSeries`: D(z) = sum delta_n z^n for a
-multicomplex, F(z) = sum f_n z^n for a morphism.  The grading width forces
+multicomplex, and a morphism is its series F(z) = sum f_n z^n from the
+source's space to the target's, with no other wrapper; its two
+multicomplexes are named only to validate it.  The grading width forces
 a coefficient to zero once its degree exceeds it, so every series is finite
 and every "for all n" identity below is a finite check.  One Cauchy product,
 `_product_sum`, composes the coefficients of two series: validation reads
@@ -24,7 +26,6 @@ from .errors import (
     BadConstantTerm,
     DegreeMismatch,
     NotInvertible,
-    SourceTargetMismatch,
     SpaceMismatch,
 )
 from .exactla import Matrix, solve
@@ -136,41 +137,6 @@ class Multicomplex:
         return "Multicomplex(order %d on %r)" % (self.order, self.space.dims)
 
 
-class InfinityMorphism:
-    """Family of maps f_n: source -> target of degree 2n, held as the series
-    F(z) = f_0 + f_1 z + ...; the empty list is the zero morphism."""
-
-    __slots__ = ("source", "target", "series")
-
-    def __init__(self, source: Multicomplex, target: Multicomplex, comps):
-        self.source = source
-        self.target = target
-        self.series = _family(source.space, target.space, comps, 0, "component")
-
-    @staticmethod
-    def identity(m: Multicomplex) -> "InfinityMorphism":
-        return InfinityMorphism(m, m, [GradedMap.identity(m.space)])
-
-    def comp(self, n: int) -> GradedMap:
-        return self.series.coefficient(n, 2 * n)
-
-    @property
-    def order(self) -> int:
-        return max(self.series.max_power, 0)
-
-    @property
-    def comps(self) -> list:
-        return [self.comp(n) for n in range(self.order + 1)]
-
-    def __eq__(self, other):
-        return (isinstance(other, InfinityMorphism)
-                and self.source == other.source and self.target == other.target
-                and self.series == other.series)
-
-    def __repr__(self):
-        return "InfinityMorphism(order %d)" % self.order
-
-
 @dataclass
 class HodgeData:
     """A verdict with its witness (the least failing weight, power or page
@@ -279,38 +245,40 @@ def validate_multicomplex(m: Multicomplex) -> ValidationReport:
     return _report(_product_sum([(1, m.series, m.series)]))
 
 
-def validate_infinity_morphism(f: InfinityMorphism) -> ValidationReport:
-    """Check F(z) D_src(z) = D_tgt(z) F(z) coefficientwise."""
-    return _report(_product_sum([(1, f.series, f.source.series),
-                                 (-1, f.target.series, f.series)]))
+def validate_infinity_morphism(f: OperatorSeries, source: Multicomplex,
+                               target: Multicomplex) -> ValidationReport:
+    """Check that f, a series from source's space to target's whose power-n
+    coefficient has degree 2n, satisfies F(z) D_src(z) = D_tgt(z) F(z)
+    coefficientwise."""
+    _family(source.space, target.space, f, 0, "component")
+    return _report(_product_sum([(1, f, source.series), (-1, target.series, f)]))
 
 
-def compose_infinity(g: InfinityMorphism, f: InfinityMorphism) -> InfinityMorphism:
-    """(g f)(z) = G(z) F(z), so (g f)_n = sum_{k+l=n} g_k f_l."""
-    if f.target != g.source:
-        raise SourceTargetMismatch("composition endpoints disagree")
-    return InfinityMorphism(f.source, g.target, _product_sum([(1, g.series, f.series)]))
+def compose_infinity(g: OperatorSeries, f: OperatorSeries) -> OperatorSeries:
+    """(g f)(z) = G(z) F(z), so (g f)_n = sum_{k+l=n} g_k f_l; series whose
+    spaces do not chain are a SpaceMismatch.  This is `gauge.series_mul`
+    under the morphism name: `perfbench/spans.py` traces both names."""
+    return _product_sum([(1, g, f)])
 
 
-def invert_infinity(f: InfinityMorphism) -> InfinityMorphism:
+def invert_infinity(f: OperatorSeries) -> OperatorSeries:
     """Two-sided inverse of an infinity-isomorphism.
 
     With g_0 = f_0^{-1} and F_+ = F - f_0, the inverse is
     G = sum_k (-g_0 F_+)^k g_0 = (g_0 F)^{-1} g_0; each factor raises the
     least power of z, so the sum stops once the grading width kills it.
     """
-    src, tgt = f.source.space, f.target.space
+    src, tgt = f.space, f.target
     for k in sorted(set(src.dims) | set(tgt.dims)):
         if src.dim(k) != tgt.dim(k):
             raise NotInvertible("degree %d dimensions differ" % k)
     inv_blocks = {}
     for k in src.degrees:
-        x = solve(f.comp(0).block(k), Matrix.identity(tgt.dim(k)))
+        x = solve(f.coefficient(0).block(k), Matrix.identity(tgt.dim(k)))
         if x is None:
             raise NotInvertible("degree-0 component singular at degree %d" % k)
         inv_blocks[k] = x
     g0 = OperatorSeries(tgt, {0: GradedMap(tgt, src, 0, inv_blocks)}, src)
-    f_plus = OperatorSeries(src, {n: c for n, c in f.series.coeffs.items() if n}, tgt)
+    f_plus = OperatorSeries(src, {n: c for n, c in f.coeffs.items() if n}, tgt)
     factor = _product_sum([(-1, g0, f_plus)])
-    return InfinityMorphism(f.target, f.source, _power_sum(
-        g0, lambda t: _product_sum([(1, factor, t)]), lambda k: 1))
+    return _power_sum(g0, lambda t: _product_sum([(1, factor, t)]), lambda k: 1)

@@ -15,13 +15,13 @@ compression exactly.  The order ladder needs no window: it reads each
 operator's order off its normal-ordered symbol, a polynomial differential
 operator on the untruncated algebra Q[x, dx].
 
-Sign conventions are pinned by the contraction/bracket compatibility check
-`check_contraction_identity` rather than trusted: with the frozen choices
-(the factors of i(v_1 ^ ... ^ v_k) applied to the form in listed order, and
-the odd-bracket convention below) the identity
-i([P, Q]) = -[[i(Q), d], i(P)] holds as an identity of symbols on every
-tested pair, while composing the factors the other way round breaks it.
-Under the frozen choice i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
+Sign conventions are pinned by the tests rather than trusted: they check
+the contraction/bracket compatibility identity
+i([P, Q]) = -[[i(Q), d], i(P)] on normal-ordered symbols.  With the frozen
+choices (the factors of i(v_1 ^ ... ^ v_k) applied to the form in listed
+order, and the odd-bracket convention below) it holds on every tested pair,
+while composing the factors the other way round breaks it.  Under the
+frozen choice i(v_0 ^ v_1)(dx_0 ^ dx_1) = +1.
 """
 
 from __future__ import annotations
@@ -105,22 +105,9 @@ class PolyVector:
     def is_homogeneous(self, k: int) -> bool:
         return all(len(J) == k for (_, J) in self.terms)
 
-    def add(self, other: "PolyVector") -> "PolyVector":
-        return PolyVector(self.dim, chain(self.terms.items(), other.terms.items()))
-
     def scale(self, a) -> "PolyVector":
         a = rat(a)
         return PolyVector(self.dim, {k: a * c for k, c in self.terms.items()})
-
-    def neg(self) -> "PolyVector":
-        return self.scale(-1)
-
-    def sub(self, other: "PolyVector") -> "PolyVector":
-        return self.add(other.neg())
-
-    def wedge(self, other: "PolyVector") -> "PolyVector":
-        return PolyVector(self.dim, _wedge_terms(self.terms.items(), other.terms.items(),
-                                                 lambda J1, J2: 1))
 
 
 def _wedge_terms(left, right, factor):
@@ -377,21 +364,6 @@ def _symbol_commutator(s: dict, t: dict) -> dict:
         return next(((len(I) + len(b)) % 2 for (_, I, _, b) in sym), 0)
     sign = -1 if parity(s) and parity(t) else 1
     return accumulate(_symbol_compose(s, t), _symbol_compose(t, s).items(), -sign)
-
-
-def check_contraction_identity(p: PolyVector, q: PolyVector) -> bool:
-    """Compatibility of contraction, bracket, and differential:
-    i([p, q]) = -[[i(q), d], i(p)], compared as normal-ordered symbols.
-    Symbols are unique, so the verdict holds on the whole polynomial
-    algebra, with no truncation.  This single identity pins every sign
-    convention here."""
-    if p.dim != q.dim:
-        raise ShapeMismatch("polyvectors on different spaces")
-    if len(p.vector_degrees()) > 1 or len(q.vector_degrees()) > 1:
-        raise ShapeMismatch("contraction needs a homogeneous polyvector")
-    inner = _symbol_commutator(_contraction_symbol(q), _d_symbol(p.dim))
-    outer = _symbol_commutator(inner, _contraction_symbol(p))
-    return not accumulate(outer, _contraction_symbol(schouten(p, q)).items())
 
 
 def _order(sym: dict) -> int:

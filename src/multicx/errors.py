@@ -17,10 +17,6 @@ class SpaceMismatch(MulticxError):
     pass
 
 
-class SourceTargetMismatch(MulticxError):
-    pass
-
-
 class NotContained(MulticxError):
     pass
 

@@ -37,7 +37,6 @@ check through the private `Subspace._independent`:
   - the image basis of `kernel_image` is the pivot columns, which no earlier
     column spans;
   - `complement` keeps pivot columns of an independent ambient basis;
-  - `Subspace.zero` has no columns;
   - the image basis B = d C of `transfer.build_retract` is d applied to a
     complement C of ker d, on which d is injective;
   - the spectral filtration F_s takes identity columns, and the cycles Z^r_s
@@ -157,9 +156,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.data
 
-    def get(self, r: int, c: int):
-        return self.data.get(r, {}).get(c, 0)
-
     def add(self, other: "Matrix") -> "Matrix":
         return self._plus(other, 1)
 
@@ -227,8 +223,11 @@ class Matrix:
             raise ShapeMismatch("hstack row mismatch")
         m = Matrix(self.rows, self.cols + other.cols)
         data = m.data = dict(self.data)
+        offset = self.cols
         for r, row in other.data.items():
-            data[r] = {**data.get(r, {}), **{self.cols + c: v for c, v in row.items()}}
+            data[r] = out = dict(data.get(r, ()))
+            for c, v in row.items():
+                out[offset + c] = v
         return m
 
     def vstack(self, other: "Matrix") -> "Matrix":
@@ -376,10 +375,6 @@ class Subspace:
         return sub
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace._independent(ambient_dim, Matrix(ambient_dim, 0))
-
-    @staticmethod
     def spanned_by(ambient_dim: int, vectors: Matrix) -> "Subspace":
         """Span of arbitrary column vectors; dependent columns are dropped."""
         if vectors.rows != ambient_dim:
@@ -393,9 +388,6 @@ class Subspace:
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.dim == other.dim and self.contains(other))
-
-    def __repr__(self):
-        return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
 
     def contains(self, other: "Subspace") -> bool:
         return solve(self.basis, other.basis) is not None

@@ -5,7 +5,7 @@ its one Cauchy product.  On a space of finite grading width every
 coefficient degree grows linearly with the power, so beyond the power cap
 every coefficient is degree-forced to zero, and exp, log and conjugation
 are finite sums, not approximations.  A multicomplex is conjugated as the
-series D(z) it holds, and the gauge is -log of the isomorphism's series.
+series D(z) it holds, and the gauge is -log of the isomorphism psi(z).
 
 The gauge condition for a multicomplex (A, d, delta_1, delta_2, ...) asks for
 a series R(z) with zero constant term conjugating d onto the full family:
@@ -131,10 +131,11 @@ def find_gauge(model: MinimalModel):
     """A gauge series for the input of a minimal model, or NoGauge.
 
     When every transferred operator on homology vanishes, the model's
-    isomorphism psi is an infinity-isotopy from the input to (A, d): psi_0
-    is the identity and the carried minimal operators i mu_n p all vanish.
-    The logarithm of psi^{-1} is a gauge, and log(psi^{-1}) = -log(psi)
-    exactly in the nilpotent series ring, so no inverse is built.
+    isomorphism, the series psi = `model.iso`, is an infinity-isotopy from
+    the input to (A, d): psi_0 is the identity and the carried minimal
+    operators i mu_n p all vanish.  The logarithm of psi^{-1} is a gauge,
+    and log(psi^{-1}) = -log(psi) exactly in the nilpotent series ring, so
+    no inverse is built.
     Otherwise no gauge can exist, and the least obstructing weight is cited.
     The series is returned unchecked; `check_gauge_hodge(series, input)`
     verifies it.
@@ -142,4 +143,4 @@ def find_gauge(model: MinimalModel):
     weights = nonzero_weights(model.minimal)
     if weights:
         return NoGauge(witness=weights[0])
-    return _log(model.iso.series, -1)
+    return _log(model.iso, -1)

@@ -48,15 +48,8 @@ class GradedVectorSpace:
     def width(self) -> int:
         return 0 if self.is_zero else self.max_degree - self.min_degree
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.dims == other.dims
-
-    def __hash__(self):
-        return hash(tuple(self.dims.items()))
 
     def __repr__(self):
         return "GradedVectorSpace(%r)" % (self.dims,)
@@ -141,16 +134,6 @@ class GradedMap:
 
     def __repr__(self):
         return "GradedMap(degree %d, blocks at %r)" % (self.degree, list(self.blocks))
-
-    def scale(self, a) -> "GradedMap":
-        a = rat(a)
-        if not a:
-            return GradedMap.zero(self.source, self.target, self.degree)
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: m.scale(a) for k, m in self.blocks.items()})
-
-    def neg(self) -> "GradedMap":
-        return self.scale(-1)
 
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:

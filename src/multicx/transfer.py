@@ -19,18 +19,20 @@ products alone.
 the sum-over-compositions formulas: the transferred operator of weight n is
 the sum over all compositions (i_1, ..., i_k) of n of
 p delta_{i_1} h delta_{i_2} h ... h delta_{i_k} i, and similarly for the
-morphism components extending proj.  It returns the transferred structure
-and that infinity-morphism; the minimal model builds the two halves apart,
-through the same helpers, so neither is computed twice.  The extension of
-incl, i_n = h S_n over the chain sums S_n that end in incl, is not built:
-nothing on the pipeline reads it.
+morphism components extending proj.  It returns the pair (transferred, p),
+p the series of that infinity-morphism; the minimal model builds the two
+halves apart, through the same helpers, so neither is computed twice.  The
+extension of incl, i_n = h S_n over the chain sums S_n that end in incl, is
+not built: nothing on the pipeline reads it.
 
 `minimal_model` builds up front only what every verdict reads: the
-retract and the transferred multicomplex.  The isomorphism
-is built on first read, once, on A itself.  The minimal model mu carried
-onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto it is
-psi_0 = id and psi_n = i p_n - h delta_n.  This is the homotopy-perturbation
-recursion psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} (Crainic, "On the
+retract and the transferred multicomplex.  The isomorphism is built on
+first read, once, on A itself, as the series psi(z).  The minimal model mu
+carried onto A is (A, d, i mu_1 p, i mu_2 p, ...), and the isomorphism onto
+it is psi_0 = id and psi_n = i p_n - h delta_n; the carried model is not
+built, and a caller that validates psi names it as the target.  This is
+the homotopy-perturbation recursion
+psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} (Crainic, "On the
 perturbation lemma, and deformations", 2004) in closed form: a retract read
 off a splitting has h i = 0 and h h = 0, so h psi_k = h i p_k - h h (...) = 0
 for every k >= 1 and only the k = 0 term is left.  The homotopy identity
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import HodgeData, InfinityMorphism, Multicomplex
+from .complexes import HodgeData, Multicomplex, OperatorSeries
 from .errors import NotSquareZero, SpaceMismatch
 from .exactla import Matrix, Subspace, _kernel, complement, solve
 from .graded import (
@@ -159,12 +161,6 @@ def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap, nmax: int):
     return sums
 
 
-@dataclass
-class TransferOutput:
-    transferred: Multicomplex
-    p_inf: InfinityMorphism
-
-
 def _transferred(r: DeformationRetract, m: Multicomplex) -> Multicomplex:
     """The transferred multicomplex, from the chain sums over the inclusion
     up to one past the grading bound.  The operator at that weight is
@@ -189,12 +185,11 @@ def _p_components(r: DeformationRetract, m: Multicomplex) -> list:
     return [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
 
 
-def transfer_structure(r: DeformationRetract, m: Multicomplex) -> TransferOutput:
-    """Transferred multicomplex on the small space plus the infinity-quasi-
-    isomorphism extending the projection onto it."""
-    transferred = _transferred(r, m)
-    return TransferOutput(transferred=transferred,
-                          p_inf=InfinityMorphism(m, transferred, _p_components(r, m)))
+def transfer_structure(r: DeformationRetract, m: Multicomplex):
+    """(transferred, p): the transferred multicomplex on the small space and
+    the series of the infinity-quasi-isomorphism extending the projection
+    onto it."""
+    return _transferred(r, m), OperatorSeries(r.big, dict(enumerate(_p_components(r, m))), r.small)
 
 
 def nonzero_weights(m: Multicomplex) -> list:
@@ -216,18 +211,18 @@ class MinimalModel:
 
     Built up front: the retract, which keeps its splitting, and `minimal`,
     the transferred multicomplex, which every verdict reads.  Built on first
-    read, once: `iso`, the infinity-isomorphism from m onto the minimal
-    model carried onto A by the retract.  `find_gauge` reads it only when
-    every transferred operator vanishes.
+    read, once: `iso`, the series psi(z) on A of the infinity-isomorphism
+    from m onto the minimal model carried onto A by the retract.
+    `find_gauge` reads it only when every transferred operator vanishes.
     """
     source: Multicomplex
     minimal: Multicomplex
     retract: DeformationRetract
 
     @cached_property
-    def iso(self) -> InfinityMorphism:
-        """From m to (A, d, i mu_1 p, i mu_2 p, ...), mu_n the operators of
-        `minimal`: psi_0 = id and psi_n = i p_n - h delta_n, with p_n the
+    def iso(self) -> OperatorSeries:
+        """psi(z), from m to (A, d, i mu_1 p, i mu_2 p, ...), mu_n the operators
+        of `minimal`: psi_0 = id and psi_n = i p_n - h delta_n, with p_n the
         components extending proj.  This is the perturbation recursion
         psi_n = i p_n - h sum_{k<n} psi_k delta_{n-k} in closed form, by two
         side conditions of the retract: h i = 0 and h h = 0 give
@@ -240,21 +235,20 @@ class MinimalModel:
         if not lincomb([(1, compose(r.d_big, r.homotopy)), (1, compose(r.homotopy, r.d_big)),
                         (-1, compose(r.incl, r.proj)), (1, ident)]).is_zero:
             raise NotSquareZero("complement of the homology representatives is not acyclic")
-        carried = Multicomplex(m.space, [r.d_big] + [compose(r.incl, compose(mu, r.proj))
-                                                     for mu in self.minimal.deltas[1:]])
         p_comps = _p_components(r, m)
-        psi = [ident]
+        psi = {0: ident}
         for n in range(1, max(len(p_comps) - 1, m.order) + 1):
             ip = [(1, compose(r.incl, p_comps[n]))] if n < len(p_comps) else []
-            psi.append(lincomb(ip + [(-1, compose(r.homotopy, m.delta(n)))]))
-        return InfinityMorphism(m, carried, psi)
+            psi[n] = lincomb(ip + [(-1, compose(r.homotopy, m.delta(n)))])
+        return OperatorSeries(m.space, psi)
 
 
 def minimal_model(m: Multicomplex) -> MinimalModel:
     """The minimal model of m (`MinimalModel`): one splitting of d, the
-    retract read off it and the transferred multicomplex; the isomorphism
-    waits for its first read.  The model stores no inverse isomorphism;
-    `invert_infinity(model.iso)` gives it when a caller needs it.
+    retract read off it and the transferred multicomplex; the isomorphism,
+    a bare series on A, waits for its first read.  The model stores no
+    inverse isomorphism; `invert_infinity(model.iso)` gives it when a
+    caller needs it.
     """
     retract = build_retract(m.space, m.delta(0))
     return MinimalModel(source=m, minimal=_transferred(retract, m), retract=retract)

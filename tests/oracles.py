@@ -5,14 +5,19 @@ second construction of something the package computes (the inclusion's
 infinity-extension, the minimal model's isomorphism through the direct sum
 with the acyclic complement, the paper's explicit gauge for mixed
 complexes, the leading-slot identification of a page with homology, the
-row-scanning Fraction elimination), a generator of test instances, a check
+row-scanning Fraction elimination, the rank over F_p by an elimination
+that shares no code with `_rref`), a generator of test instances, a check
 that only tests make (the defects of the retract identities, the first
-nonzero differential of a built page), or a small constructor that only tests need (matrices from rows or a
-column, Q^n on its standard basis, the transpose, coordinate fields, form
-vectors, direct sums, the contraction symbol with its factors in reversed
-order).  The de Rham operators are assembled a second way, one monomial at
-a time through a flat entry list, and the basic complex a second way, by
-solving for each restricted operator on the ambient forms.  The
+nonzero differential of a built page, the contraction/bracket identity
+that pins the sign conventions of `multicx.derham`), or a small
+constructor that only tests need (matrices from rows or a column, Q^n on
+its standard basis, the transpose, coordinate fields, form vectors, direct
+sums, the contraction symbol with its factors in reversed order, sums and
+wedges of polyvectors, the components of a morphism series, the minimal
+model carried onto A, which `MinimalModel.iso` maps onto).  The de Rham
+operators are assembled a second way, one monomial at a time through a
+flat entry list, and the basic complex a second way, by solving for each
+restricted operator on the ambient forms.  The
 convolutions of operator families are looped a second way, one power at a
 time over explicit index ranges, with the inverse of an infinity-morphism
 by its recursion; the Schouten bracket is summed a second way, one
@@ -22,11 +27,12 @@ by a line cursor with one scan per section and a flat entry list that
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from random import Random
 
 from multicx import derham, transfer
 from multicx.complexes import (
-    InfinityMorphism,
     Multicomplex,
     OperatorSeries,
     ValidationReport,
@@ -45,7 +51,7 @@ from multicx.exactla import (
     solve,
 )
 from multicx.gauge import check_gauge_hodge, gauge_construct, series_log
-from multicx.errors import NotInvertible, ParseError
+from multicx.errors import NotInvertible, ParseError, ShapeMismatch
 from multicx.formats import MULTICOMPLEX_HEADER, _parse_int, _parse_rational
 from multicx.generators import rand_entry, rand_graded_map, rand_space, rand_square_zero
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb, max_component_index
@@ -66,6 +72,51 @@ def column(values) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+# two fixed 61-bit primes: 2^61 - 1 and the largest prime below it
+PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
+
+
+def rank_mod_p(m: Matrix, p: int = PRIMES[0]) -> int:
+    """The rank of m over F_p, by a row elimination that shares nothing with
+    `_rref`: each step takes the last remaining row as pivot row, at its
+    least column, and clears that column from the others.  A rational v
+    maps to v.numerator / v.denominator mod p.  The rank over F_p is at
+    most the rank over Q and equal to it unless p divides a maximal
+    nonzero minor."""
+    rows = []
+    for row in m.data.values():
+        out = {}
+        for c, v in row.items():
+            v = Fraction(v)
+            if v.denominator % p == 0:
+                raise ValueError("denominator divisible by %d" % p)
+            if x := v.numerator * pow(v.denominator, -1, p) % p:
+                out[c] = x
+        if out:
+            rows.append(out)
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        col = min(piv)
+        inv = pow(piv[col], -1, p)
+        kept = []
+        for row in rows:
+            a = row.get(col)
+            if a:
+                row = dict(row)
+                a = a * inv % p
+                for c, v in piv.items():
+                    if x := (row.get(c, 0) - a * v) % p:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+            if row:
+                kept.append(row)
+        rows = kept
+        rank += 1
+    return rank
 
 
 def full_space(n: int) -> Subspace:
@@ -155,45 +206,56 @@ def looped_validate_multicomplex(m: Multicomplex) -> ValidationReport:
     return report
 
 
-def looped_validate_infinity_morphism(f: InfinityMorphism) -> ValidationReport:
+def comp(f: OperatorSeries, n: int) -> GradedMap:
+    """The component f_n of the morphism series f, of degree 2n."""
+    return f.coefficient(n, 2 * n)
+
+
+def comps(f: OperatorSeries) -> list:
+    """The components f_0, ..., f_top of the morphism series f, zeros included."""
+    return [comp(f, n) for n in range(max(f.max_power, 0) + 1)]
+
+
+def looped_validate_infinity_morphism(f: OperatorSeries, source: Multicomplex,
+                                      target: Multicomplex) -> ValidationReport:
     """sum f_k delta^src_l = sum delta^tgt_k f_l, one n at a time."""
     report = ValidationReport()
-    top = f.order + max(f.source.order, f.target.order)
+    top = max(f.max_power, 0) + max(source.order, target.order)
     for n in range(top + 1):
-        terms = [(1, compose(f.comp(k), f.source.delta(n - k))) for k in range(n + 1)]
-        terms += [(-1, compose(f.target.delta(k), f.comp(n - k))) for k in range(n + 1)]
+        terms = [(1, compose(comp(f, k), source.delta(n - k))) for k in range(n + 1)]
+        terms += [(-1, compose(target.delta(k), comp(f, n - k))) for k in range(n + 1)]
         _looped_violation(report, n, lincomb(terms, degree=2 * n - 1,
-                                             source=f.source.space, target=f.target.space))
+                                             source=source.space, target=target.space))
     return report
 
 
-def looped_compose_infinity(g: InfinityMorphism, f: InfinityMorphism) -> InfinityMorphism:
+def looped_compose_infinity(g: OperatorSeries, f: OperatorSeries) -> OperatorSeries:
     """(g f)_n = sum_{k+l=n} g_k f_l up to the grading bound."""
-    bound = max_component_index(f.source.space, g.target.space, 2, 0)
-    comps = []
+    bound = max_component_index(f.space, g.target, 2, 0)
+    out = {}
     for n in range(max(bound, 0) + 1):
-        terms = [(1, compose(g.comp(k), f.comp(n - k))) for k in range(n + 1)]
-        comps.append(lincomb(terms, degree=2 * n, source=f.source.space, target=g.target.space))
-    return InfinityMorphism(f.source, g.target, comps)
+        terms = [(1, compose(comp(g, k), comp(f, n - k))) for k in range(n + 1)]
+        out[n] = lincomb(terms, degree=2 * n, source=f.space, target=g.target)
+    return OperatorSeries(f.space, out, g.target)
 
 
-def recursive_invert_infinity(f: InfinityMorphism) -> InfinityMorphism:
+def recursive_invert_infinity(f: OperatorSeries) -> OperatorSeries:
     """g_0 = f_0^{-1} and g_n = -g_0 sum_{k>=1} f_k g_{n-k}."""
-    src, tgt = f.source.space, f.target.space
+    src, tgt = f.space, f.target
     if src != tgt:
         raise NotInvertible("dimensions differ")
     inv_blocks = {}
     for k in src.degrees:
-        x = solve(f.comp(0).block(k), Matrix.identity(tgt.dim(k)))
+        x = solve(comp(f, 0).block(k), Matrix.identity(tgt.dim(k)))
         if x is None:
             raise NotInvertible("degree-0 component singular at degree %d" % k)
         inv_blocks[k] = x
     g0 = GradedMap(tgt, src, 0, inv_blocks)
-    comps = [g0]
+    out = [g0]
     for n in range(1, max(max_component_index(tgt, src, 2, 0), 0) + 1):
-        terms = [(-1, compose(f.comp(k), comps[n - k])) for k in range(1, n + 1)]
-        comps.append(compose(g0, lincomb(terms, degree=2 * n, source=tgt, target=tgt)))
-    return InfinityMorphism(f.target, f.source, comps)
+        terms = [(-1, compose(comp(f, k), out[n - k])) for k in range(1, n + 1)]
+        out.append(compose(g0, lincomb(terms, degree=2 * n, source=tgt, target=tgt)))
+    return OperatorSeries(tgt, dict(enumerate(out)), src)
 
 
 # ---- homotopy transfer ----
@@ -216,14 +278,22 @@ def identity_defects(r):
     }
 
 
-def inclusion_extension(r, m: Multicomplex, transferred: Multicomplex) -> InfinityMorphism:
-    """The infinity-morphism from the transferred structure to m extending
-    incl: i_n = h S_n, S_n the chain sums over incl (sum over compositions
-    of n of delta_{i_1} h ... h delta_{i_k} incl)."""
+def inclusion_extension(r, m: Multicomplex) -> OperatorSeries:
+    """The series of the infinity-morphism from the transferred structure to
+    m extending incl: i_n = h S_n, S_n the chain sums over incl (sum over
+    compositions of n of delta_{i_1} h ... h delta_{i_k} incl)."""
     n_i = max(max_component_index(r.small, r.big, 2, 0), 0)
     s_chain = transfer._chain_sums(m, r.homotopy, r.incl, n_i)
-    comps = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
-    return InfinityMorphism(transferred, m, comps)
+    out = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
+    return OperatorSeries(r.small, dict(enumerate(out)), r.big)
+
+
+def carried_model(model) -> Multicomplex:
+    """The minimal model carried onto A by the retract,
+    (A, d, i mu_1 p, i mu_2 p, ...): the target of `model.iso`."""
+    r = model.retract
+    return Multicomplex(model.source.space, [r.d_big] + [
+        reduce(compose, [r.incl, mu, r.proj]) for mu in model.minimal.deltas[1:]])
 
 
 def complement_maps(r):
@@ -236,7 +306,7 @@ def complement_maps(r):
             GradedMap(space, kspace, 0, {k: b.vstack(c) for k, (_, b, c) in r.coords.items()}))
 
 
-def frame_isomorphism(model) -> InfinityMorphism:
+def frame_isomorphism(model) -> OperatorSeries:
     """The minimal model's isomorphism built through the direct sum with K:
     components [p_n; q_n] into H (+) K, with q_0 = [b; c] and
     q_n = -s sum_{k<n} q_k delta_{n-k} for the contraction s = q_0 h [B | C]
@@ -250,16 +320,16 @@ def frame_isomorphism(model) -> InfinityMorphism:
     top = max(max_component_index(big, big, 2, 0), 0)
     q_comps = [q0]
     for n in range(1, top + 1):
-        terms = [(1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
+        terms = [(-1, compose(q_comps[k], m.delta(n - k))) for k in range(n)]
         q_comps.append(compose(s_k, lincomb(terms, degree=2 * n - 1, source=big,
-                                            target=q0.target)).neg())
-    comps = []
+                                            target=q0.target)))
+    out = {}
     for n in range(top + 1):
         terms = [(1, compose(i_k, q_comps[n]))]
         if n < len(p_comps):
             terms.append((1, compose(r.incl, p_comps[n])))
-        comps.append(lincomb(terms))
-    return InfinityMorphism(m, model.iso.target, comps)
+        out[n] = lincomb(terms)
+    return OperatorSeries(big, out)
 
 
 # ---- the explicit gauge of a mixed complex ----
@@ -407,11 +477,44 @@ def homogeneous_schouten(p: PolyVector, q: PolyVector) -> PolyVector:
                 right = PolyVector(p.dim, derham._x_derivative(qq.terms, i))
                 left2 = PolyVector(p.dim, derham._right_theta_derivative(qq.terms, i))
                 right2 = PolyVector(p.dim, derham._x_derivative(pp.terms, i))
-                acc = acc.add(left.wedge(right)).sub(left2.wedge(right2).scale(sign))
+                acc = polyvector_sub(polyvector_add(acc, polyvector_wedge(left, right)),
+                                     polyvector_wedge(left2, right2).scale(sign))
     return acc
 
 
+def polyvector_add(p: PolyVector, q: PolyVector) -> PolyVector:
+    return PolyVector(p.dim, chain(p.terms.items(), q.terms.items()))
+
+
+def polyvector_neg(p: PolyVector) -> PolyVector:
+    return p.scale(-1)
+
+
+def polyvector_sub(p: PolyVector, q: PolyVector) -> PolyVector:
+    return polyvector_add(p, polyvector_neg(q))
+
+
+def polyvector_wedge(p: PolyVector, q: PolyVector) -> PolyVector:
+    return PolyVector(p.dim, derham._wedge_terms(p.terms.items(), q.terms.items(),
+                                                 lambda J1, J2: 1))
+
+
 # ---- sign conventions of the contraction ----
+
+def check_contraction_identity(p: PolyVector, q: PolyVector) -> bool:
+    """Compatibility of contraction, bracket, and differential:
+    i([p, q]) = -[[i(q), d], i(p)], compared as normal-ordered symbols.
+    Symbols are unique, so the verdict holds on the whole polynomial
+    algebra, with no truncation.  This single identity pins every sign
+    convention of `multicx.derham`."""
+    if p.dim != q.dim:
+        raise ShapeMismatch("polyvectors on different spaces")
+    if len(p.vector_degrees()) > 1 or len(q.vector_degrees()) > 1:
+        raise ShapeMismatch("contraction needs a homogeneous polyvector")
+    inner = derham._symbol_commutator(derham._contraction_symbol(q), derham._d_symbol(p.dim))
+    outer = derham._symbol_commutator(inner, derham._contraction_symbol(p))
+    return not accumulate(outer, derham._contraction_symbol(derham.schouten(p, q)).items())
+
 
 def reversed_contraction_symbol(p: PolyVector) -> dict:
     """The symbol of i(p) with the factors of each term applied in reversed

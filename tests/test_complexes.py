@@ -5,16 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicx.complexes import (
-    InfinityMorphism,
     Multicomplex,
     OperatorSeries,
     compose_infinity,
     invert_infinity,
+    series_lincomb,
     validate_infinity_morphism,
     validate_multicomplex,
 )
 from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_multicomplex
-from multicx.errors import DegreeMismatch, NotInvertible, SourceTargetMismatch, SpaceMismatch
+from multicx.errors import DegreeMismatch, NotInvertible, SpaceMismatch
 from multicx.exactla import Matrix
 from multicx.gauge import check_gauge_hodge, series_mul
 from multicx.generators import (
@@ -24,9 +24,12 @@ from multicx.generators import (
     rand_graded_map,
     rand_space,
 )
-from multicx.graded import GradedMap, GradedVectorSpace, compose
+from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb
 from multicx.transfer import minimal_model
 from oracles import (
+    carried_model,
+    comp,
+    comps,
     direct_sum,
     looped_compose_infinity,
     looped_validate_infinity_morphism,
@@ -46,7 +49,7 @@ def gmap(space, degree, entries):
 def single_block_isotopy(m, k, entries):
     """Isotopy with one nontrivial component f1 supported at source degree k."""
     f1 = gmap(m.space, 2, [(k, r, c, v) for r, c, v in entries])
-    return InfinityMorphism(m, m, [GradedMap.identity(m.space), f1])
+    return OperatorSeries(m.space, {0: GradedMap.identity(m.space), 1: f1})
 
 
 def staircase4():
@@ -100,34 +103,61 @@ def test_truncation_soundness_zero_padding():
 
 
 def test_identity_morphism_valid():
-    ident = InfinityMorphism.identity(staircase4())
-    assert validate_infinity_morphism(ident).ok
-    assert ident.comps == [GradedMap.identity(ident.source.space)]
+    m = staircase4()
+    ident = OperatorSeries.unit(m.space)
+    assert validate_infinity_morphism(ident, m, m).ok
+    assert comps(ident) == [GradedMap.identity(m.space)]
 
 
 def test_non_chain_map_flagged_at_zero():
     m = Multicomplex.zero(V)
     target = Multicomplex(V, [gmap(V, -1, [(1, 0, 0, 1)])])
-    f = InfinityMorphism(m, target, [GradedMap.identity(V)])
-    rep = validate_infinity_morphism(f)
+    f = OperatorSeries.unit(V)
+    rep = validate_infinity_morphism(f, m, target)
     assert not rep.ok and rep.indices() == [0]
+
+
+def test_validate_morphism_refuses_a_component_of_the_wrong_degree():
+    # f_0 of degree 2 and f_1 of degree 4: the series itself is consistent
+    # (both coefficients have degree - 2n = 2), so only the morphism check
+    # sees it, and it names the power
+    even = GradedVectorSpace({0: 1, 2: 1, 4: 1, 6: 1})
+    m = Multicomplex.zero(even)
+    f = OperatorSeries(even, {0: gmap(even, 2, [(0, 0, 0, 1)]), 1: gmap(even, 4, [(0, 0, 0, 1)])})
+    with pytest.raises(DegreeMismatch, match="component 0 must have degree 0"):
+        validate_infinity_morphism(f, m, m)
+    f = OperatorSeries.single(2, gmap(even, 2, [(0, 0, 0, 1)]))
+    with pytest.raises(DegreeMismatch, match="component 2 must have degree 4"):
+        validate_infinity_morphism(f, m, m)
+
+
+def test_validate_morphism_refuses_series_off_its_endpoints():
+    small, other = GradedVectorSpace({0: 1, 1: 1}), GradedVectorSpace({0: 2})
+    m, n = Multicomplex.zero(small), Multicomplex.zero(other)
+    for f, source, target in [(OperatorSeries.unit(small), m, n),
+                              (OperatorSeries.unit(small), n, n),
+                              (OperatorSeries(small, {}, other), m, m),
+                              (OperatorSeries(small, {}, other), n, m)]:
+        with pytest.raises(SpaceMismatch):
+            validate_infinity_morphism(f, source, target)
+    # the same series is a morphism between endpoints on its own spaces
+    assert validate_infinity_morphism(OperatorSeries(small, {}, other), m, n).ok
 
 
 def test_compose_with_identity():
     m = staircase4()
     f = single_block_isotopy(m, 0, [(0, 0, 3)])
-    ident = InfinityMorphism.identity(m)
+    ident = OperatorSeries.unit(m.space)
     assert compose_infinity(ident, f) == f
     assert compose_infinity(f, ident) == f
 
 
 def test_compose_strict_morphisms():
-    m = Multicomplex.zero(V)
     a = gmap(V, 0, [(k, r, r, 2) for k in V.degrees for r in range(2)])
     b = gmap(V, 0, [(k, r, r, 3) for k in V.degrees for r in range(2)])
-    gf = compose_infinity(InfinityMorphism(m, m, [a]), InfinityMorphism(m, m, [b]))
-    assert gf.order == 0
-    assert gf.comps[0] == compose(a, b)
+    gf = compose_infinity(OperatorSeries.single(0, a), OperatorSeries.single(0, b))
+    assert gf.max_power == 0
+    assert comp(gf, 0) == compose(a, b)
 
 
 def test_compose_convolution_by_hand():
@@ -138,41 +168,37 @@ def test_compose_convolution_by_hand():
         ent = [(0, r, c, rng.randint(-2, 2)) for r in range(2) for c in range(2)]
         return GradedMap.from_entries(m.space, m.space, deg, ent)
     ident = GradedMap.identity(m.space)
-    f = InfinityMorphism(m, m, [ident, rnd(2), rnd(4)])
-    g = InfinityMorphism(m, m, [ident, rnd(2), rnd(4)])
+    f = OperatorSeries(m.space, {0: ident, 1: rnd(2), 2: rnd(4)})
+    g = OperatorSeries(m.space, {0: ident, 1: rnd(2), 2: rnd(4)})
     gf = compose_infinity(g, f)
     expected = [
-        (1, compose(g.comp(0), f.comp(2))),
-        (1, compose(g.comp(1), f.comp(1))),
-        (1, compose(g.comp(2), f.comp(0))),
+        (1, compose(comp(g, 0), comp(f, 2))),
+        (1, compose(comp(g, 1), comp(f, 1))),
+        (1, compose(comp(g, 2), comp(f, 0))),
     ]
-    from multicx.graded import lincomb
-    assert gf.comp(2) == lincomb(expected)
+    assert comp(gf, 2) == lincomb(expected)
 
 
 def test_compose_endpoint_mismatch():
-    a = Multicomplex.zero(V)
-    b = Multicomplex.zero(GradedVectorSpace({0: 1}))
-    f = InfinityMorphism(a, a, [GradedMap.identity(V)])
-    g = InfinityMorphism(b, b, [GradedMap.identity(b.space)])
-    with pytest.raises(SourceTargetMismatch):
+    b = GradedVectorSpace({0: 1})
+    f = OperatorSeries.unit(V)
+    g = OperatorSeries.unit(b)
+    with pytest.raises(SpaceMismatch):
         compose_infinity(g, f)
 
 
 def test_invert_identity_and_scalar():
-    m = Multicomplex.zero(V)
-    ident = InfinityMorphism.identity(m)
+    ident = OperatorSeries.unit(V)
     assert invert_infinity(ident) == ident
-    two = InfinityMorphism(m, m, [GradedMap.identity(V).scale(2)])
+    two = series_lincomb(V, [(2, ident)])
     half = invert_infinity(two)
-    assert half.comps[0] == GradedMap.identity(V).scale("1/2")
+    assert comps(half) == [lincomb([("1/2", GradedMap.identity(V))])]
 
 
 def test_invert_singular_raises():
-    m = Multicomplex.zero(V)
     f0 = gmap(V, 0, [(0, 0, 0, 1)])  # rank 1 in a 2-dim degree
     with pytest.raises(NotInvertible):
-        invert_infinity(InfinityMorphism(m, m, [f0]))
+        invert_infinity(OperatorSeries.single(0, f0))
 
 
 def test_invert_isotopy_round_trip_random():
@@ -182,25 +208,25 @@ def test_invert_isotopy_round_trip_random():
         k = rng.choice([0, 1])
         f = single_block_isotopy(m, k, [(0, 0, rng.randint(-2, 2))])
         g = invert_infinity(f)
-        assert g.comp(0) == GradedMap.identity(m.space)
-        assert compose_infinity(g, f) == InfinityMorphism.identity(m)
-        assert compose_infinity(f, g) == InfinityMorphism.identity(m)
+        assert comp(g, 0) == GradedMap.identity(m.space)
+        assert compose_infinity(g, f) == OperatorSeries.unit(m.space)
+        assert compose_infinity(f, g) == OperatorSeries.unit(m.space)
         assert invert_infinity(g) == f
 
 
 def test_compose_associative_random():
     rng = Random(19)
-    m = Multicomplex.zero(GradedVectorSpace({0: 2, 2: 2, 4: 1}))
+    space = GradedVectorSpace({0: 2, 2: 2, 4: 1})
     def iso():
-        comps = [GradedMap.identity(m.space)]
+        out = {0: GradedMap.identity(space)}
         for n in (1, 2):
             ent = []
-            for k in m.space.degrees:
-                rows, cols = m.space.dim(k + 2 * n), m.space.dim(k)
+            for k in space.degrees:
+                rows, cols = space.dim(k + 2 * n), space.dim(k)
                 ent += [(k, r, c, rng.randint(-1, 1))
                         for r in range(rows) for c in range(cols)]
-            comps.append(GradedMap.from_entries(m.space, m.space, 2 * n, ent))
-        return InfinityMorphism(m, m, comps)
+            out[n] = GradedMap.from_entries(space, space, 2 * n, ent)
+        return OperatorSeries(space, out)
     for _ in range(15):
         f, g, h = iso(), iso(), iso()
         assert compose_infinity(compose_infinity(h, g), f) == \
@@ -229,11 +255,10 @@ def test_product_dims_and_validity():
     # the identity on the summand
     for m, offset in ((m1, lambda k: 0), (m2, m1.space.dim)):
         incl, proj = summand_maps(m.space, total.space, offset)
-        inj = InfinityMorphism(m, total, [incl])
-        back = InfinityMorphism(total, m, [proj])
-        assert validate_infinity_morphism(inj).ok
-        assert validate_infinity_morphism(back).ok
-        assert compose_infinity(back, inj) == InfinityMorphism.identity(m)
+        inj, back = OperatorSeries.single(0, incl), OperatorSeries.single(0, proj)
+        assert validate_infinity_morphism(inj, m, total).ok
+        assert validate_infinity_morphism(back, total, m).ok
+        assert compose_infinity(back, inj) == OperatorSeries.unit(m.space)
 
 
 def test_product_with_zero_complex():
@@ -267,10 +292,10 @@ def rand_family(rng, space, top=2, density=0.3):
 
 
 def rand_morphism(rng, source, target, top=2, density=0.3, head=None):
-    comps = [head or rand_graded_map(rng, source.space, target.space, 0, density)]
-    comps += [rand_graded_map(rng, source.space, target.space, 2 * n, density)
-              for n in range(1, top + 1)]
-    return InfinityMorphism(source, target, comps)
+    out = {0: head or rand_graded_map(rng, source.space, target.space, 0, density)}
+    out.update((n, rand_graded_map(rng, source.space, target.space, 2 * n, density))
+               for n in range(1, top + 1))
+    return OperatorSeries(source.space, out, target.space)
 
 
 def test_validation_matches_the_looped_oracle():
@@ -292,21 +317,24 @@ def test_morphism_convolutions_match_the_looped_oracle(seed):
     rng = Random(seed)
     a, b, c = (rand_family(rng, rand_space(rng, max_width=5, max_dim=3)) for _ in range(3))
     f, g = rand_morphism(rng, a, b), rand_morphism(rng, b, c)
-    assert validate_infinity_morphism(f) == looped_validate_infinity_morphism(f)
+    assert validate_infinity_morphism(f, a, b) == looped_validate_infinity_morphism(f, a, b)
     # equal series: every component equal, exactly
     assert compose_infinity(g, f) == looped_compose_infinity(g, f)
     # an isomorphism on one space: invertible head, random tail
     iso = rand_morphism(rng, a, a, head=rand_automorphism(rng, a.space))
     inverse = invert_infinity(iso)
     assert inverse == recursive_invert_infinity(iso)
-    assert validate_infinity_morphism(inverse) == looped_validate_infinity_morphism(inverse)
+    assert validate_infinity_morphism(inverse, a, a) == \
+        looped_validate_infinity_morphism(inverse, a, a)
 
 
 def test_model_isomorphisms_match_the_looped_oracle():
     for _, _, m in corpus(60)[:20]:
-        iso = minimal_model(m).iso
-        assert validate_infinity_morphism(iso) == looped_validate_infinity_morphism(iso)
-        assert validate_infinity_morphism(iso).ok
+        model = minimal_model(m)
+        iso, target = model.iso, carried_model(model)
+        assert validate_infinity_morphism(iso, m, target) == \
+            looped_validate_infinity_morphism(iso, m, target)
+        assert validate_infinity_morphism(iso, m, target).ok
         assert invert_infinity(iso) == recursive_invert_infinity(iso)
 
 
@@ -321,9 +349,9 @@ def test_mismatched_series_spaces_raise():
     m, n = Multicomplex.zero(small), Multicomplex.zero(other)
     into_other = OperatorSeries(small, {}, other)
     with pytest.raises(SpaceMismatch):
-        InfinityMorphism(m, m, into_other)
+        validate_infinity_morphism(into_other, m, m)
     with pytest.raises(SpaceMismatch):
-        InfinityMorphism(n, m, on_other)
+        validate_infinity_morphism(on_other, n, m)
     with pytest.raises(SpaceMismatch):
         series_mul(OperatorSeries.unit(small), OperatorSeries.unit(other))
     with pytest.raises(SpaceMismatch):
@@ -340,9 +368,9 @@ def test_series_views_are_the_family():
     assert m.series.coeffs == {n: m.delta(n) for n in range(m.order + 1) if not m.delta(n).is_zero}
     assert Multicomplex(m.space, m.series) == m
     f = single_block_isotopy(m, 0, [(0, 0, 3)])
-    assert InfinityMorphism(m, m, f.series) == f
-    assert f.comps == [f.comp(0), f.comp(1)]
-    assert InfinityMorphism(m, m, []).series.is_zero
+    assert OperatorSeries(m.space, dict(enumerate(comps(f)))) == f
+    assert comps(f) == [comp(f, 0), comp(f, 1)]
+    assert OperatorSeries(m.space).is_zero
 
 
 def test_products_on_the_contact_pair_keep_their_matrix_products(monkeypatch):

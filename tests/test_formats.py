@@ -52,7 +52,7 @@ def test_rational_token_table():
         assert got == want and type(got) is type(want), token[:20]
         doc = "multicx multicomplex v1\ndegrees\n0 1\n1 1\noperator 0\n1 0 0 %s\nend\n" % token
         m, _ = parse_multicomplex(doc)
-        assert m.delta(0).block(1).get(0, 0) == want
+        assert m.delta(0).block(1).data.get(0, {}).get(0, 0) == want
         w = polyvector_from_terms(
             [{"coefficient": token, "monomial": [0, 0], "indices": [1, 2]}], 2, 2)
         assert w.terms.get(((0, 0), (0, 1)), 0) == want

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicx import gauge
 from multicx.cli import main
 from multicx.complexes import (
-    InfinityMorphism,
     Multicomplex,
     OperatorSeries,
     compose_infinity,
@@ -34,6 +34,7 @@ from multicx.gauge import (
 from multicx.generators import (
     corpus,
     generate,
+    hand_library,
     rand_graded_map,
     rand_series,
     rand_space,
@@ -78,11 +79,11 @@ def test_telescoping_product():
     n_map = GradedMap.from_entries(WIDE, WIDE, 2,
                                    [(0, r, c, r + c + 1) for r in range(2) for c in range(2)])
     plus = OperatorSeries(WIDE, {0: GradedMap.identity(WIDE), 1: n_map})
-    minus = OperatorSeries(WIDE, {0: GradedMap.identity(WIDE), 1: n_map.neg()})
+    minus = OperatorSeries(WIDE, {0: GradedMap.identity(WIDE), 1: lincomb([(-1, n_map)])})
     prod = series_mul(plus, minus)
     expected = OperatorSeries(WIDE, {
         0: GradedMap.identity(WIDE),
-        2: compose(n_map, n_map).neg(),
+        2: lincomb([(-1, compose(n_map, n_map))]),
     })
     assert prod == expected
 
@@ -285,17 +286,31 @@ def inverse_isomorphism_gauge(model):
     weights = nonzero_weights(model.minimal)
     if weights:
         return NoGauge(witness=weights[0])
-    m = model.iso.source
-    bare = Multicomplex.trivial(m.space, m.delta(0))
-    strict = InfinityMorphism(bare, model.iso.target, [model.iso.comp(0)])
-    psi = compose_infinity(invert_infinity(model.iso), strict)
-    return series_log(OperatorSeries(m.space, {n: psi.comp(n) for n in range(psi.order + 1)}))
+    strict = OperatorSeries.single(0, model.iso.coefficient(0))
+    return series_log(compose_infinity(invert_infinity(model.iso), strict))
 
 
 def test_find_gauge_matches_the_inverse_isomorphism_on_the_corpus(acceptance_corpus):
     for _, _, m in acceptance_corpus:
         model = minimal_model(m)
         assert find_gauge(model) == inverse_isomorphism_gauge(model)
+
+
+def test_find_gauge_is_minus_log_of_the_isomorphism_series():
+    # the model's isomorphism is the bare series psi(z) on A with psi_0 the
+    # identity, and the gauge, where one exists, is -log psi read straight
+    # off it
+    found = 0
+    for m in [m for _, _, m in corpus(60)] + hand_library():
+        model = minimal_model(m)
+        iso = model.iso
+        assert isinstance(iso, OperatorSeries) and iso.space == iso.target == m.space
+        assert iso.coefficient(0) == GradedMap.identity(m.space)
+        out = find_gauge(model)
+        if not isinstance(out, NoGauge):
+            assert out == gauge._log(iso, -1)
+            found += 1
+    assert found >= 20
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -319,17 +334,15 @@ def test_find_gauge_staircase_witness():
 def test_gauge_exponential_is_an_isotopy_from_bare_complex():
     # conjugating by exp(R) intertwines d with the full operator family, so
     # exp(R) viewed as a morphism family from (A, d) to m must validate
-    from multicx.complexes import Multicomplex, validate_infinity_morphism
+    from multicx.complexes import validate_infinity_morphism
     for seed in range(10):
         m = generate("a", 800 + seed)
         series = find_gauge(minimal_model(m))
         assert isinstance(series, OperatorSeries)
         bare = Multicomplex.trivial(m.space, m.delta(0))
-        u = series_exp(series)
-        iso = InfinityMorphism(bare, m, [u.coefficient(n, 2 * n)
-                                         for n in range(u.max_power + 1)])
-        assert iso.comp(0) == GradedMap.identity(m.space)
-        assert validate_infinity_morphism(iso).ok
+        iso = series_exp(series)
+        assert iso.coefficient(0) == GradedMap.identity(m.space)
+        assert validate_infinity_morphism(iso, bare, m).ok
 
 
 def test_mixed_gauge_zero_second_operator():

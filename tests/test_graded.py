@@ -38,7 +38,7 @@ def rand_space(rng, width=4, maxdim=3):
 def test_space_basics():
     v = GradedVectorSpace({0: 2, 3: 1})
     assert v.dim(0) == 2 and v.dim(1) == 0
-    assert v.width == 3 and v.total_dim == 3
+    assert v.width == 3
     assert GradedVectorSpace({1: 0}).is_zero
 
 

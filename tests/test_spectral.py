@@ -422,8 +422,8 @@ def test_page_one_differential_is_transferred_operator():
         t = total_complex(m)
         pg = page(t, 1)
         retract = build_retract(m.space, m.delta(0))
-        out = transfer_structure(retract, m)
-        d1_op = out.transferred.delta(1)
+        transferred, _ = transfer_structure(retract, m)
+        d1_op = transferred.delta(1)
         for (s, n), mat in pg.differentials.items():
             src_iso = identify_with_homology(t, pg, s, n)
             tgt = pg.entries[(s + 1, n - 1)]
@@ -443,8 +443,8 @@ def test_staircase_page_two_differential_is_transferred_weight_two():
     p1 = page(t, 1)
     assert first_nonzero_differential(p1) is None
     retract = build_retract(m.space, m.delta(0))
-    out = transfer_structure(retract, m)
-    d2_op = out.transferred.delta(2)
+    transferred, _ = transfer_structure(retract, m)
+    d2_op = transferred.delta(2)
     pg = page(t, 2)
     seen_nonzero = False
     for (s, n), mat in pg.differentials.items():
