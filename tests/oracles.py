@@ -156,6 +156,24 @@ def scanning_rref(m):
     return pivots, done
 
 
+CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
+CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
+SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1,
+                     ((0, 1, 0), (0, 2)): -1})
+
+
+def geometry_outputs():
+    """The contact pair under jacobi and basic and so3 as (w, 0), on the
+    weight window at trunc 2, 3 and 4."""
+    out = []
+    for trunc in (2, 3, 4):
+        a = derham.FormAlgebra(3, trunc, weight=True)
+        out.append(derham.jacobi_multicomplex(CONTACT_W, CONTACT_E, a).multicomplex)
+        out.append(derham.basic_subcomplex(CONTACT_W, CONTACT_E, a).multicomplex)
+        out.append(derham.jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex)
+    return out
+
+
 def coordinate_field(dim: int, j: int) -> PolyVector:
     """The constant vector field d/dx_j."""
     return PolyVector(dim, {((0,) * dim, (j,)): 1})

@@ -13,7 +13,7 @@ from multicx.complexes import (
     validate_infinity_morphism,
     validate_multicomplex,
 )
-from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_multicomplex
+from multicx.derham import FormAlgebra, basic_subcomplex, jacobi_multicomplex
 from multicx.errors import DegreeMismatch, NotInvertible, SpaceMismatch
 from multicx.exactla import Matrix
 from multicx.gauge import check_gauge_hodge, series_mul
@@ -27,10 +27,13 @@ from multicx.generators import (
 from multicx.graded import GradedMap, GradedVectorSpace, compose, lincomb
 from multicx.transfer import minimal_model
 from oracles import (
+    CONTACT_E,
+    CONTACT_W,
     carried_model,
     comp,
     comps,
     direct_sum,
+    geometry_outputs,
     looped_compose_infinity,
     looped_validate_infinity_morphism,
     looped_validate_multicomplex,
@@ -268,22 +271,6 @@ def test_product_with_zero_complex():
 
 
 # ---- the one Cauchy product against the parent's per-power loops ----
-
-CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
-CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
-SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1,
-                     ((0, 1, 0), (0, 2)): -1})
-
-
-def geometry_outputs():
-    out = []
-    for trunc in (2, 3, 4):
-        a = FormAlgebra(3, trunc, weight=True)
-        out.append(jacobi_multicomplex(CONTACT_W, CONTACT_E, a).multicomplex)
-        out.append(basic_subcomplex(CONTACT_W, CONTACT_E, a).multicomplex)
-        out.append(jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex)
-    return out
-
 
 def rand_family(rng, space, top=2, density=0.3):
     """delta_0, ..., delta_top drawn at random, so the relations mostly fail."""

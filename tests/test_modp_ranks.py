@@ -3,8 +3,8 @@
 Every verdict rests on ranks from one fraction-free kernel, `exactla._rref`.
 Here each rank the pipeline reads (the blocks of d, and through them the
 homology, both boundaries of the total complex and the corner ranks
-rho_n(s, t)) is recomputed by
-`oracles.rank_mod_p`, which shares no code with it, at two fixed primes.
+rho_n(s, t)) is recomputed by `oracles.rank_mod_p`, which shares no code
+with it, at two fixed primes.
 Over F_p a rank can only drop: a rank mod p above the rank over Q is a
 defect, and a rank below it at both primes is a defect or an unlucky prime.
 """
@@ -14,17 +14,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicx.derham import FormAlgebra, PolyVector, basic_subcomplex, jacobi_multicomplex
 from multicx.exactla import Matrix, rank
 from multicx.generators import corpus, generate, hand_library
 from multicx.graded import GradedVectorSpace, homology
 from multicx.spectral import total_complex
-from oracles import PRIMES, rank_mod_p
-
-CONTACT_W = PolyVector(3, {((0, 0, 0), (0, 1)): 1, ((0, 1, 0), (1, 2)): -1})
-CONTACT_E = PolyVector(3, {((0, 0, 0), (2,)): -1})
-SO3 = PolyVector(3, {((0, 0, 1), (0, 1)): 1, ((1, 0, 0), (1, 2)): 1,
-                     ((0, 1, 0), (0, 2)): -1})
+from oracles import PRIMES, geometry_outputs, rank_mod_p
 
 
 def check_rank(m: Matrix, over_q: int, what: str) -> int:
@@ -62,16 +56,6 @@ def check_ranks(m) -> int:
                 nonzero += bool(check_rank(corner, t.corner_rank(n, s, u),
                                            "rho_%d(%d, %d)" % (n, s, u)))
     return nonzero
-
-
-def geometry_outputs():
-    out = []
-    for trunc in (2, 3, 4):
-        a = FormAlgebra(3, trunc, weight=True)
-        out.append(jacobi_multicomplex(CONTACT_W, CONTACT_E, a).multicomplex)
-        out.append(basic_subcomplex(CONTACT_W, CONTACT_E, a).multicomplex)
-        out.append(jacobi_multicomplex(SO3, PolyVector.zero(3), a).multicomplex)
-    return out
 
 
 def test_ranks_match_mod_p_on_the_corpus_library_and_geometry():
