@@ -475,7 +475,7 @@ def basic_subcomplex(w: PolyVector, e: PolyVector, a: FormAlgebra) -> BasicCompl
     ie_d = compose(ie, d)
     inclusions, free = {}, {}
     for k in a.space.degrees:
-        ker, pivots = _kernel(ie.block(k).vstack(ie_d.block(k)))
+        ker, pivots, _ = _kernel(ie.block(k).vstack(ie_d.block(k)))
         if ker.dim:
             inclusions[k] = ker.basis
             free[k] = sorted(set(range(ker.ambient_dim)).difference(pivots))

@@ -37,8 +37,6 @@ check through the private `Subspace._independent`:
   - the image basis of `kernel_image` is the pivot columns, which no earlier
     column spans;
   - `complement` keeps pivot columns of an independent ambient basis;
-  - the image basis B = d C of `transfer.build_retract` is d applied to a
-    complement C of ker d, on which d is injective;
   - the spectral filtration F_s takes identity columns, and the cycles Z^r_s
     re-index a kernel basis injectively into the total degree, which keeps
     it independent.
@@ -394,18 +392,20 @@ class Subspace:
 
 
 def _kernel(m: Matrix):
-    """The kernel basis of m (see `kernel_image`) and m's pivot columns,
-    from one `_rref`."""
+    """The kernel basis of m (see `kernel_image`), m's pivot columns and its
+    RREF, the rows in echelon order, from one `_rref`."""
     pivots, rows = _rref(m)
+    rref = Matrix(len(pivots), m.cols)
+    rref.data = dict(enumerate(rows))
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     # free column -> its kernel vector; the cost is the RREF's nonzeros
     slot = {fc: k for k, fc in enumerate(free)}
     ker = Matrix(m.cols, len(free))
     ker.data = {fc: {k: 1} for k, fc in enumerate(free)}
-    ker.data.update({pcol: out for pcol, row in zip(pivots, rows)
+    ker.data.update({pcol: out for pcol, row in zip(pivots, rref.data.values())
                      if (out := {k: -v for c, v in row.items() if (k := slot.get(c)) is not None})})
-    return Subspace._independent(m.cols, ker), pivots
+    return Subspace._independent(m.cols, ker), pivots, rref
 
 
 def kernel_image(m: Matrix):
@@ -415,7 +415,7 @@ def kernel_image(m: Matrix):
     free columns ascending); the image basis is the original columns at the
     pivot positions, so dim ker + dim im = cols always.
     """
-    ker, pivots = _kernel(m)
+    ker, pivots, _ = _kernel(m)
     return ker, Subspace._independent(m.rows, m.select_columns(pivots))
 
 

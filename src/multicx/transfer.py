@@ -3,12 +3,12 @@
 A retract is its splitting A_k = H_k (+) B_k (+) C_k: one
 `DeformationRetract` holds the frame F_k = [H | B | C] and the rows
 (p, b, c) of F_k^{-1}, and reads incl = H, proj = p and the homotopy off
-them when it is made.  `build_retract` eliminates once per degree, for
-Z_k = ker d_k; C_k complements Z_k, B_k = d C_{k+1} is im d, and H_k
-complements B_k in Z_k.  As d maps C_{k+1} onto B_k column for column, the
-homotopy -(d|_C)^{-1} on B is the product -C_{k+1} b_k, with no solve;
-that sign makes incl o proj - id = d h + h d hold on the nose, and the
-splitting gives h i = 0, p h = 0, h h = 0 for free.
+them when it is made.  `build_retract` reads both off the RREFs of d_k
+and of one frame of size dim ker d_k per degree.  As d maps C_{k+1} onto
+B_k column for column, the homotopy -(d|_C)^{-1} on B is the product
+-C_{k+1} b_k, with no solve; that sign makes incl o proj - id = d h + h d
+hold on the nose, and the splitting gives h i = 0, p h = 0, h h = 0 for
+free.
 
 Every other retract is a change of frame of this one, since ker d and im d
 are unique: `alternative_retract` takes a retract, twists its F to F T
@@ -23,7 +23,8 @@ morphism components extending proj.  It returns the pair (transferred, p),
 p the series of that infinity-morphism; the minimal model builds the two
 halves apart, through the same helpers, so neither is computed twice.  The
 extension of incl, i_n = h S_n over the chain sums S_n that end in incl, is
-not built: nothing on the pipeline reads it.
+not built: nothing on the pipeline reads it.  The chain sums come one
+level at a time, and `check_hodge_data` forms none past its witness.
 
 `minimal_model` builds up front only what every verdict reads: the
 retract and the transferred multicomplex.  The isomorphism is built on
@@ -45,10 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 
 from .complexes import HodgeData, Multicomplex, OperatorSeries
 from .errors import NotSquareZero, SpaceMismatch
-from .exactla import Matrix, Subspace, _kernel, complement, solve
+from .exactla import Matrix, _kernel
 from .graded import (
     GradedMap,
     GradedVectorSpace,
@@ -87,12 +89,16 @@ class DeformationRetract:
 def build_retract(space: GradedVectorSpace, d: GradedMap) -> DeformationRetract:
     """Deterministic deformation retract of (space, d) onto its homology.
 
-    Each degree is eliminated once, for ker d_k; C_k is the greedy
-    complement of ker d_k, B_k = d C_{k+1}, H_k the greedy complement of B_k
-    in ker d_k, and one solve inverts the frame.  That C_k is the unit
-    vectors at d_k's pivot columns: a free e_j is its kernel vector plus
-    pivot unit vectors left of j, and the RREF row of a pivot j vanishes on
-    ker d_k and on every e_i, i < j, but not on e_j.
+    Two eliminations per degree and no solve.  The RREF rows R of d_k give
+    C_k, the unit vectors at their pivot columns, and are the c rows of
+    F_k^{-1}: R C_k = I, and R vanishes on ker d_k, which holds H_k and
+    B_k = d C_{k+1}.  A vector of ker d_k is its f free rows, and the RREF
+    of [B_free | I_f] keeps H_k greedily (its pivots past B) and holds
+    [B_free | H_free]^{-1} in its I_f block: put back on the free columns,
+    its first b rows are b_k and the rest are p_k.  C_k is the greedy
+    complement of ker d_k: a free e_j is its kernel vector plus pivot unit
+    vectors left of j, and the RREF row of a pivot j vanishes on ker d_k and
+    on every e_i, i < j, but not on e_j.
     """
     if d.degree != -1:
         raise NotSquareZero("differential must have degree -1")
@@ -100,16 +106,21 @@ def build_retract(space: GradedVectorSpace, d: GradedMap) -> DeformationRetract:
         raise NotSquareZero("d squared is nonzero")
     kernels, c = {}, {}
     for k, n in space.dims.items():
-        kernels[k], pivots = _kernel(d.block(k))
+        kernels[k] = _, pivots, _ = _kernel(d.block(k))
         c[k] = Matrix(n, len(pivots), [(p, j, 1) for j, p in enumerate(pivots)])
     bases, coords = {}, {}
     for k, n in space.dims.items():
+        ker, pivots, rref = kernels[k]
         b = d.block(k + 1).mul(c[k + 1]) if k + 1 in c else Matrix(n, 0)
-        h = complement(Subspace._independent(n, b), kernels[k]).basis
-        inverse = solve(h.hstack(b).hstack(c[k]), Matrix.identity(n))
-        z = h.cols + b.cols
-        bases[k] = (h, b, c[k])
-        coords[k] = tuple(inverse.select_rows(r) for r in (range(h.cols), range(h.cols, z), range(z, n)))
+        free, z = sorted(set(range(n)).difference(pivots)), b.cols
+        frame = Matrix(len(free), z + len(free))
+        frame.data = {i: {**b.data.get(j, {}), z + i: 1} for i, j in enumerate(free)}
+        _, kept, reduced = _kernel(frame)
+        inverse = Matrix(len(free), n)
+        inverse.data = {i: {free[j - z]: v for j, v in row.items() if j >= z}
+                        for i, row in reduced.data.items()}
+        bases[k] = (ker.basis.select_columns([j - z for j in kept[z:]]), b, c[k])
+        coords[k] = (inverse.select_rows(range(z, len(free))), inverse.select_rows(range(z)), rref)
     return DeformationRetract(d, bases, coords)
 
 
@@ -138,51 +149,56 @@ def alternative_retract(r: DeformationRetract, rng) -> DeformationRetract:
     return DeformationRetract(r.d_big, bases, coords)
 
 
-def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap, nmax: int):
-    """S_n = sum over compositions of n of delta_{i_1} h ... h delta_{i_k} r.
+def _chain_sums(m: Multicomplex, h: GradedMap, rightmost: GradedMap):
+    """S_n = sum over compositions of n of delta_{i_1} h ... h delta_{i_k} r,
+    yielded for n = 1, 2, ... in turn.
 
     Computed by the recursion S_n = sum_j delta_j T_{n-j} with T_0 = r and
-    T_m = h S_m, which visits every composition exactly once.
+    T_m = h S_m, which visits every composition exactly once; T_n is formed
+    only when the level after S_n is asked for.
     """
     source = rightmost.source
     big = m.space
-    sums = {}
-    tails = {0: rightmost}
-    for n in range(1, nmax + 1):
+    tails = [rightmost]
+    for n in count(1):
         terms = []
         for j in range(1, n + 1):
             dj = m.delta(j)
             if dj.is_zero:
                 continue
             terms.append((1, compose(dj, tails[n - j])))
-        sums[n] = lincomb(terms, degree=2 * n - 1 + rightmost.degree,
-                          source=source, target=big)
-        tails[n] = compose(h, sums[n])
-    return sums
+        level = lincomb(terms, degree=2 * n - 1 + rightmost.degree, source=source, target=big)
+        yield level
+        tails.append(compose(h, level))
 
 
-def _transferred(r: DeformationRetract, m: Multicomplex) -> Multicomplex:
-    """The transferred multicomplex, from the chain sums over the inclusion
-    up to one past the grading bound.  The operator at that weight is
-    recomputed once and asserted zero rather than assumed."""
+def _transferred_operators(r: DeformationRetract, m: Multicomplex):
+    """The transferred operators p S_n, S_n over the inclusion, for n = 1 up
+    to the grading bound in turn; the one past it is then recomputed and
+    asserted zero rather than assumed."""
     if m.space != r.big:
         raise SpaceMismatch("multicomplex lives on a different space than the retract")
     if m.delta(0) != r.d_big:
         raise SpaceMismatch("retract differential disagrees with delta_0")
     n_delta = max(max_component_index(r.small, r.small, 2, -1), 0)
-    s_chain = _chain_sums(m, r.homotopy, r.incl, n_delta + 1)
-    deltas = [r.d_small] + [compose(r.proj, s_chain[n]) for n in range(1, n_delta + 1)]
-    if not compose(r.proj, s_chain[n_delta + 1]).is_zero:
+    s_chain = _chain_sums(m, r.homotopy, r.incl)
+    for level in islice(s_chain, n_delta):
+        yield compose(r.proj, level)
+    if not compose(r.proj, next(s_chain)).is_zero:
         raise NotSquareZero("transferred operator beyond the grading bound is nonzero")
-    return Multicomplex(r.small, deltas)
+
+
+def _transferred(r: DeformationRetract, m: Multicomplex) -> Multicomplex:
+    """The transferred multicomplex, every weight up to the grading bound."""
+    return Multicomplex(r.small, [r.d_small, *_transferred_operators(r, m)])
 
 
 def _p_components(r: DeformationRetract, m: Multicomplex) -> list:
     """The components of the infinity-morphism extending proj: proj, then
     proj composed with the chain sums over the homotopy."""
     n_p = max(max_component_index(r.big, r.small, 2, 0), 0)
-    u_chain = _chain_sums(m, r.homotopy, r.homotopy, n_p)
-    return [r.proj] + [compose(r.proj, u_chain[n]) for n in range(1, n_p + 1)]
+    u_chain = _chain_sums(m, r.homotopy, r.homotopy)
+    return [r.proj] + [compose(r.proj, level) for level in islice(u_chain, n_p)]
 
 
 def transfer_structure(r: DeformationRetract, m: Multicomplex):
@@ -199,9 +215,12 @@ def nonzero_weights(m: Multicomplex) -> list:
 
 
 def check_hodge_data(r: DeformationRetract, m: Multicomplex) -> HodgeData:
-    """True iff every transferred operator of weight >= 1 vanishes."""
-    weights = nonzero_weights(_transferred(r, m))
-    return HodgeData(ok=not weights, witness=weights[0] if weights else None)
+    """True iff every transferred operator of weight >= 1 vanishes; no chain
+    sum past the witness, the least nonzero weight, is formed."""
+    for n, op in enumerate(_transferred_operators(r, m), 1):
+        if not op.is_zero:
+            return HodgeData(ok=False, witness=n)
+    return HodgeData(ok=True, witness=None)
 
 
 @dataclass

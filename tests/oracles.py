@@ -14,7 +14,9 @@ constructor that only tests need (matrices from rows or a column, Q^n on
 its standard basis, the transpose, coordinate fields, form vectors, direct
 sums, the contraction symbol with its factors in reversed order, sums and
 wedges of polyvectors, the components of a morphism series, the minimal
-model carried onto A, which `MinimalModel.iso` maps onto).  The de Rham
+model carried onto A, which `MinimalModel.iso` maps onto).  The retract's
+splitting and frame inverse are built a second way, by complements and one
+solve per degree.  The de Rham
 operators are assembled a second way, one monomial at a time through a
 flat entry list, and the basic complex a second way, by solving for each
 restricted operator on the ambient forms.  The
@@ -28,7 +30,7 @@ by a line cursor with one scan per section and a flat entry list that
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 
 from multicx import derham, transfer
@@ -45,6 +47,7 @@ from multicx.exactla import (
     Matrix,
     Subspace,
     accumulate,
+    complement,
     induced_subquotient_map,
     kernel_image,
     rat,
@@ -296,13 +299,32 @@ def identity_defects(r):
     }
 
 
+def solved_retract(space: GradedVectorSpace, d: GradedMap):
+    """The splitting and frame inverse (bases, coords) of the retract onto
+    homology, built with no RREF row read back: C_k the greedy complement of
+    ker d_k in Q^n, B_k = d C_{k+1}, H_k the greedy complement of B_k in
+    ker d_k, and one `solve` inverting the frame [H | B | C]."""
+    kernels = {k: kernel_image(d.block(k))[0] for k in space.degrees}
+    c = {k: complement(kernels[k], full_space(n)).basis for k, n in space.dims.items()}
+    bases, coords = {}, {}
+    for k, n in space.dims.items():
+        b = d.block(k + 1).mul(c[k + 1]) if k + 1 in c else Matrix(n, 0)
+        h = complement(Subspace(n, b), kernels[k]).basis
+        inverse = solve(h.hstack(b).hstack(c[k]), Matrix.identity(n))
+        z = h.cols + b.cols
+        bases[k] = (h, b, c[k])
+        coords[k] = tuple(inverse.select_rows(rows)
+                          for rows in (range(h.cols), range(h.cols, z), range(z, n)))
+    return bases, coords
+
+
 def inclusion_extension(r, m: Multicomplex) -> OperatorSeries:
     """The series of the infinity-morphism from the transferred structure to
     m extending incl: i_n = h S_n, S_n the chain sums over incl (sum over
     compositions of n of delta_{i_1} h ... h delta_{i_k} incl)."""
     n_i = max(max_component_index(r.small, r.big, 2, 0), 0)
-    s_chain = transfer._chain_sums(m, r.homotopy, r.incl, n_i)
-    out = [r.incl] + [compose(r.homotopy, s_chain[n]) for n in range(1, n_i + 1)]
+    s_chain = transfer._chain_sums(m, r.homotopy, r.incl)
+    out = [r.incl] + [compose(r.homotopy, level) for level in islice(s_chain, n_i)]
     return OperatorSeries(r.small, dict(enumerate(out)), r.big)
 
 

@@ -467,6 +467,10 @@ def test_mutated_inputs_never_fault(tmp_path, monkeypatch, capsys):
         path = tmp_path / "mutant"
         codes = set()
         for seed in range(500):
+            # unlink, then create: on some file systems overwriting a file
+            # costs tens of milliseconds, creating one about one
+            for written in (path, tmp_path / "mutant-jacobi.mcx"):
+                written.unlink(missing_ok=True)
             path.write_bytes(mutated(data, seed))
             code = main(argv + [str(path)])
             capsys.readouterr()

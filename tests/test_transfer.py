@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicx.complexes import (
+    HodgeData,
     Multicomplex,
     OperatorSeries,
     compose_infinity,
@@ -14,7 +15,7 @@ from multicx.complexes import (
     validate_infinity_morphism,
     validate_multicomplex,
 )
-from multicx import transfer
+from multicx import exactla, transfer
 from multicx.derham import FormAlgebra, PolyVector, jacobi_multicomplex
 from multicx.errors import NotSquareZero, SpaceMismatch
 from multicx.exactla import Matrix, Subspace, complement, kernel_image
@@ -22,18 +23,27 @@ from multicx.generators import (
     corpus,
     generate,
     hand_library,
+    rand_graded_map,
     rand_series,
     rand_space,
     rand_square_zero,
     staircase4,
 )
 from multicx.gauge import gauge_construct
-from multicx.graded import GradedMap, GradedVectorSpace, compose, homology, lincomb
+from multicx.graded import (
+    GradedMap,
+    GradedVectorSpace,
+    compose,
+    homology,
+    lincomb,
+    max_component_index,
+)
 from multicx.transfer import (
     alternative_retract,
     build_retract,
     check_hodge_data,
     minimal_model,
+    nonzero_weights,
     transfer_structure,
 )
 from oracles import (
@@ -44,9 +54,11 @@ from oracles import (
     frame_isomorphism,
     from_rows,
     full_space,
+    geometry_outputs,
     identity_defects,
     inclusion_extension,
     mixed_gauge_instance,
+    solved_retract,
 )
 
 
@@ -277,9 +289,9 @@ def test_hodge_data_builds_no_morphism_components(monkeypatch):
     # in the homotopy (those feed only the projection's components)
     rightmost = []
 
-    def recorded(m, h, right, nmax, _fn=transfer._chain_sums):
+    def recorded(m, h, right, _fn=transfer._chain_sums):
         rightmost.append(right)
-        return _fn(m, h, right, nmax)
+        return _fn(m, h, right)
     monkeypatch.setattr(transfer, "_chain_sums", recorded)
     for seed in range(3):
         m = generate("a", 50 + seed)
@@ -475,33 +487,34 @@ def test_complement_from_the_splitting_contracts():
                                             (-1, compose(r.incl, r.proj))])
 
 
-def count_in_transfer(monkeypatch, name):
+def count_in(monkeypatch, module, name):
     calls = []
-    real = getattr(transfer, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
-    monkeypatch.setattr(transfer, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_minimal_model_eliminates_only_for_the_splitting(monkeypatch):
-    # per degree one kernel, one complement (H of B in ker d; C is read off
-    # the kernel's pivots) and the frame inverse; the model, the verdict and
-    # every twisted retract eliminate nothing more
-    kernels = count_in_transfer(monkeypatch, "_kernel")
-    complements = count_in_transfer(monkeypatch, "complement")
-    solves = count_in_transfer(monkeypatch, "solve")
+    # per degree two kernels, of d_k and of the frame on ker d_k's free rows
+    # (C is read off the first one's pivots, H and F^{-1} off both RREFs),
+    # and no complement or solve; the model, the verdict and every twisted
+    # retract eliminate nothing more
+    kernels = count_in(monkeypatch, transfer, "_kernel")
+    complements = count_in(monkeypatch, exactla, "complement")
+    solves = count_in(monkeypatch, exactla, "solve")
     rng = Random(53)
     for m in [generate("a", 5), generate("b", 5), staircase4()]:
         degrees = len(m.space.degrees)
         r = build_retract(m.space, m.delta(0))
-        assert (len(kernels), len(complements), len(solves)) == (degrees, degrees, degrees)
-        del kernels[:], complements[:], solves[:]
+        assert (len(kernels), len(complements), len(solves)) == (2 * degrees, 0, 0)
+        del kernels[:]
         minimal_model(m)
-        assert (len(kernels), len(complements), len(solves)) == (degrees, degrees, degrees)
-        del kernels[:], complements[:], solves[:]
+        assert (len(kernels), len(complements), len(solves)) == (2 * degrees, 0, 0)
+        del kernels[:]
         check_hodge_data(r, m)
         for _ in range(3):
             alt = alternative_retract(r, rng)
@@ -518,3 +531,117 @@ def test_complement_of_the_kernel_is_the_greedy_one():
         for k, n in m.space.dims.items():
             ker, _ = kernel_image(m.delta(0).block(k))
             assert r.bases[k][2] == complement(ker, full_space(n)).basis, k
+
+
+def assert_solved_retract(m):
+    r = build_retract(m.space, m.delta(0))
+    bases, coords = solved_retract(m.space, m.delta(0))
+    assert r.bases == bases
+    assert r.coords == coords
+
+
+def test_retract_read_off_the_rref_is_the_solved_one():
+    # the frame and its inverse read off the two RREFs are the complements
+    # and the solve, entry for entry
+    for m in [m for _, _, m in corpus(60)] + hand_library() + geometry_outputs():
+        assert_solved_retract(m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from("abc"), st.integers(0, 10 ** 6))
+def test_retract_read_off_the_rref_on_drawn_instances(profile, seed):
+    assert_solved_retract(generate(profile, seed))
+
+
+def test_retract_eliminates_d_and_the_frame_on_its_kernel(monkeypatch):
+    # per degree one elimination of d_k (rows x n), then one of
+    # [B_free | I_f] over the f = dim ker d_k free rows; no complement and
+    # no solve
+    instances = [generate("a", 5), generate("b", 5), staircase4()] + geometry_outputs()[:3]
+    expected = []
+    for m in instances:
+        d = m.delta(0)
+        ranks = {k: exactla.rank(d.block(k)) for k in m.space.degrees}
+        expected.append([(d.block(k).rows, n) for k, n in m.space.dims.items()]
+                        + [(n - ranks[k], ranks.get(k + 1, 0) + n - ranks[k])
+                           for k, n in m.space.dims.items()])
+    shapes = []
+
+    def recorded(m, _fn=exactla._rref):
+        shapes.append((m.rows, m.cols))
+        return _fn(m)
+    monkeypatch.setattr(exactla, "_rref", recorded)
+    complements = count_in(monkeypatch, exactla, "complement")
+    solves = count_in(monkeypatch, exactla, "solve")
+    for m, shape in zip(instances, expected):
+        build_retract(m.space, m.delta(0))
+        assert shapes == shape
+        assert not complements and not solves
+        del shapes[:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from("abc"), st.integers(0, 10 ** 4), st.integers(0, 10 ** 9))
+def test_early_stop_verdict_is_the_full_one(profile, gseed, seed):
+    # the verdict that stops at its first nonzero weight is the one read off
+    # every transferred weight
+    m = generate(profile, gseed)
+    rng = Random(seed)
+    canonical = build_retract(m.space, m.delta(0))
+    for _ in range(3):
+        alt = alternative_retract(canonical, rng)
+        weights = nonzero_weights(transfer._transferred(alt, m))
+        assert check_hodge_data(alt, m) == \
+            HodgeData(ok=not weights, witness=weights[0] if weights else None)
+
+
+def test_nonzero_weight_one_forms_one_chain_level(monkeypatch):
+    # a twisted retract obstructed at weight 1 forms S_1 and nothing after
+    # it: no T_1 = h S_1 and no S_2
+    homotopies, levels, tails = [], [], []
+
+    def chain(m, h, right, _fn=transfer._chain_sums):
+        homotopies.append(h)
+        return _fn(m, h, right)
+
+    def summed(*args, _fn=transfer.lincomb, **kwargs):
+        levels.append(1)
+        return _fn(*args, **kwargs)
+
+    def composed(g, f, _fn=transfer.compose):
+        if any(g is h for h in homotopies):
+            tails.append(1)
+        return _fn(g, f)
+    monkeypatch.setattr(transfer, "_chain_sums", chain)
+    monkeypatch.setattr(transfer, "lincomb", summed)
+    monkeypatch.setattr(transfer, "compose", composed)
+    rng = Random(59)
+    obstructed = 0
+    for seed in range(10):
+        m = generate("b", seed)
+        canonical = build_retract(m.space, m.delta(0))
+        for _ in range(2):
+            alt = alternative_retract(canonical, rng)
+            del homotopies[:], levels[:], tails[:]
+            verdict = check_hodge_data(alt, m)
+            if verdict.witness == 1:
+                obstructed += 1
+                assert (len(homotopies), len(levels), len(tails)) == (1, 1, 0)
+    assert obstructed >= 10
+
+
+def test_beyond_bound_composite_has_no_block():
+    # past the grading bound n_delta, p X has no block for any X of the
+    # chain sums' degree: proj has no block past the top degree of H
+    rng = Random(67)
+    nonzero = 0
+    instances = [generate("a", s) for s in range(100)]
+    instances += [generate(p, s) for p in "bc" for s in range(20)] + [staircase4()]
+    for m in instances:
+        r = build_retract(m.space, m.delta(0))
+        n_delta = max(max_component_index(r.small, r.small, 2, -1), 0)
+        x = rand_graded_map(rng, r.small, r.big, 2 * (n_delta + 1) - 1, density=1.0)
+        nonzero += not x.is_zero
+        assert compose(r.proj, x).blocks == {}
+    # where A reaches past the top degree of H, X is not zero
+    assert nonzero >= 5
